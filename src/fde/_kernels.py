@@ -1,4 +1,4 @@
-"""Hot solver kernels: one backward-Euler step via damped Newton.
+"""Hot solver kernel: one backward-Euler step via damped Newton.
 
 The interior residual for the step from u to U over dt is
 
@@ -17,142 +17,62 @@ wherever the diffusion face weight dominates the central advection half
 back to the backward upwind difference elsewhere.  beta < 0 drives the
 rescaled characteristics toward larger s, so upwind leans on the smaller-s
 neighbor.  The blend weights are frozen at the start-of-step state.
-
-Two implementations share this logic: a numba @njit kernel and a
-numpy/scipy fallback, selected once at import by the FDE_NUMBA env flag
-(default: numba when importable).  `benchmarks/bench_kernels.py` compares
-them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
-__all__ = ["newton_step", "USING_NUMBA", "newton_step_numpy"]
-
-_want_numba = os.environ.get("FDE_NUMBA", "1") != "0"
-USING_NUMBA = False
+__all__ = ["newton_step"]
 
 
-def _newton_step_impl(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
-                      tol, max_iter):
+def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
+                tol, max_iter):
+    """Solve one step from u over dt; returns (U, iterations, converged).
+
+    Each iteration solves the tridiagonal Jacobian system with LAPACK gtsv,
+    then halves the update until U stays positive.  Converged means a full
+    (undamped) update with max |delta| / (1 + |U|) <= tol.  A singular
+    Jacobian raises numpy.linalg.LinAlgError.
+    """
     N = u.shape[0]
     U = u.copy()
     U[0] = bc_lo
-    U[N - 1] = bc_hi
-    lo = np.zeros(N)
-    di = np.ones(N)
-    up = np.zeros(N)
-    F = np.zeros(N)
-    cp = np.zeros(N)
-    dp = np.zeros(N)
-    delta = np.zeros(N)
+    U[-1] = bc_hi
+    ce = c0 * einv[1:-1]
+    cap = ce * ap[1:-1]
+    cam = ce * am[1:-1]
+    cdiag = ce * (ap[1:-1] + am[1:-1])
 
-    # central-vs-upwind blend, frozen at the start-of-step state: central is
-    # admissible when the outflow diffusion face dominates |b_ds|/2
-    theta = np.zeros(N)
+    # central (1) vs upwind (0): central is admissible when the outflow
+    # diffusion face dominates |b_ds|/2
+    th = np.zeros(N - 2)
     if b_ds != 0.0:
-        dUm0 = m * u ** (m - 1.0)
-        for i in range(1, N - 1):
-            if c0 * einv[i] * ap[i] * dUm0[i + 1] >= -0.5 * b_ds:
-                theta[i] = 1.0
-
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        Um = U ** m
-        dUm = m * U ** (m - 1.0)
-        F[0] = 0.0
-        F[N - 1] = 0.0
-        di[0] = 1.0
-        di[N - 1] = 1.0
-        for i in range(1, N - 1):
-            L = c0 * einv[i] * (ap[i] * (Um[i + 1] - Um[i]) - am[i] * (Um[i] - Um[i - 1]))
-            th = theta[i]
-            L += alpha * U[i] + b_ds * (th * 0.5 * (U[i + 1] - U[i - 1])
-                                        + (1.0 - th) * (U[i] - U[i - 1]))
-            F[i] = U[i] - u[i] - dt * L
-            lo[i] = -dt * (c0 * einv[i] * am[i] * dUm[i - 1]
-                           - b_ds * (0.5 * th + 1.0 - th))
-            di[i] = 1.0 + dt * (c0 * einv[i] * (ap[i] + am[i]) * dUm[i]
-                                - alpha - b_ds * (1.0 - th))
-            up[i] = -dt * (c0 * einv[i] * ap[i] * dUm[i + 1] + b_ds * 0.5 * th)
-        lo[N - 1] = 0.0
-        up[0] = 0.0
-
-        # Thomas solve J delta = -F
-        cp[0] = up[0] / di[0]
-        dp[0] = -F[0] / di[0]
-        for i in range(1, N):
-            w = di[i] - lo[i] * cp[i - 1]
-            cp[i] = up[i] / w
-            dp[i] = (-F[i] - lo[i] * dp[i - 1]) / w
-        delta[N - 1] = dp[N - 1]
-        for i in range(N - 2, -1, -1):
-            delta[i] = dp[i] - cp[i] * delta[i + 1]
-
-        # positivity-preserving damping
-        theta_ls = 1.0
-        for _ in range(60):
-            ok = True
-            for i in range(N):
-                if U[i] + theta_ls * delta[i] <= 0.0:
-                    ok = False
-                    break
-            if ok:
-                break
-            theta_ls *= 0.5
-        scaled = 0.0
-        for i in range(N):
-            U[i] = U[i] + theta_ls * delta[i]
-            s = abs(delta[i]) / (1.0 + abs(U[i]))
-            if s > scaled:
-                scaled = s
-        if theta_ls == 1.0 and scaled <= tol:
-            converged = True
-            break
-    return U, it, converged
-
-
-def newton_step_numpy(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
-                      tol, max_iter):
-    """Vectorized fallback; same contract as the numba kernel."""
-    from scipy.linalg import solve_banded
-
-    N = u.shape[0]
-    U = u.copy()
-    U[0] = bc_lo
-    U[N - 1] = bc_hi
-
-    theta = np.zeros(N)
-    if b_ds != 0.0:
-        dUm0 = m * u ** (m - 1.0)
-        theta[1:-1] = (c0 * einv[1:-1] * ap[1:-1] * dUm0[2:] >= -0.5 * b_ds).astype(float)
-    th = theta[1:-1]
+        th = (cap * (m * u[2:] ** (m - 1.0)) >= -0.5 * b_ds).astype(float)
+    adv_lo = b_ds * (0.5 * th + 1.0 - th)
+    adv_di = b_ds * (1.0 - th)
+    adv_up = b_ds * 0.5 * th
 
     converged = False
     it = 0
     F = np.zeros(N)
-    ab = np.zeros((3, N))
+    d = np.ones(N)
+    dl = np.zeros(N - 1)
+    du = np.zeros(N - 1)
     for it in range(1, max_iter + 1):
         Um = U ** m
         dUm = m * U ** (m - 1.0)
-        L = c0 * einv[1:-1] * (ap[1:-1] * (Um[2:] - Um[1:-1]) - am[1:-1] * (Um[1:-1] - Um[:-2]))
+        L = ce * (ap[1:-1] * (Um[2:] - Um[1:-1]) - am[1:-1] * (Um[1:-1] - Um[:-2]))
         L += alpha * U[1:-1] + b_ds * (th * 0.5 * (U[2:] - U[:-2])
                                        + (1.0 - th) * (U[1:-1] - U[:-2]))
         F[1:-1] = U[1:-1] - u[1:-1] - dt * L
-        F[0] = 0.0
-        F[-1] = 0.0
-        ab[:] = 0.0
-        ab[1, :] = 1.0
-        ab[1, 1:-1] = 1.0 + dt * (c0 * einv[1:-1] * (ap[1:-1] + am[1:-1]) * dUm[1:-1]
-                                  - alpha - b_ds * (1.0 - th))
-        ab[0, 2:] = -dt * (c0 * einv[1:-1] * ap[1:-1] * dUm[2:] + b_ds * 0.5 * th)
-        ab[2, :-2] = -dt * (c0 * einv[1:-1] * am[1:-1] * dUm[:-2]
-                            - b_ds * (0.5 * th + 1.0 - th))
-        delta = solve_banded((1, 1), ab, -F)
+        d[1:-1] = 1.0 + dt * (cdiag * dUm[1:-1] - alpha - adv_di)
+        du[1:] = -dt * (cap * dUm[2:] + adv_up)
+        dl[:-1] = -dt * (cam * dUm[:-2] - adv_lo)
+        delta, info = dgtsv(dl, d, du, -F)[3:]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Newton Jacobian solve failed (gtsv info={info})")
         theta_ls = 1.0
         while np.any(U + theta_ls * delta <= 0.0) and theta_ls > 1e-18:
             theta_ls *= 0.5
@@ -162,15 +82,3 @@ def newton_step_numpy(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
             converged = True
             break
     return U, it, converged
-
-
-if _want_numba:
-    try:
-        from numba import njit
-
-        newton_step = njit(cache=True)(_newton_step_impl)
-        USING_NUMBA = True
-    except ImportError:
-        newton_step = newton_step_numpy
-else:
-    newton_step = newton_step_numpy

@@ -12,6 +12,7 @@ are meaningful; identical config + seed give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -189,7 +190,8 @@ def _load_config(args, command: str) -> dict:
         with open(args.config) as f:
             cfg = json.load(f)
     _check_keys(cfg, _SCHEMAS[command])
-    merged = _merge(_DEFAULTS[command], cfg)
+    # deep copy: flag overrides below write into nested dicts
+    merged = _merge(copy.deepcopy(_DEFAULTS[command]), cfg)
     for flag, path in _FLAG_MAP.items():
         val = getattr(args, flag, None)
         if val is None:
@@ -297,12 +299,15 @@ def _cmd_expansion(cfg, out: str) -> int:
 
 def _build_evolution(cfg, form, initial, boundary, monitors, profile):
     p = _model(cfg)
+    dt, horizon = float(cfg["dt"]), float(cfg["horizon"])
+    for key, val in (("dt", dt), ("horizon", horizon)):
+        if not 0.0 < val < math.inf:
+            raise ConfigError(f"{key} must be positive and finite, got {val!r}")
     grid = evolution.build_grid(float(cfg["grid"]["R"]), int(cfg["grid"]["N"]))
-    horizon = float(cfg["horizon"])
     snaps = np.linspace(0.0, horizon, int(cfg["snapshots"]))
     return p, grid, evolution.EvolutionConfig(
         grid=grid, params=p, form=form, initial=initial, boundary=boundary,
-        dt=float(cfg["dt"]), horizon=horizon, snapshot_times=snaps,
+        dt=dt, horizon=horizon, snapshot_times=snaps,
         profile=profile, newton_tol=float(cfg.get("newton_tol", 1e-11)),
         monitors=monitors.get("enabled", False) if isinstance(monitors, dict) else monitors,
         lam1=(monitors.get("lam1") if isinstance(monitors, dict) else None),

@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 
 from ._kernels import newton_step
 from .params import DerivedConstants, ModelParams, derive_constants
-from .profile import Profile, ProfileError
+from .profile import Profile
 
 __all__ = [
     "EvolutionError",
@@ -40,8 +40,6 @@ __all__ = [
     "EvolutionConfig",
     "Trajectory",
     "build_grid",
-    "step_physical",
-    "step_rescaled",
     "rescale_transform",
     "inversion_transform",
     "inversion_residual_check",
@@ -205,80 +203,6 @@ def barenblatt_oracle(r, t: float, k: float, T: float, params: ModelParams):
     return tau ** (n / q) * (cstar / (k + tau ** (2.0 / q) * r * r)) ** (1.0 / (1.0 - m))
 
 
-def _attempt_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
-                  newton_tol, max_newton):
-    return newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
-                       newton_tol, max_newton)
-
-
-def _advance(u: np.ndarray, t: float, dt: float, grid: AnnulusGrid,
-             params: ModelParams, c: DerivedConstants, boundary: BoundarySpec,
-             profile: Optional[Profile], rescaled: bool, newton_tol: float,
-             max_newton: int = 50):
-    """Advance by exactly dt, halving the sub-step on Newton failures.
-
-    Returns (u_new, stats) with stats = (accepted_steps, total_newton_iters,
-    rejections).
-    """
-    n, m = params.n, params.m
-    einv, ap, am = grid.coeffs(n)
-    c0 = (n - 1) / m
-    alpha = c.alpha if rescaled else 0.0
-    b_ds = (params.beta / grid.ds) if rescaled else 0.0
-    r_ends = np.array([grid.r[0], grid.r[-1]])
-    remaining = dt
-    sub = dt
-    accepted = 0
-    iters_total = 0
-    rejections = 0
-    while remaining > 1e-14 * dt:
-        sub = min(sub, remaining)
-        bc = boundary.values(t + sub, r_ends, profile, params)
-        U, iters, ok = _attempt_step(u, sub, bc[0], bc[1], m, c0, einv, ap, am,
-                                     alpha, b_ds, newton_tol, max_newton)
-        iters_total += iters
-        if not ok:
-            rejections += 1
-            sub *= 0.5
-            if sub < 1e-12 * dt:
-                raise EvolutionError(
-                    f"time step underflow at t={t!r} (dt={dt!r}); Newton kept failing"
-                )
-            continue
-        u = U
-        t += sub
-        remaining -= sub
-        accepted += 1
-        sub = min(sub * 2.0, dt)
-    return u, (accepted, iters_total, rejections)
-
-
-def step_physical(field: RadialField, dt: float, boundary: BoundarySpec,
-                  grid: AnnulusGrid, params: ModelParams,
-                  c: Optional[DerivedConstants] = None,
-                  profile: Optional[Profile] = None,
-                  newton_tol: float = 1e-11) -> RadialField:
-    """One backward-Euler step of the physical form (sub-steps on failure)."""
-    if c is None:
-        c = derive_constants(params)
-    u, _ = _advance(field.u, field.t, dt, grid, params, c, boundary, profile,
-                    rescaled=False, newton_tol=newton_tol)
-    return RadialField(u=u, t=field.t + dt, form="physical")
-
-
-def step_rescaled(field: RadialField, dt: float, boundary: BoundarySpec,
-                  grid: AnnulusGrid, params: ModelParams,
-                  c: Optional[DerivedConstants] = None,
-                  profile: Optional[Profile] = None,
-                  newton_tol: float = 1e-11) -> RadialField:
-    """One backward-Euler step of the rescaled form."""
-    if c is None:
-        c = derive_constants(params)
-    u, _ = _advance(field.u, field.t, dt, grid, params, c, boundary, profile,
-                    rescaled=True, newton_tol=newton_tol)
-    return RadialField(u=u, t=field.t + dt, form="rescaled")
-
-
 def rescale_transform(field: RadialField, grid: AnnulusGrid,
                       c: DerivedConstants, inverse: bool = False):
     """Physical <-> rescaled resample at the field's own time.
@@ -366,8 +290,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.form not in ("physical", "rescaled"):
             raise EvolutionError(f"form must be physical|rescaled, got {self.form!r}")
-        if not (self.dt > 0.0 and self.horizon > 0.0):
-            raise EvolutionError("dt and horizon must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
+            raise EvolutionError("dt and horizon must be positive and finite")
         st = np.asarray(self.snapshot_times, dtype=float)
         if st[0] != 0.0 or np.any(np.diff(st) <= 0.0) or st[-1] > self.horizon + 1e-12:
             raise EvolutionError("snapshot times must start at 0, increase, and stay <= horizon")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -184,3 +185,33 @@ def test_flag_overrides_config(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     # m overridden by the flag, n/beta from the config
     assert doc["mu1"] == pytest.approx(4.0 - 2.0 / 0.75)
+
+
+def test_flag_overrides_do_not_leak_into_defaults(tmp_path):
+    # the config leaves grid to the defaults, so --N writes into a nested
+    # default dict; a later call in the same process must not see it
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "initial": {"kind": "constant", "value": 2.0},
+        "boundary": {"kind": "constant", "value": 2.0},
+        "dt": 1e-2, "horizon": 0.02, "snapshots": 2,
+    }))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_command(["evolve", "--config", str(cfg), "--N", "51",
+                        "--out", str(out1)]) == 0
+    assert run_command(["evolve", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert len(_read(out1 / "snapshots.csv").splitlines()) == 1 + 2 * 51
+    assert len(_read(out2 / "snapshots.csv").splitlines()) == 1 + 2 * 401
+
+
+@pytest.mark.parametrize("flag,value", [("--dt", "inf"), ("--dt", "nan"),
+                                        ("--horizon", "inf")])
+def test_non_finite_step_flags_rejected(tmp_path, capsys, flag, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["evolve", flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert flag[2:] in err
+    assert not os.path.exists(tmp_path / "snapshots.csv")

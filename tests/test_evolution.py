@@ -1,11 +1,11 @@
-"""Grids, steppers, transforms, the Barenblatt oracle, monitors."""
+"""Grids, the Newton kernel, runs, transforms, the Barenblatt oracle, monitors."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fde._kernels import newton_step, newton_step_numpy
+from fde._kernels import newton_step
 from fde.evolution import (
     BoundarySpec,
     EvolutionConfig,
@@ -21,8 +21,6 @@ from fde.evolution import (
     ordering_monitor,
     rescale_transform,
     run,
-    step_physical,
-    step_rescaled,
 )
 from fde.params import ModelParams, derive_constants
 
@@ -96,18 +94,70 @@ def test_barenblatt_discrete_residual_refines():
     assert res[1] / res[2] == pytest.approx(4.0, rel=0.2)
 
 
-# -- kernels --------------------------------------------------------------
+# -- kernel ---------------------------------------------------------------
 
-def test_numba_and_numpy_kernels_agree():
-    g = build_grid(math.e, 101)
+# Steps computed by a scalar per-node implementation of the same scheme
+# (explicit loops, Thomas solve): (iterations, node values).
+_GOLDEN_STEPS = {
+    "physical": (4, [
+        1.8959509240601655, 1.822851327782674, 1.7355330121119763,
+        1.6335724274670582, 1.51735347717162, 1.388338792339651,
+        1.2492228578901565, 1.1038758489569116, 0.957027756012806,
+        0.813723584651862, 0.6786706402734989, 0.5556495608858543,
+        0.4471394135373667, 0.3542242993662972, 0.276751003018913,
+        0.21364198810849808, 0.1632545766437211]),
+    "rescaled_central": (4, [
+        2.0091738668048493, 1.8702588612552637, 1.7461192987126963,
+        1.6253755324706165, 1.5011229349717212, 1.370111162984669,
+        1.2321099092866823, 1.0892568168001304, 0.9453038368256197,
+        0.8047749943172029, 0.672128723660623, 0.551060889668682,
+        0.4440679513562586, 0.35232045229000586, 0.2758153652210171,
+        0.21372988984267152, 0.16492303409184952]),
+    "rescaled_mixed": (5, [
+        162754.79141900392, 93838.21877635315, 51917.872975136765,
+        28533.219108416564, 15659.422749745407, 8450.306124146451,
+        4629.295270665639, 2540.4161753150906, 1394.44789755979,
+        765.4886864680865, 420.25623921938234, 230.74884008730442,
+        126.71591112486065, 69.60031295520415, 38.23927796649754,
+        21.01684856186453, 11.556890896469238, 6.359253523670552,
+        3.5023849095690096, 1.9312637547899631, 1.066569488895684,
+        0.5901562682081908, 0.32728523067430954, 0.18196342211879915,
+        0.10143697596153675, 0.056693867194142045, 0.03175981117692652,
+        0.017823398634711343, 0.010012388328180096, 0.005624510939384919,
+        0.0031557914079920523, 0.001766061186273107, 0.0009842447142478594,
+        0.0005453281766594684, 0.0002998174053987698, 0.00016323200906579697,
+        8.780297752187678e-05, 4.654206319676547e-05, 2.4239312650775816e-05,
+        1.2359694891693493e-05, 6.14421235332821e-06]),
+}
+
+
+def test_newton_step_golden_values():
+    m, c0 = 0.2, 10.0
+    g = build_grid(math.e, 17)
     einv, ap, am = g.coeffs(3)
     u = barenblatt_oracle(g.r, 0.0, 1.0, 1.0, P32)
-    args = (0.01, u[0] * 0.99, u[-1] * 0.99, 0.2, 10.0, einv, ap, am,
-            -2.5, -1.0 / g.ds, 1e-12, 50)
-    U1, it1, ok1 = newton_step(u.copy(), *args)
-    U2, it2, ok2 = newton_step_numpy(u.copy(), *args)
-    assert ok1 and ok2
-    np.testing.assert_allclose(U1, U2, rtol=1e-9)
+    bc = barenblatt_oracle(g.r[[0, -1]], 0.01, 1.0, 1.0, P32)
+    cases = {
+        "physical": (u, (0.01, bc[0], bc[1], m, c0, einv, ap, am, 0.0, 0.0)),
+        "rescaled_central": (u, (0.01, u[0] * 0.99, u[-1] * 0.99, m, c0, einv, ap, am,
+                                 -2.5, -1.0 / g.ds)),
+    }
+    # steep data on a coarse grid: the cell Peclet test picks upwind at the
+    # small-s end only
+    g = build_grid(math.e ** 2, 41)
+    einv, ap, am = g.coeffs(3)
+    u = np.exp(-6.0 * g.s)
+    b_ds = -1.0 / g.ds
+    central = c0 * einv[1:-1] * ap[1:-1] * m * u[2:] ** (m - 1.0) >= -0.5 * b_ds
+    assert (int(central.sum()), int((~central).sum())) == (35, 4)
+    cases["rescaled_mixed"] = (u, (0.01, u[0], u[-1], m, c0, einv, ap, am, -2.5, b_ds))
+
+    for name, (u0, args) in cases.items():
+        U, iters, ok = newton_step(u0.copy(), *args, 1e-12, 50)
+        want_iters, want_U = _GOLDEN_STEPS[name]
+        assert ok, name
+        assert iters == want_iters, name
+        np.testing.assert_allclose(U, want_U, rtol=1e-12, atol=0.0, err_msg=name)
 
 
 # -- physical stepping ----------------------------------------------------
@@ -115,11 +165,13 @@ def test_numba_and_numpy_kernels_agree():
 def test_constant_steady_state():
     # constant data with matching constant boundary: Delta of a constant is 0
     g = build_grid(math.e, 51)
-    f = RadialField(u=np.full(51, 3.7), t=0.0, form="physical")
-    bc = BoundarySpec(kind="constant", value=3.7)
-    out = step_physical(f, 0.01, bc, g, P32)
-    np.testing.assert_allclose(out.u, 3.7, rtol=1e-12)
-    assert out.t == pytest.approx(0.01)
+    traj = run(EvolutionConfig(
+        grid=g, params=P32, form="physical",
+        initial=InitialSpec(kind="constant", value=3.7),
+        boundary=BoundarySpec(kind="constant", value=3.7),
+        dt=0.01, horizon=0.01, snapshot_times=[0.0, 0.01]))
+    np.testing.assert_allclose(traj.fields[-1], 3.7, rtol=1e-12)
+    assert traj.times[-1] == pytest.approx(0.01)
 
 
 def test_stationary_U_lambda_one_step(profile_cache):
@@ -129,12 +181,13 @@ def test_stationary_U_lambda_one_step(profile_cache):
     errs = []
     for N, dt in ((101, 4e-4), (201, 1e-4)):
         g = build_grid(math.e, N)
-        u0 = prof.eval_U_lambda(5.0, g.r, 0.0)
-        f = RadialField(u=u0, t=0.0, form="physical")
-        bc = BoundarySpec(kind="U_lambda", lam=5.0)
-        out = step_physical(f, dt, bc, g, P32, profile=prof)
+        traj = run(EvolutionConfig(
+            grid=g, params=P32, form="physical",
+            initial=InitialSpec(kind="f_lambda", lam=5.0),
+            boundary=BoundarySpec(kind="U_lambda", lam=5.0),
+            dt=dt, horizon=dt, snapshot_times=[0.0, dt], profile=prof))
         exact = prof.eval_U_lambda(5.0, g.r, dt)
-        errs.append(np.max(np.abs(out.u - exact)))
+        errs.append(np.max(np.abs(traj.fields[-1] - exact)))
     assert errs[0] < 1e-6
     assert errs[1] < errs[0] / 3.0
 
@@ -404,38 +457,3 @@ def test_table_initial_data(profile_cache):
     init = InitialSpec(kind="table", table_r=r_tab, table_u=u_tab)
     u0 = init.values(g, None, P32)
     np.testing.assert_allclose(u0, prof.eval_f_lambda(1.0, g.r), rtol=1e-8)
-
-
-def test_numpy_fallback_env_flag(tmp_path):
-    # FDE_NUMBA=0 selects the numpy kernel at import; results match numba's
-    import subprocess
-    import sys
-
-    script = (
-        "import os, numpy as np\n"
-        "import fde._kernels as K\n"
-        "from fde.evolution import build_grid, barenblatt_oracle\n"
-        "from fde.params import ModelParams\n"
-        "p = ModelParams(n=3, m=0.2, beta=-1.0)\n"
-        "g = build_grid(np.e, 51)\n"
-        "einv, ap, am = g.coeffs(3)\n"
-        "u = barenblatt_oracle(g.r, 0.0, 1.0, 1.0, p)\n"
-        "U, it, ok = K.newton_step(u, 1e-3, u[0], u[-1], 0.2, 10.0, einv, ap, am,"
-        " 0.0, 0.0, 1e-12, 50)\n"
-        "assert ok\n"
-        "print(K.USING_NUMBA, repr(float(U[25])))\n"
-    )
-    import os
-
-    env = dict(os.environ)
-    env["FDE_NUMBA"] = "0"
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    flag, val = out.stdout.split()
-    assert flag == "False"
-    env["FDE_NUMBA"] = "1"
-    out2 = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    flag2, val2 = out2.stdout.split()
-    assert flag2 == "True"
-    assert float(val) == pytest.approx(float(val2), rel=1e-12)
