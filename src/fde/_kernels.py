@@ -46,13 +46,18 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
     cdiag = ce * (ap[1:-1] + am[1:-1])
 
     # central (1) vs upwind (0): central is admissible when the outflow
-    # diffusion face dominates |b_ds|/2
-    th = np.zeros(N - 2)
-    if b_ds != 0.0:
-        th = (cap * (m * u[2:] ** (m - 1.0)) >= -0.5 * b_ds).astype(float)
-    adv_lo = b_ds * (0.5 * th + 1.0 - th)
-    adv_di = b_ds * (1.0 - th)
-    adv_up = b_ds * 0.5 * th
+    # diffusion face dominates |b_ds|/2; the physical form has no alpha or
+    # advection terms and skips them
+    rescaled = alpha != 0.0 or b_ds != 0.0
+    if rescaled:
+        th = np.zeros(N - 2)
+        if b_ds != 0.0:
+            th = (cap * (m * u[2:] ** (m - 1.0)) >= -0.5 * b_ds).astype(float)
+        half_th = 0.5 * th
+        up_th = 1.0 - th
+        adv_lo = b_ds * (half_th + 1.0 - th)
+        adv_di = b_ds * up_th
+        adv_up = b_ds * 0.5 * th
 
     converged = False
     it = 0
@@ -64,19 +69,26 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
         Um = U ** m
         dUm = m * U ** (m - 1.0)
         L = ce * (ap[1:-1] * (Um[2:] - Um[1:-1]) - am[1:-1] * (Um[1:-1] - Um[:-2]))
-        L += alpha * U[1:-1] + b_ds * (th * 0.5 * (U[2:] - U[:-2])
-                                       + (1.0 - th) * (U[1:-1] - U[:-2]))
+        if rescaled:
+            L += alpha * U[1:-1] + b_ds * (half_th * (U[2:] - U[:-2])
+                                           + up_th * (U[1:-1] - U[:-2]))
+            d[1:-1] = 1.0 + dt * (cdiag * dUm[1:-1] - alpha - adv_di)
+            du[1:] = -dt * (cap * dUm[2:] + adv_up)
+            dl[:-1] = -dt * (cam * dUm[:-2] - adv_lo)
+        else:
+            d[1:-1] = 1.0 + dt * (cdiag * dUm[1:-1])
+            du[1:] = -dt * (cap * dUm[2:])
+            dl[:-1] = -dt * (cam * dUm[:-2])
         F[1:-1] = U[1:-1] - u[1:-1] - dt * L
-        d[1:-1] = 1.0 + dt * (cdiag * dUm[1:-1] - alpha - adv_di)
-        du[1:] = -dt * (cap * dUm[2:] + adv_up)
-        dl[:-1] = -dt * (cam * dUm[:-2] - adv_lo)
         delta, info = dgtsv(dl, d, du, -F)[3:]
         if info != 0:
             raise np.linalg.LinAlgError(f"Newton Jacobian solve failed (gtsv info={info})")
         theta_ls = 1.0
-        while np.any(U + theta_ls * delta <= 0.0) and theta_ls > 1e-18:
+        U_new = U + delta
+        while np.any(U_new <= 0.0) and theta_ls > 1e-18:
             theta_ls *= 0.5
-        U = U + theta_ls * delta
+            U_new = U + theta_ls * delta
+        U = U_new
         scaled = float(np.max(np.abs(delta) / (1.0 + np.abs(U))))
         if theta_ls == 1.0 and scaled <= tol:
             converged = True

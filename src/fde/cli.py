@@ -37,17 +37,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
-def _write_atomic(path: str, text: str):
+def _write_atomic(path: str, chunks):
+    """Write the strings in ``chunks`` to path via a temp file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,16 +53,21 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_csv(path: str, header: list, columns: list):
-    rows = [",".join(header)]
-    n = len(columns[0])
-    for i in range(n):
-        rows.append(",".join(_fmt(col[i]) for col in columns))
-    _write_atomic(path, "\n".join(rows) + "\n")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cols = [np.asarray(c, dtype=float) for c in columns]
+
+    # formatted and written a block of rows at a time, so memory stays small
+    def blocks():
+        yield ",".join(header) + "\n"
+        for i in range(0, len(cols[0]), 512):
+            yield "".join([row % v for v in zip(*[c[i:i + 512].tolist() for c in cols])])
+
+    _write_atomic(path, blocks())
 
 
 def _write_report(path: str, payload: dict):
     payload = {"schema": SCHEMA_VERSION, **payload}
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _json_safe(obj):
@@ -196,6 +198,11 @@ def _load_config(args, command: str) -> dict:
         val = getattr(args, flag, None)
         if val is None:
             continue
+        schema = _SCHEMAS[command]
+        for key in path:
+            if key not in schema:
+                raise ConfigError(f"flag --{flag} does not apply to {command}")
+            schema = schema[key]
         node = merged
         for key in path[:-1]:
             node = node.setdefault(key, {})
@@ -205,8 +212,6 @@ def _load_config(args, command: str) -> dict:
     if seed is not None:
         merged["seed"] = int(seed)
     merged.setdefault("seed", 0)
-    _check_keys({k: v for k, v in merged.items() if k in _SCHEMAS[command]},
-                _SCHEMAS[command])
     return merged
 
 

@@ -116,13 +116,13 @@ class WeightSpec:
         if self.kind == "power_mu":
             return r ** (-self.mu)
         if self.kind == "profile_gamma2":
-            lnf, _ = self.profile.eval_f_lambda_log(lam3, r)
+            lnf, _ = self.profile.eval_f_lambda_log(lam3, r, with_rat=False)
             return np.exp(m * c.gamma2 * lnf)
         if self.kind == "radial_gamma3":
-            lnf, _ = self.profile.eval_f_lambda_log(lam3, r)
+            lnf, _ = self.profile.eval_f_lambda_log(lam3, r, with_rat=False)
             p = (n - 2) / m + (n - 2) * c.gamma3 - 2.0 * n
             return np.exp(p * np.log(r) + m * c.gamma3 * lnf)
-        lnf, _ = self.profile.eval_f_lambda_log(lam3, r)
+        lnf, _ = self.profile.eval_f_lambda_log(lam3, r, with_rat=False)
         return np.exp(self.power * np.log(r) + self.exponent * lnf)
 
 

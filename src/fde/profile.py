@@ -371,8 +371,12 @@ class Profile:
 
     # -- g ----------------------------------------------------------------
 
-    def eval_g_log(self, r):
-        """(log g(r), r g_r(r)/g(r)); the numerically safe primitive."""
+    def eval_g_log(self, r, *, with_rat: bool = True):
+        """(log g(r), r g_r(r)/g(r)); the numerically safe primitive.
+
+        with_rat=False skips the derivative ratio (returned as None) and the
+        two interpolants that only it needs.
+        """
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
             raise ProfileError("g evaluation needs r > 0")
@@ -383,7 +387,7 @@ class Profile:
         one_m = 1.0 - req.params.m
         s = np.log(r)
         lng = np.empty_like(s)
-        rat = np.empty_like(s)
+        rat = np.empty_like(s) if with_rat else None
 
         lo = r <= req.r0
         mid = (r > req.r0) & (r <= req.r_switch)
@@ -395,16 +399,18 @@ class Profile:
                 (req.params.n - 1) * (req.params.n - 2 - 2 * req.params.m))
             gv = req.eta + c_loc * r[lo] ** (1.0 - d1) / (1.0 - d1)
             lng[lo] = np.log(gv)
-            rat[lo] = c_loc * r[lo] ** (1.0 - d1) / gv
+            if with_rat:
+                rat[lo] = c_loc * r[lo] ** (1.0 - d1) / gv
         if np.any(mid):
             lng[mid] = self._ip_lng(s[mid])
-            rat[mid] = self._ip_rat(s[mid])
+            if with_rat:
+                rat[mid] = self._ip_rat(s[mid])
         if np.any(hi):
             sh = np.minimum(s[hi], self.far.s[-1])  # clip 1-ulp overshoot
             w = self._ip_w(sh)
-            ws = self._ip_ws(sh)
             lng[hi] = (np.log(w) - self._wexp * sh) / one_m
-            rat[hi] = ws / (one_m * w) - c.alpha_tilde / c.beta_tilde
+            if with_rat:
+                rat[hi] = self._ip_ws(sh) / (one_m * w) - c.alpha_tilde / c.beta_tilde
         return lng, rat
 
     def eval_g(self, r):
@@ -415,12 +421,12 @@ class Profile:
 
     # -- f ----------------------------------------------------------------
 
-    def eval_f_log(self, r):
+    def eval_f_log(self, r, *, with_rat: bool = True):
         """(log f(r), r f_r(r)/f(r)) via the inversion f(r) = r^{-(n-2)/m} g(1/r)."""
         r = np.asarray(r, dtype=float)
         cexp = (self.request.params.n - 2) / self.request.params.m
-        lng, rat = self.eval_g_log(1.0 / r)
-        return lng - cexp * np.log(r), -cexp - rat
+        lng, rat = self.eval_g_log(1.0 / r, with_rat=with_rat)
+        return lng - cexp * np.log(r), None if rat is None else -cexp - rat
 
     def eval_f(self, r):
         """(f(r), f_r(r)).  May overflow for r so small that f exceeds float range;
@@ -435,24 +441,24 @@ class Profile:
         if abs(self.request.eta - 1.0) > 1e-14:
             raise ProfileError("lambda-family evaluation requires the eta = 1 profile")
 
-    def eval_f_lambda_log(self, lam: float, r):
+    def eval_f_lambda_log(self, lam: float, r, *, with_rat: bool = True):
         self._require_unit_eta()
         if not lam > 0.0:
             raise ProfileError(f"lambda must be positive, got {lam!r}")
         one_m = 1.0 - self.request.params.m
-        lnf, rat = self.eval_f_log(lam * np.asarray(r, dtype=float))
+        lnf, rat = self.eval_f_log(lam * np.asarray(r, dtype=float), with_rat=with_rat)
         return 2.0 / one_m * math.log(lam) + lnf, rat
 
     def eval_f_lambda(self, lam: float, r):
         """f_lambda(r) = lambda^{2/(1-m)} f_1(lambda r)."""
-        lnf, _ = self.eval_f_lambda_log(lam, r)
+        lnf, _ = self.eval_f_lambda_log(lam, r, with_rat=False)
         return np.exp(lnf)
 
     def eval_g_lambda(self, lam: float, r):
         """g_lambda(r) = lambda^{2/(1-m)-(n-2)/m} g_1(r/lambda)."""
         self._require_unit_eta()
         p = self.request.params
-        lng, _ = self.eval_g_log(np.asarray(r, dtype=float) / lam)
+        lng, _ = self.eval_g_log(np.asarray(r, dtype=float) / lam, with_rat=False)
         return np.exp((2.0 / (1.0 - p.m) - (p.n - 2) / p.m) * math.log(lam) + lng)
 
     def eval_U_lambda(self, lam: float, r, t: float):
@@ -460,7 +466,7 @@ class Profile:
         c = self.constants
         beta = self.request.params.beta
         arg = math.exp(-beta * t) * np.asarray(r, dtype=float)
-        lnf, _ = self.eval_f_lambda_log(lam, arg)
+        lnf, _ = self.eval_f_lambda_log(lam, arg, with_rat=False)
         return np.exp(-c.alpha * t + lnf)
 
     def eval_U_bar_lambda(self, lam: float, r, t: float):
@@ -468,7 +474,7 @@ class Profile:
         c = self.constants
         p = self.request.params
         arg = math.exp(-c.beta_tilde * t) * np.asarray(r, dtype=float) / lam
-        lng, _ = self.eval_g_log(arg)
+        lng, _ = self.eval_g_log(arg, with_rat=False)
         scale = (2.0 / (1.0 - p.m) - (p.n - 2) / p.m) * math.log(lam)
         return np.exp(-c.alpha_tilde * t + scale + lng)
 

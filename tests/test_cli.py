@@ -215,3 +215,20 @@ def test_non_finite_step_flags_rejected(tmp_path, capsys, flag, value):
     assert len(err.splitlines()) == 1
     assert flag[2:] in err
     assert not os.path.exists(tmp_path / "snapshots.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--lambda3", "0.5"],
+    ["constants", "--dt", "0.1"],
+    ["evolve", "--smax", "10"],
+    ["expansion", "--N", "5"],
+    ["contract", "--mu", "0.3"],
+    ["profile", "--R", "5"],
+])
+def test_inapplicable_flag_rejected(tmp_path, capsys, argv):
+    # each flag is a key the subcommand's config does not have; the error
+    # names the flag, not the config path it would have been written to
+    assert run_command(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"config error: flag {argv[1]} does not apply to {argv[0]}"
+    assert not os.listdir(tmp_path)

@@ -23,6 +23,7 @@ from fde.evolution import (
     run,
 )
 from fde.params import ModelParams, derive_constants
+from fde.profile import Profile
 
 P32 = ModelParams(n=3, m=0.2, beta=-1.0)
 C32 = derive_constants(P32)
@@ -158,6 +159,29 @@ def test_newton_step_golden_values():
         assert ok, name
         assert iters == want_iters, name
         np.testing.assert_allclose(U, want_U, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+# Physical step whose first full Newton update leaves the positive cone, so
+# the line search halves it (twice at the first iteration): (iterations, node
+# values), recorded with the earlier line search that re-formed U + 1.0*delta.
+_GOLDEN_DAMPED = (9, [
+    0.02029468552328187, 0.04427372600952466, 0.07747710392846356,
+    0.11583676233028076, 0.153357786971497, 0.18367117942392605,
+    0.20158386819511503, 0.20423615590491448, 0.19161886282514518,
+    0.16639041749285552, 0.13312080630887949, 0.09721101045913787,
+    0.06375854741669368, 0.03658683738131557, 0.017597532183055483,
+    0.006589202710936398, 0.0016658892332510054])
+
+
+def test_newton_step_golden_damped():
+    g = build_grid(math.e, 17)
+    einv, ap, am = g.coeffs(3)
+    u = barenblatt_oracle(g.r, 0.0, 1.0, 1.0, P32)
+    U, iters, ok = newton_step(u.copy(), 0.1, 0.01 * u[0], 0.01 * u[-1], 0.2, 10.0,
+                               einv, ap, am, 0.0, 0.0, 1e-12, 50)
+    assert ok
+    assert iters == _GOLDEN_DAMPED[0]
+    np.testing.assert_allclose(U, _GOLDEN_DAMPED[1], rtol=1e-12, atol=0.0)
 
 
 # -- physical stepping ----------------------------------------------------
@@ -361,6 +385,36 @@ def test_run_snapshots_and_monitors_exact_solution(profile_cache):
     assert om["ok"]
     # degenerate band lam1 = lam2: both gaps are the solver deviation
     assert om["gap_lo_min"] >= -1e-6 and om["gap_hi_min"] >= -1e-6
+
+
+def test_static_band_and_boundary_evaluated_once(profile_cache, monkeypatch):
+    # rescaled form with f_lambda data: band and boundary do not depend on t,
+    # so the profile is looked up as often for 100 steps as for 10, while the
+    # band is still compared at every accepted step
+    prof = profile_cache(3, 0.2)
+    calls = []
+    eval_g_log = Profile.eval_g_log
+
+    def counted(self, r, **kw):
+        calls.append(np.size(r))
+        return eval_g_log(self, r, **kw)
+
+    monkeypatch.setattr(Profile, "eval_g_log", counted)
+    dt = 2.0 ** -8  # exact in binary, so the step count is exact
+    counts = []
+    for steps in (10, 100):
+        calls.clear()
+        traj = run(EvolutionConfig(
+            grid=build_grid(math.e, 101), params=P32, form="rescaled",
+            initial=InitialSpec(kind="f_lambda", lam=1.0),
+            boundary=BoundarySpec(kind="f_lambda", lam=1.0),
+            dt=dt, horizon=steps * dt, snapshot_times=[0.0, steps * dt],
+            profile=prof, monitors=True, lam1=2.0, lam2=0.5))
+        assert traj.rejections == 0
+        assert len(traj.step_times) == steps
+        assert len(traj.ord_gap_lo) == len(traj.ord_gap_hi) == steps
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_blend_run_ordering(profile_cache):

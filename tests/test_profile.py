@@ -251,6 +251,27 @@ def test_eval_g_derivative_ratio_bound(profile_cache):
     assert np.all(np.abs(r * gr) <= g)
 
 
+def test_value_only_eval_matches_full_path(profile_cache):
+    # f_lambda(r) needs g at 1/(lam r): the radii reach the series branch
+    # (<= r0), the inner interpolant and the far field (> r_switch)
+    prof = profile_cache(3, 0.2)
+    lam, t = 2.0, 0.3
+    r = np.geomspace(1e-4, 1e8, 301)
+    x = 1.0 / (lam * r)
+    req = prof.request
+    assert x.min() <= req.r0 and x.max() > req.r_switch
+    assert np.any((x > req.r0) & (x <= req.r_switch))
+    assert prof.eval_g_log(x, with_rat=False)[1] is None
+    assert np.array_equal(prof.eval_g_log(x, with_rat=False)[0], prof.eval_g_log(x)[0])
+    assert np.array_equal(prof.eval_f_lambda(lam, r),
+                          np.exp(prof.eval_f_lambda_log(lam, r)[0]))
+    beta = prof.request.params.beta
+    lnf, rat = prof.eval_f_lambda_log(lam, math.exp(-beta * t) * r)
+    assert rat is not None
+    assert np.array_equal(prof.eval_U_lambda(lam, r, t),
+                          np.exp(-prof.constants.alpha * t + lnf))
+
+
 def test_eval_out_of_range(profile_cache):
     prof = profile_cache(3, 0.2)
     with pytest.raises(ProfileError, match="s_max"):
