@@ -19,12 +19,13 @@ quantifies the residual trend against an independently computed profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import DerivedConstants, ModelParams, derive_constants
-from .profile import Profile, ProfileRequest, compute_profile
+from .params import DerivedConstants, ModelParams
+from .params import derive_constants  # noqa: F401  (looked up here by perfbench's tracer)
+from .profile import Profile, ProfileRequest, _a2_const_part, compute_profile
 
 __all__ = [
     "ORDERS",
@@ -47,11 +48,6 @@ def _order_level(order: str) -> int:
         raise ValueError(f"unknown expansion order {order!r}; expected one of {ORDERS}") from None
 
 
-def _a2_const_part(n: int, m: float) -> float:
-    return ((2.0 * (1.0 - 2.0 * m) * (n - 1) * (n - 2 - n * m)
-             + (n - 1) * (n - 2 - (n + 2) * m) ** 2) / (1.0 - m) ** 2)
-
-
 def _a2(n: int, m: float, K: float, beta_tilde: float) -> float:
     """a2(eta, beta~) evaluated literally as printed, given K(eta, beta~)."""
     return _a2_const_part(n, m) - (n - 2 - (n + 2) * m) / (1.0 - m) * K * beta_tilde
@@ -64,7 +60,8 @@ class ExpansionCoefficients:
     K_11 and K0 come from a fresh (1,1) profile run and carry the propagated
     extraction uncertainty K_error; a1 is the full series coefficient
     (K-dependent part included), a2_eta_beta / a3 are evaluated for the
-    requested pair via the closed-form parameter shifts.
+    requested pair via the closed-form parameter shifts.  ``constants`` are
+    those of the (1,1) profile; q and gamma1 do not depend on beta.
     """
 
     n: int
@@ -79,23 +76,21 @@ class ExpansionCoefficients:
     a3: float
     K_error: float
     converged: bool
+    constants: DerivedConstants
     order: str = "one_over_log"
 
     def a3_for(self, A: float, beta_tilde: float) -> float:
         """a3(A, beta~) = a1 + (ys/(2 q gamma1)) log(A beta~^{1/(1-m)})."""
-        n, m = self.n, self.m
-        q = n - 2 - n * m
+        n, m, c = self.n, self.m, self.constants
         ys = n - 2 - (n + 2) * m
-        g1 = (n - 2) / m - 2.0 / (1.0 - m)
-        return self.a1 + ys / (2.0 * q * g1) * math.log(A * beta_tilde ** (1.0 / (1.0 - m)))
+        return self.a1 + ys / (2.0 * c.q * c.gamma1) * math.log(
+            A * beta_tilde ** (1.0 / (1.0 - m)))
 
     def K_for(self, eta: float, beta_tilde: float) -> float:
         """K(eta, beta~) from K0 via the closed-form constant-block shift."""
-        n, m = self.n, self.m
-        q = n - 2 - n * m
-        g1 = (n - 2) / m - 2.0 / (1.0 - m)
-        a0 = 2.0 * (n - 1) * q / ((1.0 - m) * beta_tilde)
-        return a0 * (self.K0 + math.log(eta) / g1 + m / q * math.log(beta_tilde))
+        n, m, c = self.n, self.m, self.constants
+        a0 = 2.0 * (n - 1) * c.q / ((1.0 - m) * beta_tilde)
+        return a0 * (self.K0 + math.log(eta) / c.gamma1 + m / c.q * math.log(beta_tilde))
 
 
 def compute_K0(params: ModelParams, eta: float = 1.0, beta_tilde: float = 1.0,
@@ -110,8 +105,7 @@ def compute_K0(params: ModelParams, eta: float = 1.0, beta_tilde: float = 1.0,
     req = ProfileRequest(params=ModelParams(n=n, m=m, beta=-1.0), eta=1.0,
                          s_max=s_max, tol=tol)
     prof = compute_profile(req)
-    k = prof.k_estimate
-    q = n - 2 - n * m
+    k, q = prof.k_estimate, prof.constants.q
     K0 = (1.0 - m) * k.K / (2.0 * (n - 1) * q)
     a2_11 = _a2(n, m, k.K, 1.0)
     ys = n - 2 - (n + 2) * m
@@ -119,16 +113,11 @@ def compute_K0(params: ModelParams, eta: float = 1.0, beta_tilde: float = 1.0,
     coeffs = ExpansionCoefficients(
         n=n, m=m, eta=eta, beta_tilde=beta_tilde,
         K0=K0, K_11=k.K, K_eta_beta=0.0, a1=a1, a2_eta_beta=0.0, a3=0.0,
-        K_error=k.error_estimate, converged=k.converged,
+        K_error=k.error_estimate, converged=k.converged, constants=prof.constants,
     )
     K_eb = coeffs.K_for(eta, beta_tilde)
-    a2_eb = _a2(n, m, K_eb, beta_tilde)
-    a3 = coeffs.a3_for(eta, beta_tilde)
-    return ExpansionCoefficients(
-        n=n, m=m, eta=eta, beta_tilde=beta_tilde,
-        K0=K0, K_11=k.K, K_eta_beta=K_eb, a1=a1, a2_eta_beta=a2_eb, a3=a3,
-        K_error=k.error_estimate, converged=k.converged,
-    )
+    return replace(coeffs, K_eta_beta=K_eb, a2_eta_beta=_a2(n, m, K_eb, beta_tilde),
+                   a3=coeffs.a3_for(eta, beta_tilde))
 
 
 def expansion_series(L, coeffs: ExpansionCoefficients, c: DerivedConstants,
@@ -162,9 +151,7 @@ def eval_expansion_f(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
     """
     if (A is None) == (lam is None):
         raise ValueError("give exactly one of A and lam")
-    n, m = coeffs.n, coeffs.m
-    q = n - 2 - n * m
-    g1 = (n - 2) / m - 2.0 / (1.0 - m)
+    m, q, g1 = coeffs.m, c.q, c.gamma1
     if lam is not None:
         A = lam ** (-g1)
         log_A_over_g1 = -math.log(lam)
@@ -186,13 +173,11 @@ def eval_expansion_f(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
 def eval_expansion_g(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
                      eta: float, beta_tilde: float, order: str = "one_over_log"):
     """Truncated growth expansion of g at r -> infinity; needs r > e."""
-    n, m = coeffs.n, coeffs.m
-    q = n - 2 - n * m
-    g1 = (n - 2) / m - 2.0 / (1.0 - m)
+    n, m, q = coeffs.n, coeffs.m, c.q
     r = np.asarray(r, dtype=float)
     if np.any(r <= math.e):
         raise ValueError("g expansion is an r -> infinity statement; need r > e")
-    log_amp = math.log(eta) / g1 + m / q * math.log(beta_tilde)
+    log_amp = math.log(eta) / c.gamma1 + m / q * math.log(beta_tilde)
     L = np.log(r)
     series = expansion_series(L, coeffs, c, log_amp, eta, beta_tilde, order)
     ln_pref = math.log(2.0 * (n - 1) * q / ((1.0 - m) * beta_tilde)) - q / m * np.log(r)
@@ -211,18 +196,15 @@ def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
     whenever a3_hat only matches a3 with the opposite-sign K term.
     """
     req, c = prof.request, prof.constants
-    n, m = req.params.n, req.params.m
-    q = n - 2 - n * m
+    n, m, q = req.params.n, req.params.m, c.q
     eta, bt = req.eta, c.beta_tilde
     far = prof.far
     if window is None:
         window = (far.s[-1] / 2.0, far.s[-1])
     sel = (far.s >= window[0]) & (far.s <= window[1])
     s = far.s[sel]
-    g1 = (n - 2) / m - 2.0 / (1.0 - m)
-    a0 = 2.0 * (n - 1) * q / ((1.0 - m) * bt)
-    N = far.w[sel] / a0
-    log_amp = math.log(eta) / g1 + m / q * math.log(bt)
+    N = far.w[sel] / c.farfield_slope
+    log_amp = math.log(eta) / c.gamma1 + m / q * math.log(bt)
 
     partial = {o: expansion_series(s, coeffs, c, log_amp, eta, bt, o) for o in ORDERS}
     resid = {o: N - partial[o] for o in ORDERS}
@@ -237,11 +219,10 @@ def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
 
     # flag if the literal a2 sign disagrees but the flipped sign would match
     K_eb = coeffs.K_for(eta, bt)
-    a2_flip = _a2_const_part(n, m) + (n - 2 - (n + 2) * m) / (1.0 - m) * K_eb * bt
-    a1_flip = (n - 2 - (n + 2) * m) ** 2 / (4.0 * q * q) \
-        - (1.0 - m) ** 2 * a2_flip / (4.0 * (n - 1) * q * q)
-    a3_flip = a1_flip + (n - 2 - (n + 2) * m) / (2.0 * q * g1) * math.log(
-        eta * bt ** (1.0 / (1.0 - m)))
+    ys = n - 2 - (n + 2) * m
+    a2_flip = _a2_const_part(n, m) + ys / (1.0 - m) * K_eb * bt
+    a1_flip = ys ** 2 / (4.0 * q * q) - (1.0 - m) ** 2 * a2_flip / (4.0 * (n - 1) * q * q)
+    a3_flip = a1_flip + ys / (2.0 * q * c.gamma1) * math.log(eta * bt ** (1.0 / (1.0 - m)))
     flip_flag = bool(a3_rel_dev > 0.05 and abs(a3_hat - a3_flip) < abs(a3_hat - a3))
 
     # leading-order residual growth factor -> llc (skip in the Yamabe case)

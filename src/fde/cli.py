@@ -6,7 +6,7 @@ rejected with their path) merged with flag overrides, writes CSV artifacts
 plus a JSON report with machine-checkable verdicts, atomically (temp +
 rename).  Exit codes: 0 completed/PASS, 2 FAIL, 3 INCONCLUSIVE, 1 usage or
 config error.  CSV numbers carry 17 significant digits so regression diffs
-are meaningful; identical config + seed give byte-identical files.
+are meaningful; an identical config gives byte-identical files.
 """
 
 from __future__ import annotations
@@ -95,46 +95,21 @@ def _check_keys(cfg: dict, allowed: dict, path: str = ""):
             _check_keys(val, sub, where)
 
 
-_GRID_KEYS = {"R": None, "N": None}
-_INITIAL_KEYS = {"kind": None, "lam": None, "lam1": None, "lam2": None,
-                 "theta": None, "lam0": None, "amplitude": None, "r_lo": None,
-                 "r_hi": None, "k": None, "T": None, "value": None,
-                 "table_r": None, "table_u": None}
-_BOUNDARY_KEYS = {"kind": None, "lam": None, "k": None, "T": None, "value": None}
-_WEIGHT_KEYS = {"kind": None, "mu": None, "lam3": None, "power": None, "exponent": None}
+_UNSET = object()   # a key a config may set that has no default
 
-_SCHEMAS = {
-    "constants": {"n": None, "m": None, "beta": None, "mu": None, "seed": None},
-    "profile": {"n": None, "m": None, "beta": None, "eta": None, "r0": None,
-                "r_switch": None, "s_max": None, "tol": None, "seed": None,
-                "grid": {"r_min": None, "r_max": None, "count": None}},
-    "expansion": {"n": None, "m": None, "beta": None, "eta": None, "s_max": None,
-                  "tol": None, "k0_s_max": None, "seed": None},
-    "evolve": {"n": None, "m": None, "beta": None, "form": None, "grid": _GRID_KEYS,
-               "initial": _INITIAL_KEYS, "boundary": _BOUNDARY_KEYS, "dt": None,
-               "horizon": None, "snapshots": None, "newton_tol": None,
-               "monitors": {"enabled": None, "lam1": None, "lam2": None},
-               "profile_tol": None, "seed": None},
-    "contract": {"n": None, "m": None, "beta": None, "grid": _GRID_KEYS,
-                 "lam1": None, "lam2": None, "weight": _WEIGHT_KEYS, "dt": None,
-                 "horizon": None, "snapshots": None, "half_resolution": None,
-                 "rescaled_variant": None, "profile_tol": None, "seed": None},
-    "converge": {"n": None, "m": None, "beta": None, "grid": _GRID_KEYS,
-                 "lam0": None, "lam1": None, "lam2": None,
-                 "bump": {"amplitude": None, "r_lo": None, "r_hi": None},
-                 "weight": _WEIGHT_KEYS, "dt": None, "horizon": None,
-                 "snapshots": None, "K_compact": None, "decrease_factor": None,
-                 "e_inf_threshold": None, "profile_tol": None, "seed": None},
-    "validate-barenblatt": {"n": None, "m": None, "beta": None, "k": None,
-                            "T": None, "horizon": None, "R": None,
-                            "N_list": None, "dt0": None,
-                            "temporal_N": None, "temporal_dt_list": None,
-                            "lam": None, "track_N": None, "track_dt": None,
-                            "track_horizon": None, "seed": None},
-}
 
-_DEFAULTS = {
-    "constants": {"n": 3, "m": 0.2, "beta": -1.0},
+def _keys(names: str, **defaults) -> dict:
+    """A config block holding every key in ``names``, with its default or _UNSET."""
+    return {k: defaults.get(k, _UNSET) for k in names.split()}
+
+
+_INITIAL = "kind lam lam1 lam2 theta lam0 amplitude r_lo r_hi k T value table_r table_u"
+_BOUNDARY = "kind lam k T value"
+_WEIGHT = "kind mu lam3 power exponent"
+
+# per subcommand: every config key it accepts, with its default
+_CONFIG = {
+    "constants": {"n": 3, "m": 0.2, "beta": -1.0, "mu": _UNSET},
     "profile": {"n": 3, "m": 0.2, "beta": -1.0, "eta": 1.0, "r0": 1e-6,
                 "r_switch": 10.0, "s_max": 200.0, "tol": 1e-10,
                 "grid": {"r_min": 1e-3, "r_max": 1e3, "count": 121}},
@@ -142,20 +117,20 @@ _DEFAULTS = {
                   "tol": 1e-10, "k0_s_max": 400.0},
     "evolve": {"n": 3, "m": 0.2, "beta": -1.0, "form": "physical",
                "grid": {"R": math.e ** 2, "N": 401},
-               "initial": {"kind": "f_lambda", "lam": 1.0},
-               "boundary": {"kind": "U_lambda", "lam": 1.0},
+               "initial": _keys(_INITIAL, kind="f_lambda", lam=1.0),
+               "boundary": _keys(_BOUNDARY, kind="U_lambda", lam=1.0),
                "dt": 1e-3, "horizon": 0.1, "snapshots": 11, "newton_tol": 1e-11,
                "monitors": {"enabled": False, "lam1": None, "lam2": None},
                "profile_tol": 1e-10},
     "contract": {"n": 3, "m": 0.2, "beta": -1.0, "grid": {"R": math.e ** 5, "N": 2001},
-                 "lam1": 2.0, "lam2": 1.0, "weight": {"kind": "power_mu", "mu": 0.25},
+                 "lam1": 2.0, "lam2": 1.0, "weight": _keys(_WEIGHT, kind="power_mu", mu=0.25),
                  "dt": 2e-3, "horizon": 1.0, "snapshots": 21,
                  "half_resolution": True, "rescaled_variant": False,
                  "profile_tol": 1e-10},
     "converge": {"n": 3, "m": 0.2, "beta": -1.0, "grid": {"R": math.e ** 1.7, "N": 3001},
                  "lam0": 1.0, "lam1": 1.0, "lam2": 0.4,
                  "bump": {"amplitude": 0.10, "r_lo": 0.2, "r_hi": 2.0},
-                 "weight": {"kind": "profile_gamma2", "lam3": 1.0},
+                 "weight": _keys(_WEIGHT, kind="profile_gamma2", lam3=1.0),
                  "dt": 5e-3, "horizon": None, "snapshots": 11,
                  "K_compact": [0.5, 2.0], "decrease_factor": 10.0,
                  "e_inf_threshold": None, "profile_tol": 1e-10},
@@ -166,6 +141,22 @@ _DEFAULTS = {
                             "lam": 20.0, "track_N": 201, "track_dt": 1e-4,
                             "track_horizon": 0.05},
 }
+
+# flag -> (type, config key path); also the order of the flags in --help
+_FLAGS = {
+    "n": (int, ("n",)), "m": (float, ("m",)), "beta": (float, ("beta",)),
+    "eta": (float, ("eta",)), "mu": (float, ("mu",)),
+    "lambda0": (float, ("lam0",)), "lambda1": (float, ("lam1",)),
+    "lambda2": (float, ("lam2",)), "lambda3": (float, ("weight", "lam3")),
+    "R": (float, ("grid", "R")), "N": (int, ("grid", "N")),
+    "dt": (float, ("dt",)), "horizon": (float, ("horizon",)), "smax": (float, ("s_max",)),
+}
+
+
+def _defaults(table: dict) -> dict:
+    """A deep copy of the defaults in ``table``; flag overrides write into it."""
+    return {k: _defaults(v) if isinstance(v, dict) else copy.deepcopy(v)
+            for k, v in table.items() if v is not _UNSET}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -178,40 +169,30 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-_FLAG_MAP = {
-    "n": ("n",), "m": ("m",), "beta": ("beta",), "eta": ("eta",), "mu": ("mu",),
-    "lambda0": ("lam0",), "lambda1": ("lam1",), "lambda2": ("lam2",),
-    "lambda3": ("weight", "lam3"), "R": ("grid", "R"), "N": ("grid", "N"),
-    "dt": ("dt",), "horizon": ("horizon",), "smax": ("s_max",),
-}
-
-
 def _load_config(args, command: str) -> dict:
+    table = _CONFIG[command]
     cfg = dict()
     if args.config:
         with open(args.config) as f:
             cfg = json.load(f)
-    _check_keys(cfg, _SCHEMAS[command])
-    # deep copy: flag overrides below write into nested dicts
-    merged = _merge(copy.deepcopy(_DEFAULTS[command]), cfg)
-    for flag, path in _FLAG_MAP.items():
-        val = getattr(args, flag, None)
+    _check_keys(cfg, table)
+    merged = _merge(_defaults(table), cfg)
+    for flag, (_, path) in _FLAGS.items():
+        val = getattr(args, flag)
         if val is None:
             continue
-        schema = _SCHEMAS[command]
-        for key in path:
-            if key not in schema:
+        block = table
+        for key in path[:-1]:
+            block = block.get(key, {})
+        if path[-1] not in block:
+            # validate-barenblatt keeps its radius at the top, not in a grid block
+            if path[-1] not in table:
                 raise ConfigError(f"flag --{flag} does not apply to {command}")
-            schema = schema[key]
+            path = path[-1:]
         node = merged
         for key in path[:-1]:
-            node = node.setdefault(key, {})
+            node = node[key]
         node[path[-1]] = val
-    # seed: env beats config; recorded in reports for reproducibility
-    seed = os.environ.get("FDE_SEED")
-    if seed is not None:
-        merged["seed"] = int(seed)
-    merged.setdefault("seed", 0)
     return merged
 
 
@@ -219,10 +200,10 @@ def _model(cfg) -> ModelParams:
     return ModelParams(n=int(cfg["n"]), m=float(cfg["m"]), beta=float(cfg["beta"]))
 
 
-def _profile_for(cfg, eta=1.0, tol_key="profile_tol"):
-    p = _model(cfg)
-    return p, compute_profile(ProfileRequest(params=p, eta=eta,
-                                             tol=float(cfg.get(tol_key, 1e-10))))
+def _profile_for(cfg):
+    """The eta = 1 profile of the configured model."""
+    return compute_profile(ProfileRequest(params=_model(cfg), eta=1.0,
+                                          tol=float(cfg.get("profile_tol", 1e-10))))
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -233,7 +214,7 @@ def _cmd_constants(cfg, out: str) -> int:
     c = derive_constants(p)
     print(json.dumps(_json_safe(c.as_dict()), indent=2, sort_keys=True))
     if out:
-        payload = {"constants": _json_safe(c.as_dict()), "seed": cfg["seed"],
+        payload = {"constants": _json_safe(c.as_dict()),
                    "regime": _json_safe(validate_regime(p, cfg.get("mu")).as_dict())}
         _write_report(os.path.join(out, "constants.json"), payload)
     return _EXIT_OK
@@ -258,7 +239,6 @@ def _cmd_profile(cfg, out: str) -> int:
     inv = check_profile_invariants(prof)
     k = prof.k_estimate
     _write_report(os.path.join(out, "profile_summary.json"), {
-        "seed": cfg["seed"],
         "K": k.K, "K_error_estimate": k.error_estimate, "K_method": k.method,
         "K_converged": k.converged,
         "growth_limits": {
@@ -290,7 +270,6 @@ def _cmd_expansion(cfg, out: str) -> int:
     verdict = bool(rep["full_order_decreasing"]
                    and (c.yamabe_case or rep["a3_rel_dev"] <= 0.05))
     _write_report(os.path.join(out, "expansion_report.json"), {
-        "seed": cfg["seed"],
         "K0": coeffs.K0, "K_11": coeffs.K_11, "K_error": coeffs.K_error,
         "a1": coeffs.a1, "a2_eta_beta": coeffs.a2_eta_beta, "a3": coeffs.a3,
         "a3_hat": rep["a3_hat"], "a3_rel_dev": rep["a3_rel_dev"],
@@ -310,13 +289,11 @@ def _build_evolution(cfg, form, initial, boundary, monitors, profile):
             raise ConfigError(f"{key} must be positive and finite, got {val!r}")
     grid = evolution.build_grid(float(cfg["grid"]["R"]), int(cfg["grid"]["N"]))
     snaps = np.linspace(0.0, horizon, int(cfg["snapshots"]))
-    return p, grid, evolution.EvolutionConfig(
+    return grid, evolution.EvolutionConfig(
         grid=grid, params=p, form=form, initial=initial, boundary=boundary,
         dt=dt, horizon=horizon, snapshot_times=snaps,
         profile=profile, newton_tol=float(cfg.get("newton_tol", 1e-11)),
-        monitors=monitors.get("enabled", False) if isinstance(monitors, dict) else monitors,
-        lam1=(monitors.get("lam1") if isinstance(monitors, dict) else None),
-        lam2=(monitors.get("lam2") if isinstance(monitors, dict) else None),
+        monitors=monitors["enabled"], lam1=monitors["lam1"], lam2=monitors["lam2"],
     )
 
 
@@ -326,11 +303,9 @@ def _cmd_evolve(cfg, out: str) -> int:
     bc = evolution.BoundarySpec(**cfg["boundary"])
     needs_profile = (init.kind in ("f_lambda", "blend", "bump")
                      or bc.kind in ("f_lambda", "U_lambda")
-                     or cfg["monitors"].get("enabled", False))
-    profile = None
-    if needs_profile:
-        _, profile = _profile_for(cfg)
-    p, grid, ecfg = _build_evolution(cfg, cfg["form"], init, bc, cfg["monitors"], profile)
+                     or cfg["monitors"]["enabled"])
+    profile = _profile_for(cfg) if needs_profile else None
+    grid, ecfg = _build_evolution(cfg, cfg["form"], init, bc, cfg["monitors"], profile)
     traj = evolution.run(ecfg)
     t_col, r_col, u_col = [], [], []
     for k, t in enumerate(traj.times):
@@ -340,7 +315,6 @@ def _cmd_evolve(cfg, out: str) -> int:
     _write_csv(os.path.join(out, "snapshots.csv"), ["t", "r", "u"],
                [np.concatenate(t_col), np.concatenate(r_col), np.concatenate(u_col)])
     report = {
-        "seed": cfg["seed"],
         "times": _json_safe(traj.times),
         "newton_iters_total": traj.newton_iters_total,
         "rejections": traj.rejections,
@@ -354,23 +328,16 @@ def _cmd_evolve(cfg, out: str) -> int:
     return _EXIT_OK
 
 
-def _make_weight(wcfg, p, c, prof):
-    kind = wcfg["kind"]
-    kw = dict(kind=kind, params=p, constants=c)
-    if kind == "power_mu":
-        kw["mu"] = float(wcfg["mu"])
-    else:
-        kw["lam3"] = float(wcfg.get("lam3", 1.0))
-        kw["profile"] = prof
-        if kind == "custom_power_times_profile":
-            kw["power"] = float(wcfg["power"])
-            kw["exponent"] = float(wcfg["exponent"])
-    return measures.WeightSpec(**kw)
+def _make_weight(wcfg, prof):
+    """The configured weight; a key left out or null stays unset, for WeightSpec to reject."""
+    kw = {k: float(v) for k, v in wcfg.items() if k != "kind" and v is not None}
+    kw.setdefault("lam3", 1.0)
+    return measures.WeightSpec(kind=wcfg["kind"], params=prof.request.params,
+                               constants=prof.constants, profile=prof, **kw)
 
 
 def _cmd_contract(cfg, out: str) -> int:
-    p, prof = _profile_for(cfg)
-    c = derive_constants(p)
+    prof = _profile_for(cfg)
     lam1, lam2 = float(cfg["lam1"]), float(cfg["lam2"])
     mon = {"enabled": True, "lam1": lam1, "lam2": lam2}
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
@@ -378,12 +345,12 @@ def _cmd_contract(cfg, out: str) -> int:
     def pair(N):
         sub = dict(cfg)
         sub["grid"] = dict(cfg["grid"], N=N)
-        _, grid, c1 = _build_evolution(sub, "physical",
-                                       evolution.InitialSpec(kind="f_lambda", lam=lam1),
-                                       bc, mon, prof)
-        _, _, c2 = _build_evolution(sub, "physical",
-                                    evolution.InitialSpec(kind="f_lambda", lam=lam2),
+        grid, c1 = _build_evolution(sub, "physical",
+                                    evolution.InitialSpec(kind="f_lambda", lam=lam1),
                                     bc, mon, prof)
+        _, c2 = _build_evolution(sub, "physical",
+                                 evolution.InitialSpec(kind="f_lambda", lam=lam2),
+                                 bc, mon, prof)
         return grid, evolution.run(c1), evolution.run(c2)
 
     grid, t1, t2 = pair(int(cfg["grid"]["N"]))
@@ -392,7 +359,7 @@ def _cmd_contract(cfg, out: str) -> int:
     if cfg["half_resolution"]:
         hgrid, h1, h2 = pair(int(cfg["grid"]["N"]) // 2 + 1)
         half = (h1, h2)
-    weight = _make_weight(cfg["weight"], p, c, prof)
+    weight = _make_weight(cfg["weight"], prof)
     rep = measures.contraction_report(t1, t2, weight, grid, half_pair=half,
                                       half_grid=hgrid,
                                       rescaled_variant=bool(cfg["rescaled_variant"]))
@@ -400,7 +367,6 @@ def _cmd_contract(cfg, out: str) -> int:
                ["t", "norm", "norm_positive_part", "slack"],
                [rep["times"], rep["series"], rep["series_positive_part"], rep["slack"]])
     _write_report(os.path.join(out, "contract_report.json"), {
-        "seed": cfg["seed"],
         "verdict": rep["verdict"],
         "verdict_positive_part": rep["verdict_positive_part"],
         "max_increase": rep["max_increase"],
@@ -410,28 +376,26 @@ def _cmd_contract(cfg, out: str) -> int:
 
 
 def _cmd_converge(cfg, out: str) -> int:
-    p, prof = _profile_for(cfg)
-    c = derive_constants(p)
+    prof = _profile_for(cfg)
     lam0 = float(cfg["lam0"])
-    if cfg.get("horizon") is None:
-        cfg["horizon"] = 5.0 / abs(p.beta)
+    if cfg["horizon"] is None:
+        cfg["horizon"] = 5.0 / abs(prof.request.params.beta)
     bump = cfg["bump"]
     init = evolution.InitialSpec(kind="bump", lam0=lam0,
                                  amplitude=float(bump["amplitude"]),
                                  r_lo=float(bump["r_lo"]), r_hi=float(bump["r_hi"]))
     bc = evolution.BoundarySpec(kind="f_lambda", lam=lam0)
     mon = {"enabled": True, "lam1": float(cfg["lam1"]), "lam2": float(cfg["lam2"])}
-    _, grid, ecfg = _build_evolution(cfg, "rescaled", init, bc, mon, prof)
+    grid, ecfg = _build_evolution(cfg, "rescaled", init, bc, mon, prof)
     traj = evolution.run(ecfg)
-    weight = _make_weight(cfg["weight"], p, c, prof)
+    weight = _make_weight(cfg["weight"], prof)
     rep = measures.convergence_report(
         traj, prof, lam0, weight, grid, K_compact=tuple(cfg["K_compact"]),
         decrease_factor=float(cfg["decrease_factor"]),
-        e_inf_threshold=cfg.get("e_inf_threshold"))
+        e_inf_threshold=cfg["e_inf_threshold"])
     _write_csv(os.path.join(out, "convergence.csv"),
                ["t", "e1", "e_inf"], [rep["times"], rep["e1"], rep["e_inf"]])
     _write_report(os.path.join(out, "converge_report.json"), {
-        "seed": cfg["seed"],
         "verdict": rep["verdict"],
         "e1_factor": rep["e1_factor"],
         "e_inf_factor": rep["e_inf_factor"],
@@ -449,46 +413,36 @@ def _cmd_validate_barenblatt(cfg, out: str) -> int:
     init = evolution.InitialSpec(kind="barenblatt", k=k, T=T)
     bc = evolution.BoundarySpec(kind="barenblatt", k=k, T=T)
 
-    def solve(N, dt):
-        grid = evolution.build_grid(R, N)
-        ecfg = evolution.EvolutionConfig(
-            grid=grid, params=p, form="physical", initial=init, boundary=bc,
-            dt=dt, horizon=horizon, snapshot_times=np.array([0.0, horizon]))
-        traj = evolution.run(ecfg)
-        exact = evolution.barenblatt_oracle(grid.r, traj.times[-1], k, T, p)
-        return grid, traj, float(np.max(np.abs(traj.fields[-1] - exact)))
+    def solve(grid, dt, horizon=horizon, initial=init, boundary=bc, profile=None):
+        """One physical-form run from 0 to horizon, snapshotted at both ends."""
+        return evolution.run(evolution.EvolutionConfig(
+            grid=grid, params=p, form="physical", initial=initial, boundary=boundary,
+            dt=dt, horizon=horizon, snapshot_times=np.array([0.0, horizon]),
+            profile=profile))
 
     n_list = [int(v) for v in cfg["N_list"]]
     dt0 = float(cfg["dt0"])
     errs = []
     for N in n_list:
-        scale = ((n_list[0] - 1) / (N - 1)) ** 2
-        _, _, err = solve(N, dt0 * scale)
-        errs.append(err)
+        grid = evolution.build_grid(R, N)
+        traj = solve(grid, dt0 * ((n_list[0] - 1) / (N - 1)) ** 2)
+        exact = evolution.barenblatt_oracle(grid.r, traj.times[-1], k, T, p)
+        errs.append(float(np.max(np.abs(traj.fields[-1] - exact))))
     sp_orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
 
     # temporal: successive dt differences on a fixed fine grid cancel the spatial floor
-    fields = []
     gridT = evolution.build_grid(R, int(cfg["temporal_N"]))
-    for dt in cfg["temporal_dt_list"]:
-        ecfg = evolution.EvolutionConfig(
-            grid=gridT, params=p, form="physical", initial=init, boundary=bc,
-            dt=float(dt), horizon=horizon, snapshot_times=np.array([0.0, horizon]))
-        fields.append(evolution.run(ecfg).fields[-1])
+    fields = [solve(gridT, float(dt)).fields[-1] for dt in cfg["temporal_dt_list"]]
     diffs = [float(np.max(np.abs(fields[i] - fields[i + 1]))) for i in range(len(fields) - 1)]
     t_orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
 
     # exact-U_lambda tracking at the pinned (ds, dt)
-    p_par, prof = _profile_for(cfg)
+    prof = _profile_for(cfg)
     lam = float(cfg["lam"])
     gridU = evolution.build_grid(math.e, int(cfg["track_N"]))
-    ecfg = evolution.EvolutionConfig(
-        grid=gridU, params=p, form="physical",
-        initial=evolution.InitialSpec(kind="f_lambda", lam=lam),
-        boundary=evolution.BoundarySpec(kind="U_lambda", lam=lam),
-        dt=float(cfg["track_dt"]), horizon=float(cfg["track_horizon"]),
-        snapshot_times=np.array([0.0, float(cfg["track_horizon"])]), profile=prof)
-    traj = evolution.run(ecfg)
+    traj = solve(gridU, float(cfg["track_dt"]), float(cfg["track_horizon"]),
+                 evolution.InitialSpec(kind="f_lambda", lam=lam),
+                 evolution.BoundarySpec(kind="U_lambda", lam=lam), prof)
     exact = prof.eval_U_lambda(lam, gridU.r, traj.times[-1])
     track_err = float(np.max(np.abs(traj.fields[-1] - exact)))
 
@@ -498,7 +452,6 @@ def _cmd_validate_barenblatt(cfg, out: str) -> int:
     _write_csv(os.path.join(out, "barenblatt_refinement.csv"),
                ["N", "err"], [np.asarray(n_list, dtype=float), np.asarray(errs)])
     _write_report(os.path.join(out, "validate_report.json"), {
-        "seed": cfg["seed"],
         "spatial_errors": errs,
         "spatial_orders": sp_orders,
         "temporal_diffs": diffs,
@@ -530,18 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", default="fde_out", help="output directory")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--m", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--eta", type=float)
-        sp.add_argument("--mu", type=float)
-        for i in range(4):
-            sp.add_argument(f"--lambda{i}", type=float)
-        sp.add_argument("--R", type=float)
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--horizon", type=float)
-        sp.add_argument("--smax", type=float)
+        for flag, (typ, _) in _FLAGS.items():
+            sp.add_argument(f"--{flag}", type=typ)
     return ap
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .evolution import AnnulusGrid, Trajectory
-from .params import DerivedConstants, ModelParams
+from .params import DerivedConstants, ModelParams, validate_regime
 from .profile import Profile
 
 __all__ = [
@@ -74,34 +74,25 @@ class WeightSpec:
     exponent: Optional[float] = None   # custom: f_{lam3}^exponent
 
     def __post_init__(self):
-        n, m = self.params.n, self.params.m
-        c = self.constants
+        reg = validate_regime(self.params, self.mu)
         if self.kind == "power_mu":
-            if self.mu is None or not (0.0 < self.mu <= c.mu1):
-                raise MeasureError(f"power_mu needs 0 < mu <= mu1={c.mu1!r}, got {self.mu!r}")
-            if self.mu == c.mu1 and not m < min((n - 2) / n, 0.5):
-                raise MeasureError(
-                    f"mu = mu1 requires m < min((n-2)/n, 1/2); m={m!r}")
+            if self.mu is None:
+                raise MeasureError("power_mu weight needs mu")
+            ok, reason = reg.thm13_mu_range, reg.thm13_reason
         elif self.kind == "profile_gamma2":
             self._need_profile()
-            if not (n in (3, 4) and (n - 2) / (n + 2) <= m < (n - 2) / n):
-                raise MeasureError(
-                    f"profile_gamma2 weight needs n in {{3,4}} and (n-2)/(n+2) <= m < (n-2)/n; "
-                    f"got n={n}, m={m!r}")
+            ok, reason = reg.thm15_16, reg.thm15_16_reason
         elif self.kind == "radial_gamma3":
             self._need_profile()
-            lo = 1.0 - math.sqrt(2.0 / n)
-            hi = min(2.0 * (n - 2) / (3.0 * n), (n - 2) / (n + 2))
-            if not (3 <= n < 8 and lo <= m < hi):
-                raise MeasureError(
-                    f"radial_gamma3 weight needs 3 <= n < 8 and {lo!r} <= m < {hi!r}; "
-                    f"got n={n}, m={m!r}")
+            ok, reason = reg.thm17, reg.thm17_reason
         elif self.kind == "custom_power_times_profile":
             self._need_profile()
-            if self.power is None or self.exponent is None:
-                raise MeasureError("custom weight needs power and exponent")
+            ok = self.power is not None and self.exponent is not None
+            reason = "needs power and exponent"
         else:
             raise MeasureError(f"unknown weight kind {self.kind!r}")
+        if not ok:
+            raise MeasureError(f"{self.kind} weight: {reason}")
 
     def _need_profile(self):
         if self.profile is None or self.lam3 is None or not self.lam3 > 0.0:
@@ -126,6 +117,11 @@ class WeightSpec:
         return np.exp(self.power * np.log(r) + self.exponent * lnf)
 
 
+def _l1(diff, w, grid: AnnulusGrid, n: int) -> float:
+    """omega_n * int |diff|(r) w(r) r^{n-1} dr by the trapezoid rule in s."""
+    return unit_sphere_area(n) * float(np.trapezoid(np.abs(diff) * w * grid.r ** n, grid.s))
+
+
 def weighted_l1(a, b, weight, grid: AnnulusGrid, n: Optional[int] = None) -> float:
     """omega_n * int |a-b|(r) w(r) r^{n-1} dr by the trapezoid rule in s.
 
@@ -145,8 +141,7 @@ def weighted_l1(a, b, weight, grid: AnnulusGrid, n: Optional[int] = None) -> flo
             raise MeasureError("weight array must match the grid")
         if n is None:
             raise MeasureError("dimension n required with a raw weight array")
-    integrand = np.abs(a - b) * w * grid.r ** n
-    return unit_sphere_area(n) * float(np.trapezoid(integrand, grid.s))
+    return _l1(a - b, w, grid, n)
 
 
 def _series(traj1: Trajectory, traj2: Trajectory, weight, grid, positive_part=False,
@@ -158,8 +153,7 @@ def _series(traj1: Trajectory, traj2: Trajectory, weight, grid, positive_part=Fa
         diff = traj1.fields[k] - traj2.fields[k]
         if positive_part:
             diff = np.maximum(diff, 0.0)
-        integrand = np.abs(diff) * w * grid.r ** n
-        out[k] = unit_sphere_area(n) * np.trapezoid(integrand, grid.s)
+        out[k] = _l1(diff, w, grid, n)
     return out
 
 
@@ -260,7 +254,7 @@ def convergence_report(traj: Trajectory, profile: Profile, lam0: float,
     e_inf = np.empty(len(traj.times))
     for k in range(len(traj.times)):
         diff = traj.fields[k] - target
-        e1[k] = unit_sphere_area(n) * np.trapezoid(np.abs(diff) * w * grid.r ** n, grid.s)
+        e1[k] = _l1(diff, w, grid, n)
         e_inf[k] = np.max(np.abs(diff[sel]))
 
     thresh = (1e-3 * float(np.max(target[sel]))

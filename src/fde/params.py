@@ -78,6 +78,7 @@ class DerivedConstants:
     alpha: float
     alpha_tilde: float
     beta_tilde: float
+    q: float              # n-2-nm > 0
     gamma1: float
     gamma2: float
     gamma3: float
@@ -145,6 +146,7 @@ def derive_constants(p: ModelParams) -> DerivedConstants:
         alpha=alpha,
         alpha_tilde=alpha_tilde,
         beta_tilde=beta_tilde,
+        q=q,
         gamma1=gamma1,
         gamma2=gamma2,
         gamma3=gamma3,
@@ -186,6 +188,7 @@ def derive_constants_exact(n: int, m: Fraction, beta: Fraction) -> dict:
         "alpha": alpha,
         "alpha_tilde": alpha_tilde,
         "beta_tilde": beta_tilde,
+        "q": q,
         "gamma1": Fraction(n - 2) / m - 2 / one_m,
         "gamma2": one_m / (2 * m) * (n - 2 / one_m),
         "gamma3": (n * beta_tilde / alpha_tilde - 1) / m,
@@ -245,7 +248,7 @@ def validate_regime(p: ModelParams, mu: Optional[float] = None) -> RegimeReport:
             mu_warning = f"mu={mu!r} <= 0 is outside the weighted-contraction scope"
         elif mu > mu1:
             mu_warning = f"mu={mu!r} exceeds mu1={mu1!r}"
-        if mu <= 0.0 or mu > mu1:
+        if not 0.0 < mu <= mu1:
             thm13 = False
             thm13_reason = f"violated 0 < mu <= mu1={mu1!r}"
         elif mu < mu1:

@@ -132,6 +132,12 @@ def _rhs_inner(n: float, m: float, at: float, bt: float, src_exp: float):
     return rhs
 
 
+def _c_loc(req: ProfileRequest, c: DerivedConstants) -> float:
+    """Startup coefficient of the local series: g_r ~ C_loc r^{-delta1} near 0."""
+    n, m = req.params.n, req.params.m
+    return -m * c.alpha_tilde * req.eta ** (2.0 - m) / ((n - 1) * (n - 2 - 2 * m))
+
+
 def local_series_start(req: ProfileRequest, c: Optional[DerivedConstants] = None):
     """Local solution at r0: g = eta + C_loc r^{1-delta1}/(1-delta1), g_r = C_loc r^{-delta1}.
 
@@ -143,10 +149,10 @@ def local_series_start(req: ProfileRequest, c: Optional[DerivedConstants] = None
     """
     if c is None:
         c = derive_constants(req.params)
-    n, m = req.params.n, req.params.m
+    m = req.params.m
     eta, r0 = req.eta, req.r0
     d1 = c.delta1
-    c_loc = -m * c.alpha_tilde * eta ** (2.0 - m) / ((n - 1) * (n - 2 - 2 * m))
+    c_loc = _c_loc(req, c)
     corr1 = c_loc * r0 ** (1.0 - d1) / (1.0 - d1)
     # the dropped second-order term is ~ (corr1/eta) * corr1 up to an O(1) factor
     second = abs(corr1) ** 2 / eta * (2.0 - m + c.beta_tilde / c.alpha_tilde * abs(1.0 - d1))
@@ -313,8 +319,7 @@ def _k_hat(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float, s_eval: 
         tail = (n - 1) * (1.0 - 2.0 * m) / ((1.0 - m) * c.beta_tilde)
         return h + tail / s_eval
     h1 = trace.h1[idx] * (1 - frac) + trace.h1[idx + 1] * frac
-    q = n - 2 - n * m
-    corr = (1.0 - m) * _a2_const_part(n, m) / (2.0 * q * c.beta_tilde * s_eval)
+    corr = (1.0 - m) * _a2_const_part(n, m) / (2.0 * c.q * c.beta_tilde * s_eval)
     num = h1 - c.h1_tail_coeff * (1.0 + math.log(s_eval)) / s_eval + corr
     return num / (1.0 + c.loglog_coeff / s_eval)
 
@@ -395,8 +400,7 @@ class Profile:
 
         if np.any(lo):
             d1 = c.delta1
-            c_loc = -req.params.m * c.alpha_tilde * req.eta ** (2.0 - req.params.m) / (
-                (req.params.n - 1) * (req.params.n - 2 - 2 * req.params.m))
+            c_loc = _c_loc(req, c)
             gv = req.eta + c_loc * r[lo] ** (1.0 - d1) / (1.0 - d1)
             lng[lo] = np.log(gv)
             if with_rat:
@@ -567,7 +571,6 @@ def check_scaling_identities(params: ModelParams, eta1: float, eta2: float,
         raise ProfileError("need at least 2 sample radii")
     n, m = params.n, params.m
     one_m = 1.0 - m
-    g1c = (n - 2) / m - 2.0 / one_m  # gamma1
 
     def prof_for(eta, bt):
         p = ModelParams(n=n, m=m, beta=-bt)
@@ -582,11 +585,11 @@ def check_scaling_identities(params: ModelParams, eta1: float, eta2: float,
     smax = p_11.request.s_max
     r_g = np.geomspace(2.0 * p_11.request.r0, math.exp(0.45 * smax), n_samples)
     r_f = 1.0 / r_g[::-1]
+    q, g1c = p_11.constants.q, p_11.constants.gamma1
 
     out = {}
 
     # g identity in eta: g_{bt1,eta1}(r) = (eta1/eta2) g_{bt1,eta2}((eta1/eta2)^{m(1-m)/q} r)
-    q = n - 2 - n * m
     fac = (eta1 / eta2) ** (m * one_m / q)
     lhs, _ = p_11.eval_g_log(r_g)
     rhs, _ = p_21.eval_g_log(fac * r_g)

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from fde import cli
 from fde.cli import run_command
 
 
@@ -75,22 +76,6 @@ def test_evolve_determinism(tmp_path):
     assert run_command(["evolve", "--config", str(path), "--out", str(out2)]) == 0
     assert _read(out1 / "snapshots.csv") == _read(out2 / "snapshots.csv")
     assert _read(out1 / "evolve_report.json") == _read(out2 / "evolve_report.json")
-
-
-def test_evolve_seed_env_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("FDE_SEED", "1234")
-    cfg = {
-        "n": 3, "m": 0.2, "beta": -1.0, "form": "physical",
-        "grid": {"R": math.e, "N": 51},
-        "initial": {"kind": "constant", "value": 2.0},
-        "boundary": {"kind": "constant", "value": 2.0},
-        "dt": 1e-2, "horizon": 0.02, "snapshots": 2,
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert run_command(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 0
-    rep = json.loads(_read(tmp_path / "evolve_report.json"))
-    assert rep["seed"] == 1234
 
 
 def test_contract_small_pass(tmp_path):
@@ -164,6 +149,12 @@ def test_validate_barenblatt_small(tmp_path):
     assert code == 0, rep
     assert all(1.7 <= o <= 2.3 for o in rep["spatial_orders"])
     assert all(0.8 <= o <= 1.2 for o in rep["temporal_orders"])
+    # --R sets the radius, a top-level key of this subcommand
+    out = tmp_path / "R2"
+    assert run_command(["validate-barenblatt", "--config", str(path), "--R", "2",
+                        "--out", str(out)]) in (0, 2)
+    rep2 = json.loads(_read(out / "validate_report.json"))
+    assert rep2["spatial_errors"] != rep["spatial_errors"]
 
 
 def test_expansion_artifacts(tmp_path):
@@ -232,3 +223,57 @@ def test_inapplicable_flag_rejected(tmp_path, capsys, argv):
     err = capsys.readouterr().err.strip()
     assert err == f"config error: flag {argv[1]} does not apply to {argv[0]}"
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("weight", [
+    {"kind": "power_mu"},
+    {"kind": "custom_power_times_profile", "lam3": 1},
+    {"kind": "power_mu", "mu": None},
+])
+def test_incomplete_weight_rejected(tmp_path, capsys, weight):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": {"N": 101}, "horizon": 0.01, "snapshots": 2,
+                               "weight": weight}))
+    out = tmp_path / "out"
+    assert run_command(["converge", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert weight["kind"] in err
+
+
+def _fill(table):
+    """Every key of a config table, with its default or a placeholder value."""
+    return {k: _fill(v) if isinstance(v, dict) else (1.0 if v is cli._UNSET else v)
+            for k, v in table.items()}
+
+
+def _blocks(cfg, path=()):
+    yield path, cfg
+    for k, v in cfg.items():
+        if isinstance(v, dict):
+            yield from _blocks(v, path + (k,))
+
+
+@pytest.mark.parametrize("command", list(cli._CONFIG))
+def test_config_table(tmp_path, command):
+    parse = cli._build_parser().parse_args
+    table = cli._CONFIG[command]
+    # the defaults alone carry no placeholder for an unset key
+    defaults = cli._load_config(parse([command]), command)
+    for _, block in _blocks(defaults):
+        assert all(v is not cli._UNSET for v in block.values())
+    # a file that sets every key in the table is accepted as it is
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(_fill(table)))
+    assert cli._load_config(parse([command, "--config", str(path)]), command) == _fill(table)
+    # a key outside the table is rejected in every block, named by its dotted path
+    for where, _ in _blocks(table):
+        bad = _fill(table)
+        node = bad
+        for key in where:
+            node = node[key]
+        node["bogus"] = 1
+        path.write_text(json.dumps(bad))
+        with pytest.raises(cli.ConfigError) as e:
+            cli._load_config(parse([command, "--config", str(path)]), command)
+        assert str(e.value) == "unknown config key: " + ".".join(where + ("bogus",))

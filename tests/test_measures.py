@@ -115,6 +115,8 @@ def test_weight_validation(profile_cache):
         WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.6)
     with pytest.raises(MeasureError, match="mu"):
         WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.0)
+    with pytest.raises(MeasureError, match="mu"):
+        WeightSpec(kind="power_mu", params=P32, constants=C32, mu=float("nan"))
     # n = 5, m = 0.55 > 1/2: the mu = mu1 edge is excluded
     p5 = ModelParams(n=5, m=0.55, beta=-1.0)
     c5 = derive_constants(p5)
