@@ -175,6 +175,8 @@ def _load_config(args, command: str) -> dict:
     if args.config:
         with open(args.config) as f:
             cfg = json.load(f)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object, not {type(cfg).__name__}")
     _check_keys(cfg, table)
     merged = _merge(_defaults(table), cfg)
     for flag, (_, path) in _FLAGS.items():
@@ -196,8 +198,18 @@ def _load_config(args, command: str) -> dict:
     return merged
 
 
+def _num(block: dict, key: str, path: str = "", typ=float):
+    """block[key] as typ; a value that is not one is a config error naming the key."""
+    try:
+        return typ(block[key])
+    except (TypeError, ValueError, OverflowError):
+        where = f"{path}.{key}" if path else key
+        kind = "an integer" if typ is int else "a number"
+        raise ConfigError(f"config key {where} must be {kind}, got {block[key]!r}") from None
+
+
 def _model(cfg) -> ModelParams:
-    return ModelParams(n=int(cfg["n"]), m=float(cfg["m"]), beta=float(cfg["beta"]))
+    return ModelParams(n=_num(cfg, "n", typ=int), m=_num(cfg, "m"), beta=_num(cfg, "beta"))
 
 
 def _profile_for(cfg):
@@ -283,24 +295,32 @@ def _cmd_expansion(cfg, out: str) -> int:
 
 def _build_evolution(cfg, form, initial, boundary, monitors, profile):
     p = _model(cfg)
-    dt, horizon = float(cfg["dt"]), float(cfg["horizon"])
+    dt, horizon = _num(cfg, "dt"), _num(cfg, "horizon")
     for key, val in (("dt", dt), ("horizon", horizon)):
         if not 0.0 < val < math.inf:
             raise ConfigError(f"{key} must be positive and finite, got {val!r}")
-    grid = evolution.build_grid(float(cfg["grid"]["R"]), int(cfg["grid"]["N"]))
-    snaps = np.linspace(0.0, horizon, int(cfg["snapshots"]))
+    g = cfg["grid"]
+    grid = evolution.build_grid(_num(g, "R", "grid"), _num(g, "N", "grid", int))
+    snaps = np.linspace(0.0, horizon, _num(cfg, "snapshots", typ=int))
     return grid, evolution.EvolutionConfig(
         grid=grid, params=p, form=form, initial=initial, boundary=boundary,
         dt=dt, horizon=horizon, snapshot_times=snaps,
-        profile=profile, newton_tol=float(cfg.get("newton_tol", 1e-11)),
+        profile=profile,
+        newton_tol=_num(cfg, "newton_tol") if "newton_tol" in cfg else 1e-11,
         monitors=monitors["enabled"], lam1=monitors["lam1"], lam2=monitors["lam2"],
     )
 
 
+def _spec(cls, cfg, block: str):
+    """The initial or boundary spec of a config block; tables become arrays."""
+    return cls(**{k: v if k == "kind" or v is None
+                  else np.asarray(v) if k.startswith("table") else _num(cfg[block], k, block)
+                  for k, v in cfg[block].items()})
+
+
 def _cmd_evolve(cfg, out: str) -> int:
-    init = evolution.InitialSpec(**{k: (np.asarray(v) if k.startswith("table") and v is not None else v)
-                                    for k, v in cfg["initial"].items()})
-    bc = evolution.BoundarySpec(**cfg["boundary"])
+    init = _spec(evolution.InitialSpec, cfg, "initial")
+    bc = _spec(evolution.BoundarySpec, cfg, "boundary")
     needs_profile = (init.kind in ("f_lambda", "blend", "bump")
                      or bc.kind in ("f_lambda", "U_lambda")
                      or cfg["monitors"]["enabled"])
@@ -330,7 +350,7 @@ def _cmd_evolve(cfg, out: str) -> int:
 
 def _make_weight(wcfg, prof):
     """The configured weight; a key left out or null stays unset, for WeightSpec to reject."""
-    kw = {k: float(v) for k, v in wcfg.items() if k != "kind" and v is not None}
+    kw = {k: _num(wcfg, k, "weight") for k, v in wcfg.items() if k != "kind" and v is not None}
     kw.setdefault("lam3", 1.0)
     return measures.WeightSpec(kind=wcfg["kind"], params=prof.request.params,
                                constants=prof.constants, profile=prof, **kw)
@@ -345,20 +365,18 @@ def _cmd_contract(cfg, out: str) -> int:
     def pair(N):
         sub = dict(cfg)
         sub["grid"] = dict(cfg["grid"], N=N)
-        grid, c1 = _build_evolution(sub, "physical",
-                                    evolution.InitialSpec(kind="f_lambda", lam=lam1),
-                                    bc, mon, prof)
-        _, c2 = _build_evolution(sub, "physical",
-                                 evolution.InitialSpec(kind="f_lambda", lam=lam2),
-                                 bc, mon, prof)
-        return grid, evolution.run(c1), evolution.run(c2)
+        return [_build_evolution(sub, "physical",
+                                 evolution.InitialSpec(kind="f_lambda", lam=lam), bc, mon, prof)
+                for lam in (lam1, lam2)]
 
-    grid, t1, t2 = pair(int(cfg["grid"]["N"]))
-    half = None
-    hgrid = None
+    runs = pair(int(cfg["grid"]["N"]))
     if cfg["half_resolution"]:
-        hgrid, h1, h2 = pair(int(cfg["grid"]["N"]) // 2 + 1)
-        half = (h1, h2)
+        runs += pair(int(cfg["grid"]["N"]) // 2 + 1)
+    trajs = evolution.run_lockstep([ecfg for _, ecfg in runs])
+    grid, t1, t2 = runs[0][0], trajs[0], trajs[1]
+    half = hgrid = None
+    if cfg["half_resolution"]:
+        hgrid, half = runs[2][0], (trajs[2], trajs[3])
     weight = _make_weight(cfg["weight"], prof)
     rep = measures.contraction_report(t1, t2, weight, grid, half_pair=half,
                                       half_grid=hgrid,

@@ -16,6 +16,11 @@ Barenblatt solution, or a constant.  Runs record ordering and
 Aronson-Benilan-type monitors per accepted step; both are diagnostics with
 truncation-scaled slacks, not assertions.  A finished Trajectory is
 immutable; independent runs can execute concurrently.
+
+``run_lockstep`` steps several runs together (``run`` steps one).  Runs at
+the same time share each boundary and ordering-band lookup; a run whose grid
+subsamples a finer one reads that grid's band.  The trajectories are bit for
+bit those of separate runs.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "inversion_residual_check",
     "barenblatt_oracle",
     "run",
+    "run_lockstep",
     "aronson_benilan_monitor",
     "ordering_monitor",
 ]
@@ -52,6 +58,15 @@ __all__ = [
 
 class EvolutionError(RuntimeError):
     """Solver setup or time stepping failed."""
+
+
+def _check_kind(spec, what: str, needs: dict):
+    """Reject an unknown kind, or a kind whose keys in ``needs`` are not all set."""
+    if spec.kind not in needs:
+        raise EvolutionError(f"unknown {what} kind {spec.kind!r}")
+    for key in needs[spec.kind]:
+        if getattr(spec, key) is None:
+            raise EvolutionError(f"{what} kind {spec.kind!r} needs {key}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +140,10 @@ class BoundarySpec:
     T: Optional[float] = None
     value: Optional[float] = None
 
+    def __post_init__(self):
+        _check_kind(self, "boundary", {"f_lambda": ("lam",), "U_lambda": ("lam",),
+                                       "barenblatt": ("k", "T"), "constant": ("value",)})
+
     def values(self, t: float, r_ends: np.ndarray, profile: Optional[Profile],
                params: ModelParams):
         if self.kind == "f_lambda":
@@ -133,9 +152,7 @@ class BoundarySpec:
             return profile.eval_U_lambda(self.lam, r_ends, t)
         if self.kind == "barenblatt":
             return barenblatt_oracle(r_ends, t, self.k, self.T, params)
-        if self.kind == "constant":
-            return np.full(r_ends.shape, self.value, dtype=float)
-        raise EvolutionError(f"unknown boundary kind {self.kind!r}")
+        return np.full(r_ends.shape, self.value, dtype=float)  # constant
 
 
 @dataclass(frozen=True)
@@ -162,6 +179,12 @@ class InitialSpec:
     table_r: Optional[np.ndarray] = None
     table_u: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        _check_kind(self, "initial", {
+            "f_lambda": ("lam",), "blend": ("lam1", "lam2", "theta"),
+            "bump": ("lam0", "amplitude", "r_lo", "r_hi"), "barenblatt": ("k", "T"),
+            "table": ("table_r", "table_u"), "constant": ("value",)})
+
     def values(self, grid: AnnulusGrid, profile: Optional[Profile],
                params: ModelParams) -> np.ndarray:
         r = grid.r
@@ -182,9 +205,7 @@ class InitialSpec:
         if self.kind == "table":
             ip = PchipInterpolator(np.log(self.table_r), np.log(self.table_u))
             return np.exp(ip(grid.s))
-        if self.kind == "constant":
-            return np.full(r.shape, self.value, dtype=float)
-        raise EvolutionError(f"unknown initial kind {self.kind!r}")
+        return np.full(r.shape, self.value, dtype=float)  # constant
 
 
 def barenblatt_oracle(r, t: float, k: float, T: float, params: ModelParams):
@@ -316,8 +337,8 @@ class Trajectory:
     config: EvolutionConfig
 
 
-def _ordering_bounds(cfg: EvolutionConfig, c: DerivedConstants, t: float):
-    r = cfg.grid.r
+def _ordering_bounds(cfg: EvolutionConfig, r: np.ndarray, t: float):
+    """The ordering band (lo, hi) of cfg at the radii r and time t."""
     if cfg.form == "physical":
         lo = cfg.profile.eval_U_lambda(cfg.lam1, r, t)
         hi = cfg.profile.eval_U_lambda(cfg.lam2, r, t)
@@ -327,16 +348,48 @@ def _ordering_bounds(cfg: EvolutionConfig, c: DerivedConstants, t: float):
     return lo, hi
 
 
-def run(cfg: EvolutionConfig) -> Trajectory:
-    """Advance a configured run, recording snapshots and monitors."""
+def _band_grid(cfg: EvolutionConfig, cfgs):
+    """(r, k) with r the finest grid in cfgs whose r[::k] is cfg.grid.r bitwise;
+    profile evaluation is pointwise, so the band on r read as [::k] is cfg's."""
+    r, k = cfg.grid.r, 1
+    for f in cfgs:
+        q, rem = divmod(f.grid.N - 1, cfg.grid.N - 1)
+        if f.grid.N > r.size and rem == 0 and np.array_equal(f.grid.r[::q], cfg.grid.r):
+            r, k = f.grid.r, q
+    return r, k
+
+
+def _shared(memo: dict, key: tuple, compute, *args):
+    """memo[key], computed as compute(*args) on first use."""
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
+
+
+def _steps(cfg: EvolutionConfig, memo: dict, band_r: np.ndarray, k: int):
+    """One run as a generator: it yields before each pass of the stepping loop
+    and returns the Trajectory.  Boundary and band values go through ``memo``,
+    keyed on all that fixes them; the band is evaluated on band_r, read as [::k]."""
     c = derive_constants(cfg.params)
+    r_ends = np.array([cfg.grid.r[0], cfg.grid.r[-1]])
+    bc_key = (cfg.boundary, cfg.profile, cfg.params, float(r_ends[0]), float(r_ends[1]))
+    band_key = (band_r.tobytes(), cfg.profile, cfg.lam1, cfg.lam2, cfg.form)
+
+    def boundary(t):
+        return _shared(memo, bc_key + (t,), cfg.boundary.values, t, r_ends, cfg.profile,
+                       cfg.params)
+
+    def band(t):
+        lo, hi = _shared(memo, band_key + (t,), _ordering_bounds, cfg, band_r, t)
+        return lo[::k], hi[::k]
+
     u = cfg.initial.values(cfg.grid, cfg.profile, cfg.params)
     if np.any(u <= 0.0):
         raise EvolutionError("initial data must be positive")
     if cfg.monitors:
         if cfg.lam1 is None or cfg.lam2 is None:
             raise EvolutionError("ordering monitors need lam1 and lam2")
-        lo, hi = _ordering_bounds(cfg, c, 0.0)
+        lo, hi = band(0.0)
         slack0 = 1e-9 * float(np.max(hi))
         if np.any(u < lo - slack0) or np.any(u > hi + slack0):
             raise EvolutionError("initial data violates the ordering band f_lam1 <= u0 <= f_lam2")
@@ -347,16 +400,16 @@ def run(cfg: EvolutionConfig) -> Trajectory:
     rescaled = cfg.form == "rescaled"
     alpha = c.alpha if rescaled else 0.0
     b_ds = (cfg.params.beta / cfg.grid.ds) if rescaled else 0.0
-    r_ends = np.array([cfg.grid.r[0], cfg.grid.r[-1]])
 
     # clamp initial endpoints to the boundary data so step 1 is consistent;
     # f_lambda and constant data do not depend on t, nor does the rescaled band
-    bc0 = cfg.boundary.values(0.0, r_ends, cfg.profile, cfg.params)
+    bc0 = boundary(0.0)
     static_bc = cfg.boundary.kind in ("f_lambda", "constant")
     u = u.copy()
     u[0], u[-1] = bc0[0], bc0[1]
 
-    snaps = [u.copy()]
+    fields = np.empty((len(cfg.snapshot_times) + 1, cfg.grid.N))  # + one at the horizon
+    fields[0] = u
     snap_times = [0.0]
     next_snap = 1
 
@@ -373,11 +426,11 @@ def run(cfg: EvolutionConfig) -> Trajectory:
     t = 0.0
     sub = cfg.dt
     while t < cfg.horizon - 1e-14 * cfg.horizon:
+        yield
         target = (cfg.snapshot_times[next_snap]
                   if next_snap < len(cfg.snapshot_times) else cfg.horizon)
         dt_try = min(sub, cfg.dt, target - t)
-        bc = bc0 if static_bc else cfg.boundary.values(t + dt_try, r_ends, cfg.profile,
-                                                       cfg.params)
+        bc = bc0 if static_bc else boundary(t + dt_try)
         U, iters, ok = newton_step(u, dt_try, bc[0], bc[1], m, c0, einv, ap, am,
                                    alpha, b_ds, cfg.newton_tol, 50)
         iters_total += iters
@@ -398,7 +451,7 @@ def run(cfg: EvolutionConfig) -> Trajectory:
                 excess = (U[1:-1] - u[1:-1]) / dt_try - U[1:-1] / ((1.0 - m) * t_new)
                 ab_log.append(float(np.max(excess)))
             if not rescaled:
-                lo, hi = _ordering_bounds(cfg, c, t_new)
+                lo, hi = band(t_new)
             lo_log.append(float(np.min(U - lo)))
             hi_log.append(float(np.min(hi - U)))
             step_times.append(t_new)
@@ -410,15 +463,15 @@ def run(cfg: EvolutionConfig) -> Trajectory:
         t = t_new
         sub = min(sub * 2.0, cfg.dt)
         if next_snap < len(cfg.snapshot_times) and t >= cfg.snapshot_times[next_snap] - 1e-14:
-            snaps.append(u.copy())
+            fields[len(snap_times)] = u
             snap_times.append(t)
             next_snap += 1
 
     if abs(snap_times[-1] - cfg.horizon) > 1e-12 * max(1.0, cfg.horizon):
-        snaps.append(u.copy())
+        fields[len(snap_times)] = u
         snap_times.append(t)
 
-    fields = np.asarray(snaps)
+    fields = fields[:len(snap_times)]
     d2 = np.abs(fields[:, 2:] - 2.0 * fields[:, 1:-1] + fields[:, :-2])
     trunc_space = float(np.max(d2)) if fields.shape[1] > 2 else 0.0
 
@@ -436,6 +489,28 @@ def run(cfg: EvolutionConfig) -> Trajectory:
         trunc_space=trunc_space,
         config=cfg,
     )
+
+
+def run_lockstep(cfgs) -> list[Trajectory]:
+    """Advance runs together, one pass of each stepping loop per round; each
+    Trajectory equals, bit for bit, the one ``run`` gives for its config."""
+    memo = {}
+    live = {i: _steps(cfg, memo, *_band_grid(cfg, cfgs)) for i, cfg in enumerate(cfgs)}
+    out = [None] * len(cfgs)
+    while live:
+        for i, steps in list(live.items()):
+            try:
+                next(steps)
+            except StopIteration as done:
+                out[i] = done.value
+                del live[i]
+        memo.clear()  # values are shared within a round only, so memory stays O(N)
+    return out
+
+
+def run(cfg: EvolutionConfig) -> Trajectory:
+    """Advance a configured run, recording snapshots and monitors."""
+    return run_lockstep([cfg])[0]
 
 
 def aronson_benilan_monitor(traj: Trajectory) -> dict:

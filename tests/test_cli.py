@@ -241,6 +241,49 @@ def test_incomplete_weight_rejected(tmp_path, capsys, weight):
     assert weight["kind"] in err
 
 
+@pytest.mark.parametrize("block,spec,missing", [
+    ("initial", {"kind": "bump", "lam0": 1}, "amplitude"),
+    ("initial", {"kind": "blend", "lam1": 2, "lam2": 1}, "theta"),
+    ("initial", {"kind": "barenblatt", "k": 1}, "T"),
+    ("initial", {"kind": "table", "table_r": [1, 2]}, "table_u"),
+    ("boundary", {"kind": "constant"}, "value"),
+])
+def test_incomplete_initial_or_boundary_rejected(tmp_path, capsys, block, spec, missing):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({block: spec}))
+    assert run_command(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"{block} kind '{spec['kind']}' needs {missing}" in err
+
+
+@pytest.mark.parametrize("text", ["[1]", '"evolve"', "3", "null"])
+def test_config_file_not_an_object_rejected(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert run_command(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error:") and "JSON object" in err
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("contract", {"weight": {"kind": "power_mu", "mu": "abc"}}, "weight.mu"),
+    ("evolve", {"grid": {"N": "abc"}}, "grid.N"),
+    ("evolve", {"grid": {"N": 1e400}}, "grid.N"),
+    ("evolve", {"n": [3]}, "n"),
+    ("evolve", {"initial": {"kind": "f_lambda", "lam": "abc"}}, "initial.lam"),
+])
+def test_non_number_config_value_named(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "c.json"
+    small = {"grid": {"N": 101}, "horizon": 0.01, "snapshots": 2}
+    cfg.write_text(json.dumps(cli._merge(small, config)))
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: config key {key} must be")
+
+
 def _fill(table):
     """Every key of a config table, with its default or a placeholder value."""
     return {k: _fill(v) if isinstance(v, dict) else (1.0 if v is cli._UNSET else v)

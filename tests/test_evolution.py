@@ -1,10 +1,12 @@
 """Grids, the Newton kernel, runs, transforms, the Barenblatt oracle, monitors."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fde import evolution
 from fde._kernels import newton_step
 from fde.evolution import (
     BoundarySpec,
@@ -21,6 +23,7 @@ from fde.evolution import (
     ordering_monitor,
     rescale_transform,
     run,
+    run_lockstep,
 )
 from fde.params import ModelParams, derive_constants
 from fde.profile import Profile
@@ -415,6 +418,61 @@ def test_static_band_and_boundary_evaluated_once(profile_cache, monkeypatch):
         assert len(traj.ord_gap_lo) == len(traj.ord_gap_hi) == steps
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("sizes,flaky", [((201, 101), False), ((201, 101), True),
+                                         ((200, 101), False)])
+def test_lockstep_equals_separate_runs(profile_cache, monkeypatch, sizes, flaky):
+    # contract's group: u1 from f_lam1 and u2 from f_lam2 at two resolutions,
+    # with the U_lam1 boundary and the band shared.  Stepped together they
+    # give the separate runs' trajectories bit for bit, also when one run
+    # rejects a step (its times then leave the others') and when the coarse
+    # grid is not a subsample of the fine one.
+    prof = profile_cache(3, 0.2)
+    cfgs = [EvolutionConfig(
+        grid=build_grid(math.e ** 2, N), params=P32, form="physical",
+        initial=InitialSpec(kind="f_lambda", lam=lam),
+        boundary=BoundarySpec(kind="U_lambda", lam=2.0),
+        dt=1e-3, horizon=0.05, snapshot_times=np.linspace(0.0, 0.05, 6),
+        profile=prof, monitors=True, lam1=2.0, lam2=1.0)
+        for N in sizes for lam in (2.0, 1.0)]
+    kernel = evolution.newton_step
+    failed = []
+
+    def flaky_step(u, *args):
+        # the first step at N 101 reports non-convergence
+        if flaky and u.size == 101 and not failed:
+            failed.append(True)
+            return u, 0, False
+        return kernel(u, *args)
+
+    calls = []
+    eval_g_log = Profile.eval_g_log
+
+    def counted(self, r, **kw):
+        calls.append(np.size(r))
+        return eval_g_log(self, r, **kw)
+
+    monkeypatch.setattr(evolution, "newton_step", flaky_step)
+    monkeypatch.setattr(Profile, "eval_g_log", counted)
+    together = run_lockstep(cfgs)
+    n_lockstep = len(calls)
+    failed.clear()
+    separate = [run(cfg) for cfg in cfgs]
+
+    assert sum(t.rejections for t in together) == int(flaky)
+    if flaky:
+        assert not np.array_equal(together[2].step_times, together[0].step_times)
+    for a, b, cfg in zip(together, separate, cfgs):
+        assert a.config is b.config is cfg
+        for f in dataclasses.fields(Trajectory):
+            if f.name != "config":
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    if sizes == (201, 101) and not flaky:
+        # per round one boundary and one band (two evaluations) for all four
+        # runs, which separately make 12; setup adds each run's initial data
+        rounds = len(together[0].step_times) + 1
+        assert n_lockstep <= 3 * rounds + len(cfgs)
 
 
 def test_blend_run_ordering(profile_cache):
