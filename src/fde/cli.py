@@ -1,18 +1,19 @@
 """Command line entry point.
 
 Subcommands: constants, profile, expansion, evolve, contract, converge,
-validate-barenblatt.  Each reads a JSON config (strict: unknown keys are
-rejected with their path) merged with flag overrides, writes CSV artifacts
-plus a JSON report with machine-checkable verdicts, atomically (temp +
-rename).  Exit codes: 0 completed/PASS, 2 FAIL, 3 INCONCLUSIVE, 1 usage or
-config error.  CSV numbers carry 17 significant digits so regression diffs
+validate-barenblatt.  Each reads a JSON config and applies flag overrides
+to it.  ``_CONFIG`` is the config's one schema: loading walks it once,
+rejecting unknown keys, filling defaults and typing every value, and each
+error names the dotted key; handlers then read plain values.  Each writes
+CSV artifacts plus a JSON report with machine-checkable verdicts,
+atomically (temp + rename).  Exit codes: 0 completed/PASS, 2 FAIL,
+3 INCONCLUSIVE, 1 usage or config error.  CSV numbers carry 17 significant digits so regression diffs
 are meaningful; an identical config gives byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import os
@@ -82,34 +83,56 @@ def _json_safe(obj):
     return obj
 
 
-def _check_keys(cfg: dict, allowed: dict, path: str = ""):
-    """Strict schema walk: every key must be known; nested dicts recurse."""
-    for key, val in cfg.items():
-        where = f"{path}.{key}" if path else key
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {where}")
-        sub = allowed[key]
-        if isinstance(sub, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config key {where} must be an object")
-            _check_keys(val, sub, where)
+_KINDS = {bool: "true or false", str: "a string", int: "an integer", float: "a number",
+          list: "a list"}
 
 
-_UNSET = object()   # a key a config may set that has no default
+def _typed(spec, val, where: str = ""):
+    """``val`` checked and typed against ``spec``, its entry in a config table.
+
+    A dict ``spec`` is a block: a key it lacks is rejected by its dotted path,
+    and a key the config leaves out takes its default.  A leaf takes the type
+    of its default; where there is no default, ``spec`` is the type itself.  A
+    None default, or none at all, lets the value be null; a None default is a
+    float otherwise.  Every dict and list is built afresh, so no call can write
+    into the table.
+    """
+    if isinstance(spec, dict):
+        if not isinstance(val, dict):
+            raise ConfigError(f"config key {where} must be an object")
+        prefix = f"{where}." if where else ""
+        for key in val:
+            if key not in spec:
+                raise ConfigError(f"unknown config key: {prefix}{key}")
+        return {k: _typed(s, val.get(k, {} if isinstance(s, dict) else s), prefix + k)
+                for k, s in spec.items() if k in val or not isinstance(s, type)}
+    typ = spec if isinstance(spec, type) else float if spec is None else type(spec)
+    if val is None and (spec is None or isinstance(spec, type)):
+        return None
+    if typ is list and isinstance(val, list):
+        item = spec[0] if isinstance(spec, list) else 0.0
+        return [_typed(item, v, f"{where}[{i}]") for i, v in enumerate(val)]
+    try:
+        if typ in (bool, str, list) and not isinstance(val, typ):
+            raise TypeError
+        return typ(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config key {where} must be {_KINDS[typ]}, got {val!r}") from None
 
 
 def _keys(names: str, **defaults) -> dict:
-    """A config block holding every key in ``names``, with its default or _UNSET."""
-    return {k: defaults.get(k, _UNSET) for k in names.split()}
+    """A config block holding every key in ``names``: its default, or float if it has none."""
+    return {k: defaults.get(k, float) for k in names.split()}
 
 
 _INITIAL = "kind lam lam1 lam2 theta lam0 amplitude r_lo r_hi k T value table_r table_u"
 _BOUNDARY = "kind lam k T value"
 _WEIGHT = "kind mu lam3 power exponent"
 
-# per subcommand: every config key it accepts, with its default
+# per subcommand: every config key it accepts, with its default (whose type
+# the value must have), or with its type where it has no default
 _CONFIG = {
-    "constants": {"n": 3, "m": 0.2, "beta": -1.0, "mu": _UNSET},
+    "constants": {"n": 3, "m": 0.2, "beta": -1.0, "mu": float},
     "profile": {"n": 3, "m": 0.2, "beta": -1.0, "eta": 1.0, "r0": 1e-6,
                 "r_switch": 10.0, "s_max": 200.0, "tol": 1e-10,
                 "grid": {"r_min": 1e-3, "r_max": 1e3, "count": 121}},
@@ -117,7 +140,8 @@ _CONFIG = {
                   "tol": 1e-10, "k0_s_max": 400.0},
     "evolve": {"n": 3, "m": 0.2, "beta": -1.0, "form": "physical",
                "grid": {"R": math.e ** 2, "N": 401},
-               "initial": _keys(_INITIAL, kind="f_lambda", lam=1.0),
+               "initial": _keys(_INITIAL, kind="f_lambda", lam=1.0,
+                            table_r=list, table_u=list),
                "boundary": _keys(_BOUNDARY, kind="U_lambda", lam=1.0),
                "dt": 1e-3, "horizon": 0.1, "snapshots": 11, "newton_tol": 1e-11,
                "monitors": {"enabled": False, "lam1": None, "lam2": None},
@@ -125,8 +149,7 @@ _CONFIG = {
     "contract": {"n": 3, "m": 0.2, "beta": -1.0, "grid": {"R": math.e ** 5, "N": 2001},
                  "lam1": 2.0, "lam2": 1.0, "weight": _keys(_WEIGHT, kind="power_mu", mu=0.25),
                  "dt": 2e-3, "horizon": 1.0, "snapshots": 21,
-                 "half_resolution": True, "rescaled_variant": False,
-                 "profile_tol": 1e-10},
+                 "half_resolution": True, "profile_tol": 1e-10},
     "converge": {"n": 3, "m": 0.2, "beta": -1.0, "grid": {"R": math.e ** 1.7, "N": 3001},
                  "lam0": 1.0, "lam1": 1.0, "lam2": 0.4,
                  "bump": {"amplitude": 0.10, "r_lo": 0.2, "r_hi": 2.0},
@@ -153,32 +176,15 @@ _FLAGS = {
 }
 
 
-def _defaults(table: dict) -> dict:
-    """A deep copy of the defaults in ``table``; flag overrides write into it."""
-    return {k: _defaults(v) if isinstance(v, dict) else copy.deepcopy(v)
-            for k, v in table.items() if v is not _UNSET}
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
-
-
 def _load_config(args, command: str) -> dict:
     table = _CONFIG[command]
-    cfg = dict()
+    given = dict()
     if args.config:
         with open(args.config) as f:
-            cfg = json.load(f)
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{args.config} must hold a JSON object, not {type(cfg).__name__}")
-    _check_keys(cfg, table)
-    merged = _merge(_defaults(table), cfg)
+            given = json.load(f)
+        if not isinstance(given, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object, not {type(given).__name__}")
+    cfg = _typed(table, given)
     for flag, (_, path) in _FLAGS.items():
         val = getattr(args, flag)
         if val is None:
@@ -191,31 +197,21 @@ def _load_config(args, command: str) -> dict:
             if path[-1] not in table:
                 raise ConfigError(f"flag --{flag} does not apply to {command}")
             path = path[-1:]
-        node = merged
+        node = cfg
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = val
-    return merged
-
-
-def _num(block: dict, key: str, path: str = "", typ=float):
-    """block[key] as typ; a value that is not one is a config error naming the key."""
-    try:
-        return typ(block[key])
-    except (TypeError, ValueError, OverflowError):
-        where = f"{path}.{key}" if path else key
-        kind = "an integer" if typ is int else "a number"
-        raise ConfigError(f"config key {where} must be {kind}, got {block[key]!r}") from None
+    return cfg
 
 
 def _model(cfg) -> ModelParams:
-    return ModelParams(n=_num(cfg, "n", typ=int), m=_num(cfg, "m"), beta=_num(cfg, "beta"))
+    return ModelParams(n=cfg["n"], m=cfg["m"], beta=cfg["beta"])
 
 
 def _profile_for(cfg):
     """The eta = 1 profile of the configured model."""
     return compute_profile(ProfileRequest(params=_model(cfg), eta=1.0,
-                                          tol=float(cfg.get("profile_tol", 1e-10))))
+                                          tol=cfg.get("profile_tol", 1e-10)))
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -234,12 +230,11 @@ def _cmd_constants(cfg, out: str) -> int:
 
 def _cmd_profile(cfg, out: str) -> int:
     p = _model(cfg)
-    req = ProfileRequest(params=p, eta=float(cfg["eta"]), r0=float(cfg["r0"]),
-                         r_switch=float(cfg["r_switch"]), s_max=float(cfg["s_max"]),
-                         tol=float(cfg["tol"]))
+    req = ProfileRequest(params=p, eta=cfg["eta"], r0=cfg["r0"], r_switch=cfg["r_switch"],
+                         s_max=cfg["s_max"], tol=cfg["tol"])
     prof = compute_profile(req)
     g = cfg["grid"]
-    r = np.geomspace(float(g["r_min"]), float(g["r_max"]), int(g["count"]))
+    r = np.geomspace(g["r_min"], g["r_max"], g["count"])
     gv, gr = prof.eval_g(r)
     fv, fr = prof.eval_f(r)
     _write_csv(os.path.join(out, "profile_rg.csv"),
@@ -266,11 +261,10 @@ def _cmd_profile(cfg, out: str) -> int:
 def _cmd_expansion(cfg, out: str) -> int:
     p = _model(cfg)
     c = derive_constants(p)
-    eta = float(cfg["eta"])
-    bt = c.beta_tilde
-    coeffs = asymptotics.compute_K0(p, eta=eta, beta_tilde=bt,
-                                    s_max=float(cfg["k0_s_max"]), tol=float(cfg["tol"]))
-    req = ProfileRequest(params=p, eta=eta, s_max=float(cfg["s_max"]), tol=float(cfg["tol"]))
+    eta = cfg["eta"]
+    coeffs = asymptotics.compute_K0(p, eta=eta, beta_tilde=c.beta_tilde,
+                                    s_max=cfg["k0_s_max"], tol=cfg["tol"])
+    req = ProfileRequest(params=p, eta=eta, s_max=cfg["s_max"], tol=cfg["tol"])
     prof = compute_profile(req)
     rep = asymptotics.expansion_residual_report(prof, coeffs)
     cols = [rep["s"], rep["normalized"]]
@@ -295,32 +289,24 @@ def _cmd_expansion(cfg, out: str) -> int:
 
 def _build_evolution(cfg, form, initial, boundary, monitors, profile):
     p = _model(cfg)
-    dt, horizon = _num(cfg, "dt"), _num(cfg, "horizon")
+    dt, horizon = cfg["dt"], cfg["horizon"]
     for key, val in (("dt", dt), ("horizon", horizon)):
         if not 0.0 < val < math.inf:
             raise ConfigError(f"{key} must be positive and finite, got {val!r}")
-    g = cfg["grid"]
-    grid = evolution.build_grid(_num(g, "R", "grid"), _num(g, "N", "grid", int))
-    snaps = np.linspace(0.0, horizon, _num(cfg, "snapshots", typ=int))
+    grid = evolution.build_grid(cfg["grid"]["R"], cfg["grid"]["N"])
+    snaps = np.linspace(0.0, horizon, cfg["snapshots"])
     return grid, evolution.EvolutionConfig(
         grid=grid, params=p, form=form, initial=initial, boundary=boundary,
         dt=dt, horizon=horizon, snapshot_times=snaps,
         profile=profile,
-        newton_tol=_num(cfg, "newton_tol") if "newton_tol" in cfg else 1e-11,
+        newton_tol=cfg.get("newton_tol", 1e-11),
         monitors=monitors["enabled"], lam1=monitors["lam1"], lam2=monitors["lam2"],
     )
 
 
-def _spec(cls, cfg, block: str):
-    """The initial or boundary spec of a config block; tables become arrays."""
-    return cls(**{k: v if k == "kind" or v is None
-                  else np.asarray(v) if k.startswith("table") else _num(cfg[block], k, block)
-                  for k, v in cfg[block].items()})
-
-
 def _cmd_evolve(cfg, out: str) -> int:
-    init = _spec(evolution.InitialSpec, cfg, "initial")
-    bc = _spec(evolution.BoundarySpec, cfg, "boundary")
+    init = evolution.InitialSpec(**cfg["initial"])
+    bc = evolution.BoundarySpec(**cfg["boundary"])
     needs_profile = (init.kind in ("f_lambda", "blend", "bump")
                      or bc.kind in ("f_lambda", "U_lambda")
                      or cfg["monitors"]["enabled"])
@@ -350,15 +336,16 @@ def _cmd_evolve(cfg, out: str) -> int:
 
 def _make_weight(wcfg, prof):
     """The configured weight; a key left out or null stays unset, for WeightSpec to reject."""
-    kw = {k: _num(wcfg, k, "weight") for k, v in wcfg.items() if k != "kind" and v is not None}
+    kw = {k: v for k, v in wcfg.items() if v is not None}
     kw.setdefault("lam3", 1.0)
-    return measures.WeightSpec(kind=wcfg["kind"], params=prof.request.params,
+    return measures.WeightSpec(params=prof.request.params,
                                constants=prof.constants, profile=prof, **kw)
 
 
 def _cmd_contract(cfg, out: str) -> int:
     prof = _profile_for(cfg)
-    lam1, lam2 = float(cfg["lam1"]), float(cfg["lam2"])
+    weight = _make_weight(cfg["weight"], prof)
+    lam1, lam2 = cfg["lam1"], cfg["lam2"]
     mon = {"enabled": True, "lam1": lam1, "lam2": lam2}
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
 
@@ -369,18 +356,15 @@ def _cmd_contract(cfg, out: str) -> int:
                                  evolution.InitialSpec(kind="f_lambda", lam=lam), bc, mon, prof)
                 for lam in (lam1, lam2)]
 
-    runs = pair(int(cfg["grid"]["N"]))
+    runs = pair(cfg["grid"]["N"])
     if cfg["half_resolution"]:
-        runs += pair(int(cfg["grid"]["N"]) // 2 + 1)
+        runs += pair(cfg["grid"]["N"] // 2 + 1)
     trajs = evolution.run_lockstep([ecfg for _, ecfg in runs])
     grid, t1, t2 = runs[0][0], trajs[0], trajs[1]
     half = hgrid = None
     if cfg["half_resolution"]:
         hgrid, half = runs[2][0], (trajs[2], trajs[3])
-    weight = _make_weight(cfg["weight"], prof)
-    rep = measures.contraction_report(t1, t2, weight, grid, half_pair=half,
-                                      half_grid=hgrid,
-                                      rescaled_variant=bool(cfg["rescaled_variant"]))
+    rep = measures.contraction_report(t1, t2, weight, grid, half_pair=half, half_grid=hgrid)
     _write_csv(os.path.join(out, "contraction.csv"),
                ["t", "norm", "norm_positive_part", "slack"],
                [rep["times"], rep["series"], rep["series_positive_part"], rep["slack"]])
@@ -395,22 +379,18 @@ def _cmd_contract(cfg, out: str) -> int:
 
 def _cmd_converge(cfg, out: str) -> int:
     prof = _profile_for(cfg)
-    lam0 = float(cfg["lam0"])
+    weight = _make_weight(cfg["weight"], prof)
+    lam0 = cfg["lam0"]
     if cfg["horizon"] is None:
         cfg["horizon"] = 5.0 / abs(prof.request.params.beta)
-    bump = cfg["bump"]
-    init = evolution.InitialSpec(kind="bump", lam0=lam0,
-                                 amplitude=float(bump["amplitude"]),
-                                 r_lo=float(bump["r_lo"]), r_hi=float(bump["r_hi"]))
+    init = evolution.InitialSpec(kind="bump", lam0=lam0, **cfg["bump"])
     bc = evolution.BoundarySpec(kind="f_lambda", lam=lam0)
-    mon = {"enabled": True, "lam1": float(cfg["lam1"]), "lam2": float(cfg["lam2"])}
+    mon = {"enabled": True, "lam1": cfg["lam1"], "lam2": cfg["lam2"]}
     grid, ecfg = _build_evolution(cfg, "rescaled", init, bc, mon, prof)
     traj = evolution.run(ecfg)
-    weight = _make_weight(cfg["weight"], prof)
     rep = measures.convergence_report(
         traj, prof, lam0, weight, grid, K_compact=tuple(cfg["K_compact"]),
-        decrease_factor=float(cfg["decrease_factor"]),
-        e_inf_threshold=cfg["e_inf_threshold"])
+        decrease_factor=cfg["decrease_factor"], e_inf_threshold=cfg["e_inf_threshold"])
     _write_csv(os.path.join(out, "convergence.csv"),
                ["t", "e1", "e_inf"], [rep["times"], rep["e1"], rep["e_inf"]])
     _write_report(os.path.join(out, "converge_report.json"), {
@@ -426,8 +406,7 @@ def _cmd_converge(cfg, out: str) -> int:
 
 def _cmd_validate_barenblatt(cfg, out: str) -> int:
     p = _model(cfg)
-    k, T, horizon = float(cfg["k"]), float(cfg["T"]), float(cfg["horizon"])
-    R = float(cfg["R"])
+    k, T, horizon, R = cfg["k"], cfg["T"], cfg["horizon"], cfg["R"]
     init = evolution.InitialSpec(kind="barenblatt", k=k, T=T)
     bc = evolution.BoundarySpec(kind="barenblatt", k=k, T=T)
 
@@ -438,8 +417,7 @@ def _cmd_validate_barenblatt(cfg, out: str) -> int:
             dt=dt, horizon=horizon, snapshot_times=np.array([0.0, horizon]),
             profile=profile))
 
-    n_list = [int(v) for v in cfg["N_list"]]
-    dt0 = float(cfg["dt0"])
+    n_list, dt0 = cfg["N_list"], cfg["dt0"]
     errs = []
     for N in n_list:
         grid = evolution.build_grid(R, N)
@@ -449,16 +427,16 @@ def _cmd_validate_barenblatt(cfg, out: str) -> int:
     sp_orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
 
     # temporal: successive dt differences on a fixed fine grid cancel the spatial floor
-    gridT = evolution.build_grid(R, int(cfg["temporal_N"]))
-    fields = [solve(gridT, float(dt)).fields[-1] for dt in cfg["temporal_dt_list"]]
+    gridT = evolution.build_grid(R, cfg["temporal_N"])
+    fields = [solve(gridT, dt).fields[-1] for dt in cfg["temporal_dt_list"]]
     diffs = [float(np.max(np.abs(fields[i] - fields[i + 1]))) for i in range(len(fields) - 1)]
     t_orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
 
     # exact-U_lambda tracking at the pinned (ds, dt)
     prof = _profile_for(cfg)
-    lam = float(cfg["lam"])
-    gridU = evolution.build_grid(math.e, int(cfg["track_N"]))
-    traj = solve(gridU, float(cfg["track_dt"]), float(cfg["track_horizon"]),
+    lam = cfg["lam"]
+    gridU = evolution.build_grid(math.e, cfg["track_N"])
+    traj = solve(gridU, cfg["track_dt"], cfg["track_horizon"],
                  evolution.InitialSpec(kind="f_lambda", lam=lam),
                  evolution.BoundarySpec(kind="U_lambda", lam=lam), prof)
     exact = prof.eval_U_lambda(lam, gridU.r, traj.times[-1])

@@ -246,6 +246,8 @@ def convergence_report(traj: Trajectory, profile: Profile, lam0: float,
     target = profile.eval_f_lambda(lam0, grid.r)
     n = weight.params.n
     w = weight.values(grid.r)
+    if len(K_compact) != 2:
+        raise MeasureError(f"K_compact must hold two radii, got {K_compact!r}")
     sel = (grid.r >= K_compact[0]) & (grid.r <= K_compact[1])
     if not np.any(sel):
         raise MeasureError(f"compact window {K_compact!r} contains no grid nodes")

@@ -6,8 +6,10 @@ import os
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fde import cli
+from fde import cli, evolution
 from fde.cli import run_command
 
 
@@ -267,26 +269,115 @@ def test_config_file_not_an_object_rejected(tmp_path, capsys, text):
     assert err.startswith("config error:") and "JSON object" in err
 
 
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Fail the test if a command builds a profile or steps a run."""
+    def solver(*args, **kwargs):
+        pytest.fail("a solver ran")
+    monkeypatch.setattr(cli, "compute_profile", solver)
+    monkeypatch.setattr(evolution, "run_lockstep", solver)
+
+
+def _merge(base, override):
+    """base with the keys of override written over it; nested blocks merge."""
+    return {**base, **{k: _merge(base[k], v) if isinstance(v, dict) and k in base else v
+                       for k, v in override.items()}}
+
+
 @pytest.mark.parametrize("command,config,key", [
     ("contract", {"weight": {"kind": "power_mu", "mu": "abc"}}, "weight.mu"),
     ("evolve", {"grid": {"N": "abc"}}, "grid.N"),
     ("evolve", {"grid": {"N": 1e400}}, "grid.N"),
     ("evolve", {"n": [3]}, "n"),
     ("evolve", {"initial": {"kind": "f_lambda", "lam": "abc"}}, "initial.lam"),
+    ("evolve", {"initial": {"kind": "table", "table_r": ["a", "b"], "table_u": [1, 2]}},
+     "initial.table_r[0]"),
+    ("evolve", {"monitors": {"enabled": True, "lam1": "abc"}}, "monitors.lam1"),
+    ("converge", {"K_compact": "ab"}, "K_compact"),
+    ("converge", {"e_inf_threshold": "abc"}, "e_inf_threshold"),
+    ("converge", {"bump": {"amplitude": "x"}}, "bump.amplitude"),
+    ("profile", {"eta": "abc"}, "eta"),
+    ("contract", {"lam1": "abc"}, "lam1"),
+    ("validate-barenblatt", {"N_list": ["a", 201, 401]}, "N_list[0]"),
+    ("contract", {"half_resolution": "false"}, "half_resolution"),
 ])
-def test_non_number_config_value_named(tmp_path, capsys, command, config, key):
+def test_non_number_config_value_named(tmp_path, capsys, no_solver, command, config, key):
     cfg = tmp_path / "c.json"
     small = {"grid": {"N": 101}, "horizon": 0.01, "snapshots": 2}
-    cfg.write_text(json.dumps(cli._merge(small, config)))
+    if "snapshots" in cli._CONFIG[command]:
+        config = _merge(small, config)
+    cfg.write_text(json.dumps(config))
     assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith(f"config error: config key {key} must be")
 
 
+def _leaves(table, path=()):
+    for k, v in table.items():
+        if isinstance(v, dict):
+            yield from _leaves(v, path + (k,))
+        else:
+            yield path + (k,), v
+
+
+_LETTERS = st.text(alphabet="bcdeghjkxyz", min_size=1)   # no "inf" or "nan" to parse
+_NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+_LISTS = st.lists(st.integers(), max_size=3)
+_OBJECTS = st.dictionaries(_LETTERS, st.integers(), max_size=2)
+
+
+def _wrong(spec):
+    """Values of a type other than the one a table entry asks for."""
+    typ = spec if isinstance(spec, type) else float if spec is None else type(spec)
+    if typ is bool:
+        return st.one_of(st.sampled_from(["true", "false"]), _NUMBERS, _LISTS, _OBJECTS)
+    if typ is str:
+        return st.one_of(_NUMBERS, _LISTS, _OBJECTS)
+    if typ is list:
+        return st.one_of(_LETTERS, _NUMBERS, _OBJECTS, st.lists(_LETTERS, min_size=1))
+    return st.one_of(_LETTERS, _LISTS, _OBJECTS)
+
+
+_ALL_LEAVES = [(command, path, spec) for command, table in cli._CONFIG.items()
+               for path, spec in _leaves(table)]
+
+
+@given(st.sampled_from(_ALL_LEAVES).flatmap(
+    lambda leaf: st.tuples(st.just(leaf), _wrong(leaf[2]))))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_wrong_type_config_value_named(tmp_path, capsys, no_solver, case):
+    (command, path, _), value = case
+    config = value
+    for key in reversed(path):
+        config = {key: config}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert f"config key {'.'.join(path)}" in err
+
+
+@pytest.mark.parametrize("command", ["contract", "converge"])
+def test_weight_built_before_stepping(tmp_path, capsys, monkeypatch, command):
+    def solver(*args, **kwargs):
+        pytest.fail("runs were stepped")
+    monkeypatch.setattr(evolution, "run_lockstep", solver)
+    monkeypatch.setattr(evolution, "run", solver)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"weight": {"kind": "power_mu", "mu": 5.0}}))
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "power_mu" in err
+
+
 def _fill(table):
     """Every key of a config table, with its default or a placeholder value."""
-    return {k: _fill(v) if isinstance(v, dict) else (1.0 if v is cli._UNSET else v)
+    return {k: _fill(v) if isinstance(v, dict)
+            else [1.0] if v is list else 1.0 if v is float else v
             for k, v in table.items()}
 
 
@@ -304,7 +395,7 @@ def test_config_table(tmp_path, command):
     # the defaults alone carry no placeholder for an unset key
     defaults = cli._load_config(parse([command]), command)
     for _, block in _blocks(defaults):
-        assert all(v is not cli._UNSET for v in block.values())
+        assert all(not isinstance(v, type) for v in block.values())
     # a file that sets every key in the table is accepted as it is
     path = tmp_path / "full.json"
     path.write_text(json.dumps(_fill(table)))
@@ -320,3 +411,12 @@ def test_config_table(tmp_path, command):
         with pytest.raises(cli.ConfigError) as e:
             cli._load_config(parse([command, "--config", str(path)]), command)
         assert str(e.value) == "unknown config key: " + ".".join(where + ("bogus",))
+
+
+def test_compact_window_needs_two_radii(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": {"N": 101}, "horizon": 0.01, "snapshots": 2,
+                               "K_compact": [1.0]}))
+    assert run_command(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: K_compact must hold two radii, got (1.0,)"
