@@ -55,7 +55,7 @@ def _a2(n: int, m: float, K: float, beta_tilde: float) -> float:
 
 @dataclass(frozen=True)
 class ExpansionCoefficients:
-    """Expansion constants tied to one (n, m) and one requested (eta, beta~).
+    """Expansion constants of one (n, m), with a2 and a3 for one requested (eta, beta~).
 
     K_11 and K0 come from a fresh (1,1) profile run and carry the propagated
     extraction uncertainty K_error; a1 is the full series coefficient
@@ -66,18 +66,14 @@ class ExpansionCoefficients:
 
     n: int
     m: float
-    eta: float
-    beta_tilde: float
     K0: float
     K_11: float
-    K_eta_beta: float
     a1: float
     a2_eta_beta: float
     a3: float
     K_error: float
     converged: bool
     constants: DerivedConstants
-    order: str = "one_over_log"
 
     def a3_for(self, A: float, beta_tilde: float) -> float:
         """a3(A, beta~) = a1 + (ys/(2 q gamma1)) log(A beta~^{1/(1-m)})."""
@@ -111,12 +107,10 @@ def compute_K0(params: ModelParams, eta: float = 1.0, beta_tilde: float = 1.0,
     ys = n - 2 - (n + 2) * m
     a1 = ys * ys / (4.0 * q * q) - (1.0 - m) ** 2 * a2_11 / (4.0 * (n - 1) * q * q)
     coeffs = ExpansionCoefficients(
-        n=n, m=m, eta=eta, beta_tilde=beta_tilde,
-        K0=K0, K_11=k.K, K_eta_beta=0.0, a1=a1, a2_eta_beta=0.0, a3=0.0,
+        n=n, m=m, K0=K0, K_11=k.K, a1=a1, a2_eta_beta=0.0, a3=0.0,
         K_error=k.error_estimate, converged=k.converged, constants=prof.constants,
     )
-    K_eb = coeffs.K_for(eta, beta_tilde)
-    return replace(coeffs, K_eta_beta=K_eb, a2_eta_beta=_a2(n, m, K_eb, beta_tilde),
+    return replace(coeffs, a2_eta_beta=_a2(n, m, coeffs.K_for(eta, beta_tilde), beta_tilde),
                    a3=coeffs.a3_for(eta, beta_tilde))
 
 
@@ -217,16 +211,12 @@ def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
     a3_hat = float(np.mean(s * resid["constant"] - llc ** 2 * np.log(s)))
     a3_rel_dev = abs(a3_hat - a3) / max(abs(a3), 1e-300)
 
-    # flag if the literal a2 sign disagrees but the flipped sign would match
-    K_eb = coeffs.K_for(eta, bt)
+    # flag if only the flipped a2 sign matches; a1 keeps ys ** 2, not bit for bit ys * ys
+    a2_flip = _a2(n, m, -coeffs.K_for(eta, bt), bt)
     ys = n - 2 - (n + 2) * m
-    a2_flip = _a2_const_part(n, m) + ys / (1.0 - m) * K_eb * bt
     a1_flip = ys ** 2 / (4.0 * q * q) - (1.0 - m) ** 2 * a2_flip / (4.0 * (n - 1) * q * q)
-    a3_flip = a1_flip + ys / (2.0 * q * c.gamma1) * math.log(eta * bt ** (1.0 / (1.0 - m)))
+    a3_flip = replace(coeffs, a1=a1_flip).a3_for(eta, bt)
     flip_flag = bool(a3_rel_dev > 0.05 and abs(a3_hat - a3_flip) < abs(a3_hat - a3))
-
-    # leading-order residual growth factor -> llc (skip in the Yamabe case)
-    lead_ratio = float(np.mean(resid["leading"] / np.log(s))) if not c.yamabe_case else 0.0
 
     return {
         "s": s,
@@ -239,8 +229,6 @@ def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
         "a3_hat": a3_hat,
         "a3_rel_dev": float(a3_rel_dev),
         "a2_sign_flip_suspected": flip_flag,
-        "leading_residual_over_log": lead_ratio,
-        "window": window,
     }
 
 

@@ -94,8 +94,9 @@ def _typed(spec, val, where: str = ""):
     and a key the config leaves out takes its default.  A leaf takes the type
     of its default; where there is no default, ``spec`` is the type itself.  A
     None default, or none at all, lets the value be null; a None default is a
-    float otherwise.  Every dict and list is built afresh, so no call can write
-    into the table.
+    float otherwise.  An integer key takes only an integer, and a float key an
+    integer or a float; neither takes a bool or a string.  Every dict and list
+    is built afresh, so no call can write into the table.
     """
     if isinstance(spec, dict):
         if not isinstance(val, dict):
@@ -112,11 +113,12 @@ def _typed(spec, val, where: str = ""):
     if typ is list and isinstance(val, list):
         item = spec[0] if isinstance(spec, list) else 0.0
         return [_typed(item, v, f"{where}[{i}]") for i, v in enumerate(val)]
-    try:
-        if typ in (bool, str, list) and not isinstance(val, typ):
+    try:  # a JSON true/false is a Python bool, and so an int
+        if (not isinstance(val, (int, float) if typ is float else typ)
+                or isinstance(val, bool) != (typ is bool)):
             raise TypeError
-        return typ(val)
-    except (TypeError, ValueError, OverflowError):
+        return typ(val)  # float() overflows on an integer beyond the float range
+    except (TypeError, OverflowError):
         raise ConfigError(f"config key {where} must be {_KINDS[typ]}, got {val!r}") from None
 
 
@@ -295,7 +297,7 @@ def _build_evolution(cfg, form, initial, boundary, monitors, profile):
             raise ConfigError(f"{key} must be positive and finite, got {val!r}")
     grid = evolution.build_grid(cfg["grid"]["R"], cfg["grid"]["N"])
     snaps = np.linspace(0.0, horizon, cfg["snapshots"])
-    return grid, evolution.EvolutionConfig(
+    return evolution.EvolutionConfig(
         grid=grid, params=p, form=form, initial=initial, boundary=boundary,
         dt=dt, horizon=horizon, snapshot_times=snaps,
         profile=profile,
@@ -311,15 +313,11 @@ def _cmd_evolve(cfg, out: str) -> int:
                      or bc.kind in ("f_lambda", "U_lambda")
                      or cfg["monitors"]["enabled"])
     profile = _profile_for(cfg) if needs_profile else None
-    grid, ecfg = _build_evolution(cfg, cfg["form"], init, bc, cfg["monitors"], profile)
+    ecfg = _build_evolution(cfg, cfg["form"], init, bc, cfg["monitors"], profile)
     traj = evolution.run(ecfg)
-    t_col, r_col, u_col = [], [], []
-    for k, t in enumerate(traj.times):
-        t_col.append(np.full(grid.N, t))
-        r_col.append(grid.r)
-        u_col.append(traj.fields[k])
+    r = ecfg.grid.r
     _write_csv(os.path.join(out, "snapshots.csv"), ["t", "r", "u"],
-               [np.concatenate(t_col), np.concatenate(r_col), np.concatenate(u_col)])
+               [np.repeat(traj.times, r.size), np.tile(r, traj.times.size), traj.fields.ravel()])
     report = {
         "times": _json_safe(traj.times),
         "newton_iters_total": traj.newton_iters_total,
@@ -359,12 +357,11 @@ def _cmd_contract(cfg, out: str) -> int:
     runs = pair(cfg["grid"]["N"])
     if cfg["half_resolution"]:
         runs += pair(cfg["grid"]["N"] // 2 + 1)
-    trajs = evolution.run_lockstep([ecfg for _, ecfg in runs])
-    grid, t1, t2 = runs[0][0], trajs[0], trajs[1]
+    trajs = evolution.run_lockstep(runs)
     half = hgrid = None
     if cfg["half_resolution"]:
-        hgrid, half = runs[2][0], (trajs[2], trajs[3])
-    rep = measures.contraction_report(t1, t2, weight, grid, half_pair=half, half_grid=hgrid)
+        hgrid, half = runs[2].grid, (trajs[2], trajs[3])
+    rep = measures.contraction_report(trajs[0], trajs[1], weight, runs[0].grid, half, hgrid)
     _write_csv(os.path.join(out, "contraction.csv"),
                ["t", "norm", "norm_positive_part", "slack"],
                [rep["times"], rep["series"], rep["series_positive_part"], rep["slack"]])
@@ -386,10 +383,10 @@ def _cmd_converge(cfg, out: str) -> int:
     init = evolution.InitialSpec(kind="bump", lam0=lam0, **cfg["bump"])
     bc = evolution.BoundarySpec(kind="f_lambda", lam=lam0)
     mon = {"enabled": True, "lam1": cfg["lam1"], "lam2": cfg["lam2"]}
-    grid, ecfg = _build_evolution(cfg, "rescaled", init, bc, mon, prof)
+    ecfg = _build_evolution(cfg, "rescaled", init, bc, mon, prof)
     traj = evolution.run(ecfg)
     rep = measures.convergence_report(
-        traj, prof, lam0, weight, grid, K_compact=tuple(cfg["K_compact"]),
+        traj, prof, lam0, weight, ecfg.grid, K_compact=tuple(cfg["K_compact"]),
         decrease_factor=cfg["decrease_factor"], e_inf_threshold=cfg["e_inf_threshold"])
     _write_csv(os.path.join(out, "convergence.csv"),
                ["t", "e1", "e_inf"], [rep["times"], rep["e1"], rep["e_inf"]])

@@ -146,10 +146,8 @@ class BoundarySpec:
 
     def values(self, t: float, r_ends: np.ndarray, profile: Optional[Profile],
                params: ModelParams):
-        if self.kind == "f_lambda":
-            return profile.eval_f_lambda(self.lam, r_ends)
-        if self.kind == "U_lambda":
-            return profile.eval_U_lambda(self.lam, r_ends, t)
+        if self.kind in ("f_lambda", "U_lambda"):  # f_lambda is U_lambda at t = 0
+            return profile.eval_U_lambda(self.lam, r_ends, t if self.kind == "U_lambda" else 0.0)
         if self.kind == "barenblatt":
             return barenblatt_oracle(r_ends, t, self.k, self.T, params)
         return np.full(r_ends.shape, self.value, dtype=float)  # constant
@@ -250,7 +248,7 @@ def rescale_transform(field: RadialField, grid: AnnulusGrid,
 
 
 def inversion_transform(field: RadialField, grid: AnnulusGrid,
-                        c: DerivedConstants, params: ModelParams) -> RadialField:
+                        params: ModelParams) -> RadialField:
     """u_bar(r) = r^{-(n-2)/m} u(1/r) on the mirrored grid; an involution."""
     r = grid.r
     mirror = r * r[::-1]
@@ -263,7 +261,7 @@ def inversion_transform(field: RadialField, grid: AnnulusGrid,
 
 
 def inversion_residual_check(traj: "Trajectory", grid: AnnulusGrid,
-                             c: DerivedConstants, params: ModelParams) -> dict:
+                             params: ModelParams) -> dict:
     """Discrete residual of the inverted equation on a trajectory.
 
     For consecutive snapshots the time difference of u_bar must match
@@ -277,9 +275,9 @@ def inversion_residual_check(traj: "Trajectory", grid: AnnulusGrid,
     worst = 0.0
     for k in range(len(traj.times) - 1):
         f0 = inversion_transform(RadialField(traj.fields[k], traj.times[k], traj.form),
-                                 grid, c, params)
+                                 grid, params)
         f1 = inversion_transform(RadialField(traj.fields[k + 1], traj.times[k + 1], traj.form),
-                                 grid, c, params)
+                                 grid, params)
         dt = traj.times[k + 1] - traj.times[k]
         du = (f1.u - f0.u) / dt
         um = (0.5 * (f0.u + f1.u)) ** m
@@ -338,14 +336,9 @@ class Trajectory:
 
 
 def _ordering_bounds(cfg: EvolutionConfig, r: np.ndarray, t: float):
-    """The ordering band (lo, hi) of cfg at the radii r and time t."""
-    if cfg.form == "physical":
-        lo = cfg.profile.eval_U_lambda(cfg.lam1, r, t)
-        hi = cfg.profile.eval_U_lambda(cfg.lam2, r, t)
-    else:
-        lo = cfg.profile.eval_f_lambda(cfg.lam1, r)
-        hi = cfg.profile.eval_f_lambda(cfg.lam2, r)
-    return lo, hi
+    """The band (U_lam1, U_lam2) of cfg at radii r and time t; at t = 0 in the rescaled form."""
+    t = t if cfg.form == "physical" else 0.0
+    return cfg.profile.eval_U_lambda(cfg.lam1, r, t), cfg.profile.eval_U_lambda(cfg.lam2, r, t)
 
 
 def _band_grid(cfg: EvolutionConfig, cfgs):
@@ -531,14 +524,11 @@ def aronson_benilan_monitor(traj: Trajectory) -> dict:
     }
 
 
-def ordering_monitor(traj: Trajectory, lam1: Optional[float] = None,
-                     lam2: Optional[float] = None) -> dict:
+def ordering_monitor(traj: Trajectory) -> dict:
     """Worst ordering gaps min(u - U_lam1), min(U_lam2 - u) over the run."""
     if traj.ord_gap_lo.size == 0:
         raise EvolutionError("run was recorded without monitors")
     cfg = traj.config
-    if lam1 is not None and lam1 != cfg.lam1 or lam2 is not None and lam2 != cfg.lam2:
-        raise EvolutionError("monitor band differs from the one recorded during the run")
     slack = 10.0 * (traj.trunc_time * cfg.dt + traj.trunc_space)
     gap_lo = float(np.min(traj.ord_gap_lo))
     gap_hi = float(np.min(traj.ord_gap_hi))

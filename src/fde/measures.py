@@ -98,22 +98,21 @@ class WeightSpec:
         if self.profile is None or self.lam3 is None or not self.lam3 > 0.0:
             raise MeasureError(f"{self.kind} weight needs the eta=1 profile and lam3 > 0")
 
-    def values(self, r, lam3_override: Optional[float] = None) -> np.ndarray:
+    def values(self, r) -> np.ndarray:
         """Weight at radii r (vectorized, strictly positive)."""
         r = np.asarray(r, dtype=float)
         n, m = self.params.n, self.params.m
         c = self.constants
-        lam3 = self.lam3 if lam3_override is None else lam3_override
         if self.kind == "power_mu":
             return r ** (-self.mu)
         if self.kind == "profile_gamma2":
-            lnf, _ = self.profile.eval_f_lambda_log(lam3, r, with_rat=False)
+            lnf, _ = self.profile.eval_f_lambda_log(self.lam3, r, with_rat=False)
             return np.exp(m * c.gamma2 * lnf)
         if self.kind == "radial_gamma3":
-            lnf, _ = self.profile.eval_f_lambda_log(lam3, r, with_rat=False)
+            lnf, _ = self.profile.eval_f_lambda_log(self.lam3, r, with_rat=False)
             p = (n - 2) / m + (n - 2) * c.gamma3 - 2.0 * n
             return np.exp(p * np.log(r) + m * c.gamma3 * lnf)
-        lnf, _ = self.profile.eval_f_lambda_log(lam3, r, with_rat=False)
+        lnf, _ = self.profile.eval_f_lambda_log(self.lam3, r, with_rat=False)
         return np.exp(self.power * np.log(r) + self.exponent * lnf)
 
 
@@ -144,12 +143,10 @@ def weighted_l1(a, b, weight, grid: AnnulusGrid, n: Optional[int] = None) -> flo
     return _l1(a - b, w, grid, n)
 
 
-def _series(traj1: Trajectory, traj2: Trajectory, weight, grid, positive_part=False,
-            lam3_of_t=None) -> np.ndarray:
-    n = weight.params.n
+def _series(traj1: Trajectory, traj2: Trajectory, w, grid, n: int,
+            positive_part=False) -> np.ndarray:
     out = np.empty(len(traj1.times))
-    for k, t in enumerate(traj1.times):
-        w = weight.values(grid.r, lam3_override=lam3_of_t(t) if lam3_of_t else None)
+    for k in range(len(traj1.times)):
         diff = traj1.fields[k] - traj2.fields[k]
         if positive_part:
             diff = np.maximum(diff, 0.0)
@@ -169,15 +166,12 @@ def _verdict(series: np.ndarray, slack: np.ndarray) -> str:
 def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
                        grid: AnnulusGrid,
                        half_pair: Optional[tuple] = None,
-                       half_grid: Optional[AnnulusGrid] = None,
-                       rescaled_variant: bool = False) -> dict:
+                       half_grid: Optional[AnnulusGrid] = None) -> dict:
     """Weighted-L1 distance series between two runs, with a verdict.
 
     Requires shared grid, snapshot times and boundary data.  When a
     half-resolution rerun pair is supplied, the per-snapshot slack is
     1e-8 + 10x the norm shift between resolutions; otherwise 1e-8 alone.
-    With rescaled_variant=True (trajectories in rescaled form) the series
-    uses the time-inflated weight lam3 -> e^{-beta t} lam3.
     """
     if traj1.form != traj2.form:
         raise MeasureError("trajectories must share the form")
@@ -190,32 +184,23 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
             "note": "boundary data differ; contraction claim not applicable",
             "times": traj1.times,
         }
-    lam3_of_t = None
-    if rescaled_variant:
-        if traj1.form != "rescaled":
-            raise MeasureError("rescaled_variant needs rescaled-form trajectories")
-        beta = weight.params.beta
-        lam3_of_t = lambda t: weight.lam3 * math.exp(-beta * t)
-
-    series = _series(traj1, traj2, weight, grid, lam3_of_t=lam3_of_t)
-    series_pos = _series(traj1, traj2, weight, grid, positive_part=True,
-                         lam3_of_t=lam3_of_t)
+    n = weight.params.n
+    w = weight.values(grid.r)
+    series = _series(traj1, traj2, w, grid, n)
+    series_pos = _series(traj1, traj2, w, grid, n, positive_part=True)
 
     slack = np.full_like(series, 1e-8)
-    disc_err = None
     if half_pair is not None:
         h1, h2 = half_pair
         hgrid = half_grid if half_grid is not None else grid
-        series_half = _series(h1, h2, weight, hgrid, lam3_of_t=lam3_of_t)
-        disc_err = 10.0 * np.abs(series - series_half)
-        slack = slack + disc_err
+        series_half = _series(h1, h2, weight.values(hgrid.r), hgrid, n)
+        slack = slack + 10.0 * np.abs(series - series_half)
 
     return {
         "times": traj1.times,
         "series": series,
         "series_positive_part": series_pos,
         "slack": slack,
-        "discretization_error": disc_err,
         "verdict": _verdict(series, slack),
         "verdict_positive_part": _verdict(series_pos, slack),
         "max_increase": float(np.max(np.diff(series))) if len(series) > 1 else 0.0,

@@ -93,8 +93,6 @@ class InnerProfile:
     r: np.ndarray
     g: np.ndarray
     g_r: np.ndarray
-    c_loc: float            # startup coefficient: g_r ~ c_loc * r^{-delta1} near 0
-    startup_error: float    # a-posteriori bound on the neglected second-order startup term
     residual_max: float     # max scaled flux-form ODE residual over node triples
 
 
@@ -133,9 +131,16 @@ def _rhs_inner(n: float, m: float, at: float, bt: float, src_exp: float):
 
 
 def _c_loc(req: ProfileRequest, c: DerivedConstants) -> float:
-    """Startup coefficient of the local series: g_r ~ C_loc r^{-delta1} near 0."""
+    """Startup coefficient of the local series: g_r ~ C_loc r^{-delta1} near 0;
+    ProfileError when eta puts it outside the finite nonzero floats."""
     n, m = req.params.n, req.params.m
-    return -m * c.alpha_tilde * req.eta ** (2.0 - m) / ((n - 1) * (n - 2 - 2 * m))
+    try:
+        c_loc = -m * c.alpha_tilde * req.eta ** (2.0 - m) / ((n - 1) * (n - 2 - 2 * m))
+    except OverflowError:
+        c_loc = math.inf
+    if not (math.isfinite(c_loc) and c_loc != 0.0):
+        raise ProfileError(f"eta={req.eta!r} gives a startup slope outside the float range")
+    return c_loc
 
 
 def local_series_start(req: ProfileRequest, c: Optional[DerivedConstants] = None):
@@ -155,13 +160,25 @@ def local_series_start(req: ProfileRequest, c: Optional[DerivedConstants] = None
     c_loc = _c_loc(req, c)
     corr1 = c_loc * r0 ** (1.0 - d1) / (1.0 - d1)
     # the dropped second-order term is ~ (corr1/eta) * corr1 up to an O(1) factor
-    second = abs(corr1) ** 2 / eta * (2.0 - m + c.beta_tilde / c.alpha_tilde * abs(1.0 - d1))
+    try:
+        second = abs(corr1) ** 2 / eta * (2.0 - m + c.beta_tilde / c.alpha_tilde * abs(1.0 - d1))
+    except OverflowError:
+        second = math.inf
     if second > req.tol * eta:
         raise ProfileError(
             f"startup correction estimate {second:.3e} exceeds tol*eta={req.tol * eta:.3e}; "
             f"request a smaller r0 (got r0={r0!r})"
         )
     return eta + corr1, c_loc * r0 ** (-d1)
+
+
+def _simpson_residual(s, y, y_s) -> float:
+    """Max over node triples of |y(s_{2k+2}) - y(s_{2k}) - Simpson(y_s)|, each
+    scaled by its largest term."""
+    k = np.arange(0, len(s) - 2, 2)
+    quad = (s[k + 1] - s[k]) / 3.0 * (y_s[k] + 4.0 * y_s[k + 1] + y_s[k + 2])
+    scale = np.maximum(np.abs(y[k + 2]) + np.abs(y[k]), np.abs(quad))
+    return float(np.max(np.abs(y[k + 2] - y[k] - quad) / scale))
 
 
 def _flux_residual_inner(req, c, r, g, g_r):
@@ -178,15 +195,8 @@ def _flux_residual_inner(req, c, r, g, g_r):
     at, bt = c.alpha_tilde, c.beta_tilde
     flux = r ** (n - 1) * m * g ** (m - 1.0) * g_r
     rhs = -(m / (n - 1)) * r ** ((n - 2) / m - 3.0) * (at * g + bt * r * g_r)
-    # Simpson over [r_{2k}, r_{2k+2}] with the log-spaced grid treated in s
-    s = np.log(r)
-    integ = rhs * r  # d r = r d s
-    k = np.arange(0, len(r) - 2, 2)
-    ds = s[k + 1] - s[k]
-    quad = ds / 3.0 * (integ[k] + 4.0 * integ[k + 1] + integ[k + 2])
-    lhs = flux[k + 2] - flux[k]
-    scale = np.maximum(np.abs(flux[k + 2]) + np.abs(flux[k]), np.abs(quad))
-    return float(np.max(np.abs(lhs - quad) / scale))
+    # Simpson over [r_{2k}, r_{2k+2}] with the log-spaced grid treated in s; d r = r d s
+    return _simpson_residual(np.log(r), flux, rhs * r)
 
 
 def integrate_inner(req: ProfileRequest, c: Optional[DerivedConstants] = None,
@@ -229,11 +239,7 @@ def integrate_inner(req: ProfileRequest, c: Optional[DerivedConstants] = None,
         bad = r[np.argmax(mono <= -10.0 * req.tol * req.eta)]
         raise ProfileError(f"monotonicity expression g + (bt/at) r g_r violated at r={bad:.6e}")
 
-    corr1 = abs(g0 - req.eta)
-    startup_err = corr1 ** 2 / req.eta * (2.0 - m)
-    res = _flux_residual_inner(req, c, r, g, g_r)
-    return InnerProfile(r=r, g=g, g_r=g_r, c_loc=float(g0r * req.r0 ** c.delta1),
-                        startup_error=startup_err, residual_max=res)
+    return InnerProfile(r=r, g=g, g_r=g_r, residual_max=_flux_residual_inner(req, c, r, g, g_r))
 
 
 def _rhs_far(n: float, m: float, bt: float):
@@ -287,16 +293,9 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
 
     # flux-style residual for the second-order system: w_s and its Simpson-integrated slope
-    rhs = _rhs_far(float(n), m, bt)
-    wss = rhs(s, (w, w_s))[1]
-    k = np.arange(0, len(s) - 2, 2)
-    ds = s[k + 1] - s[k]
-    quad = ds / 3.0 * (wss[k] + 4.0 * wss[k + 1] + wss[k + 2])
-    lhs = w_s[k + 2] - w_s[k]
-    scale = np.maximum(np.abs(w_s[k + 2]) + np.abs(w_s[k]), np.abs(quad))
-    res = float(np.max(np.abs(lhs - quad) / scale))
-
-    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, residual_max=res)
+    wss = _rhs_far(float(n), m, bt)(s, (w, w_s))[1]
+    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1,
+                         residual_max=_simpson_residual(s, w_s, wss))
 
 
 def _a2_const_part(n: int, m: float) -> float:
@@ -454,16 +453,12 @@ class Profile:
         return 2.0 / one_m * math.log(lam) + lnf, rat
 
     def eval_f_lambda(self, lam: float, r):
-        """f_lambda(r) = lambda^{2/(1-m)} f_1(lambda r)."""
-        lnf, _ = self.eval_f_lambda_log(lam, r, with_rat=False)
-        return np.exp(lnf)
+        """f_lambda(r) = lambda^{2/(1-m)} f_1(lambda r), which is U_lambda at t = 0."""
+        return self.eval_U_lambda(lam, r, 0.0)
 
     def eval_g_lambda(self, lam: float, r):
-        """g_lambda(r) = lambda^{2/(1-m)-(n-2)/m} g_1(r/lambda)."""
-        self._require_unit_eta()
-        p = self.request.params
-        lng, _ = self.eval_g_log(np.asarray(r, dtype=float) / lam, with_rat=False)
-        return np.exp((2.0 / (1.0 - p.m) - (p.n - 2) / p.m) * math.log(lam) + lng)
+        """g_lambda(r) = lambda^{2/(1-m)-(n-2)/m} g_1(r/lambda), which is U~bar_lambda at t = 0."""
+        return self.eval_U_bar_lambda(lam, r, 0.0)
 
     def eval_U_lambda(self, lam: float, r, t: float):
         """U_lambda(r, t) = e^{-alpha t} f_lambda(e^{-beta t} r)."""
@@ -475,6 +470,7 @@ class Profile:
 
     def eval_U_bar_lambda(self, lam: float, r, t: float):
         """U~bar_lambda(r, t) = e^{-alpha~ t} g_lambda(e^{-beta~ t} r)."""
+        self._require_unit_eta()
         c = self.constants
         p = self.request.params
         arg = math.exp(-c.beta_tilde * t) * np.asarray(r, dtype=float) / lam

@@ -300,6 +300,13 @@ def _merge(base, override):
     ("contract", {"lam1": "abc"}, "lam1"),
     ("validate-barenblatt", {"N_list": ["a", 201, 401]}, "N_list[0]"),
     ("contract", {"half_resolution": "false"}, "half_resolution"),
+    ("constants", {"n": 3.9}, "n"),
+    ("constants", {"m": "0.2"}, "m"),
+    ("constants", {"n": True}, "n"),
+    ("constants", {"beta": False}, "beta"),
+    ("evolve", {"grid": {"N": 101.0}}, "grid.N"),
+    ("evolve", {"initial": {"kind": "constant", "value": "2.5"}}, "initial.value"),
+    ("validate-barenblatt", {"N_list": [101, 201.5, 401]}, "N_list[1]"),
 ])
 def test_non_number_config_value_named(tmp_path, capsys, no_solver, command, config, key):
     cfg = tmp_path / "c.json"
@@ -325,6 +332,7 @@ _LETTERS = st.text(alphabet="bcdeghjkxyz", min_size=1)   # no "inf" or "nan" to 
 _NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
 _LISTS = st.lists(st.integers(), max_size=3)
 _OBJECTS = st.dictionaries(_LETTERS, st.integers(), max_size=2)
+_NOT_NUMBERS = st.one_of(_LETTERS, _NUMBERS.map(repr), st.booleans(), _LISTS, _OBJECTS)
 
 
 def _wrong(spec):
@@ -336,7 +344,9 @@ def _wrong(spec):
         return st.one_of(_NUMBERS, _LISTS, _OBJECTS)
     if typ is list:
         return st.one_of(_LETTERS, _NUMBERS, _OBJECTS, st.lists(_LETTERS, min_size=1))
-    return st.one_of(_LETTERS, _LISTS, _OBJECTS)
+    if typ is int:
+        return st.one_of(_NOT_NUMBERS, st.floats().filter(lambda x: not x.is_integer()))
+    return _NOT_NUMBERS
 
 
 _ALL_LEAVES = [(command, path, spec) for command, table in cli._CONFIG.items()
@@ -358,6 +368,21 @@ def test_wrong_type_config_value_named(tmp_path, capsys, no_solver, case):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert f"config key {'.'.join(path)}" in err
+
+
+@pytest.mark.parametrize("argv", [["profile", "--eta", "1e300"],
+                                  ["expansion", "--eta", "1e300"],
+                                  ["profile", "--eta", "1e-300"]])
+def test_extreme_eta_rejected(tmp_path, capsys, argv):
+    # the startup slope ~ eta^(2-m) overflows or underflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv + ["--out", str(tmp_path)])
+    assert code == 1
+    assert not caught
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: eta=")
 
 
 @pytest.mark.parametrize("command", ["contract", "converge"])

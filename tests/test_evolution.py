@@ -330,8 +330,8 @@ def test_inversion_involution(profile_cache):
     g = build_grid(math.e ** 2, 101)
     u = prof.eval_f_lambda(1.0, g.r)
     f = RadialField(u=u, t=0.0, form="physical")
-    bar = inversion_transform(f, g, C32, P32)
-    double = inversion_transform(bar, g, C32, P32)
+    bar = inversion_transform(f, g, P32)
+    double = inversion_transform(bar, g, P32)
     np.testing.assert_allclose(double.u, u, rtol=1e-12)
 
 
@@ -340,7 +340,7 @@ def test_inversion_maps_U_to_U_bar(profile_cache):
     g = build_grid(math.e ** 2, 101)
     t = 0.3
     u = prof.eval_U_lambda(1.5, g.r, t)
-    bar = inversion_transform(RadialField(u=u, t=t, form="physical"), g, C32, P32)
+    bar = inversion_transform(RadialField(u=u, t=t, form="physical"), g, P32)
     expect = prof.eval_U_bar_lambda(1.5, g.r, t)
     np.testing.assert_allclose(bar.u, expect, rtol=1e-9)
 
@@ -350,7 +350,7 @@ def test_inversion_rejects_asymmetric_grid():
     bad = g.__class__(R=g.R, N=g.N, s=g.s, r=g.r + 1e-3, ds=g.ds)
     with pytest.raises(EvolutionError, match="symmetric"):
         inversion_transform(RadialField(u=np.ones(33), t=0.0, form="physical"),
-                            bad, C32, P32)
+                            bad, P32)
 
 
 def test_inversion_residual_refines():
@@ -363,7 +363,7 @@ def test_inversion_residual_refines():
             boundary=BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
             dt=dt, horizon=0.1, snapshot_times=np.linspace(0.0, 0.1, 6))
         traj = run(cfg)
-        res.append(inversion_residual_check(traj, g, C32, P32)["max_scaled_residual"])
+        res.append(inversion_residual_check(traj, g, P32)["max_scaled_residual"])
     assert res[1] < res[0]
 
 

@@ -169,8 +169,8 @@ def test_radial_gamma3_equals_inverted_g_weight(profile_cache):
     w = WeightSpec(kind="radial_gamma3", params=p, constants=c, lam3=1.2,
                    profile=prof)
     lhs = weighted_l1(u1, u2, w, g)
-    b1 = inversion_transform(RadialField(u=u1, t=0.0, form="physical"), g, c, p)
-    b2 = inversion_transform(RadialField(u=u2, t=0.0, form="physical"), g, c, p)
+    b1 = inversion_transform(RadialField(u=u1, t=0.0, form="physical"), g, p)
+    b2 = inversion_transform(RadialField(u=u2, t=0.0, form="physical"), g, p)
     w_g = prof.eval_g_lambda(1.2, g.r) ** (p.m * c.gamma3)
     rhs = weighted_l1(b1.u, b2.u, w_g, g, n=p.n)
     assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -239,26 +239,6 @@ def test_contraction_refuses_different_boundaries(profile_cache):
                              WeightSpec(kind="power_mu", params=P32,
                                         constants=C32, mu=0.25), g)
     assert rep["verdict"] == "NOT_APPLICABLE"
-
-
-def test_contraction_rescaled_variant(profile_cache):
-    # time-inflated weight lam3 -> e^{-beta t} lam3 on rescaled trajectories
-    prof = profile_cache(3, 0.2)
-    g = build_grid(math.e ** 2, 301)
-    bc = BoundarySpec(kind="f_lambda", lam=2.0)
-
-    def one(lam):
-        cfg = EvolutionConfig(grid=g, params=P32, form="rescaled",
-                              initial=InitialSpec(kind="f_lambda", lam=lam),
-                              boundary=bc, dt=2e-3, horizon=0.3,
-                              snapshot_times=np.linspace(0.0, 0.3, 7), profile=prof)
-        return run(cfg)
-
-    w = WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0,
-                   profile=prof)
-    rep = contraction_report(one(2.0), one(1.0), w, g, rescaled_variant=True)
-    assert rep["verdict"] in ("PASS", "INCONCLUSIVE")
-    assert len(rep["series"]) == 7
 
 
 def test_convergence_steady_start_stays_at_noise(profile_cache):

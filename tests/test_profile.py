@@ -270,6 +270,15 @@ def test_value_only_eval_matches_full_path(profile_cache):
     assert rat is not None
     assert np.array_equal(prof.eval_U_lambda(lam, r, t),
                           np.exp(-prof.constants.alpha * t + lnf))
+    # g_lambda(y) needs g at y/lam, which reaches the same three branches;
+    # it is U~bar_lambda at t = 0 and the closed form, bit for bit
+    y = lam * x
+    n, m = req.params.n, req.params.m
+    g_lam = np.exp((2.0 / (1.0 - m) - (n - 2) / m) * math.log(lam)
+                   + prof.eval_g_log(y / lam, with_rat=False)[0])
+    assert (y / lam).min() <= req.r0 and (y / lam).max() > req.r_switch
+    assert np.array_equal(prof.eval_g_lambda(lam, y), prof.eval_U_bar_lambda(lam, y, 0.0))
+    assert np.array_equal(prof.eval_g_lambda(lam, y), g_lam)
 
 
 def test_eval_out_of_range(profile_cache):
@@ -329,8 +338,7 @@ def test_f_lambda_far_field_amplitude(profile_cache):
 def test_U_lambda_time_zero_and_group(profile_cache):
     prof = profile_cache(3, 0.2)
     r = np.geomspace(0.1, 5.0, 13)
-    np.testing.assert_allclose(prof.eval_U_lambda(1.5, r, 0.0),
-                               prof.eval_f_lambda(1.5, r), rtol=1e-14)
+    assert np.array_equal(prof.eval_U_lambda(1.5, r, 0.0), prof.eval_f_lambda(1.5, r))
     c = prof.constants
     t1, t2 = 0.3, 0.45
     lhs = prof.eval_U_lambda(1.5, r, t1 + t2)

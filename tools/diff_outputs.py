@@ -1,0 +1,128 @@
+"""Compare every output of ``fde`` between two source trees.
+
+    python tools/diff_outputs.py BASE_SRC CHANGE_SRC OUT
+
+BASE_SRC and CHANGE_SRC are directories that hold the ``fde`` package (a
+checkout's ``src``).  For each tree, one subprocess with PYTHONPATH set to
+that tree runs the fixed matrix below in-process, writing each case's
+artifacts, stdout, stderr and exit code to OUT/base/<case> or
+OUT/change/<case>.  Then ``diff -r`` compares the two output trees, and a
+table lists each case's exit codes and verdict.  Exits 0 when the trees are
+identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import subprocess
+import sys
+
+_EVOLVE = {"grid": {"R": 7.38905609893065, "N": 201}, "dt": 2e-3, "horizon": 0.05,
+           "snapshots": 6,
+           "initial": {"kind": "blend", "lam1": 2.0, "lam2": 1.0, "theta": 0.3},
+           "monitors": {"enabled": True, "lam1": 2.0, "lam2": 1.0}}
+_CONTRACT = {"grid": {"R": 148.4131591025766, "N": 801}, "horizon": 0.2, "snapshots": 6}
+
+# case -> (argv, config or None); a config is written to OUT/configs/<case>.json
+MATRIX = {
+    "constants": (["constants"], None),
+    "profile": (["profile"], None),
+    "expansion": (["expansion"], None),
+    "evolve": (["evolve"], None),
+    "contract": (["contract"], None),
+    "converge": (["converge"], None),
+    "validate-barenblatt": (["validate-barenblatt"], None),
+    "profile_n5": (["profile", "--n", "5", "--m", "0.396175", "--beta", "-0.68391",
+                    "--eta", "2.39308"], None),
+    "expansion_n4": (["expansion", "--n", "4", "--m", "0.3", "--beta", "-1.3",
+                      "--eta", "0.7"], None),
+    "expansion_yamabe": (["expansion", "--n", "4", "--m", "0.3333333333333333",
+                          "--beta", "-2", "--eta", "1.5"], None),
+    "evolve_rescaled": (["evolve"], dict(_EVOLVE, form="rescaled",
+                                         boundary={"kind": "f_lambda", "lam": 1.5})),
+    "evolve_physical": (["evolve"], dict(_EVOLVE, form="physical",
+                                         boundary={"kind": "U_lambda", "lam": 1.5})),
+    "contract_custom": (["contract"], dict(_CONTRACT, weight={
+        "kind": "custom_power_times_profile", "lam3": 1.3, "power": -0.5, "exponent": 0.4})),
+    "contract_gamma2": (["contract"], dict(_CONTRACT, weight={
+        "kind": "profile_gamma2", "lam3": 1.2})),
+    "converge_gamma3": (["converge"], {"m": 0.19, "grid": {"R": 5.4739473917272, "N": 1001},
+                                       "weight": {"kind": "radial_gamma3", "lam3": 1.1},
+                                       "K_compact": [0.6, 1.8]}),
+}
+
+
+def _run_side(out: str) -> None:
+    """Run every case of the matrix with the ``fde`` on sys.path, writing under out."""
+    from fde import cli
+
+    print(f"fde from {os.path.dirname(cli.__file__)}", flush=True)
+    configs = os.path.join(os.path.dirname(out), "configs")
+    os.makedirs(configs, exist_ok=True)
+    for case, (argv, config) in MATRIX.items():
+        d = os.path.join(out, case)
+        os.makedirs(d)
+        argv = argv + ["--out", d]
+        if config is not None:
+            path = os.path.join(configs, case + ".json")
+            with open(path, "w") as f:
+                json.dump(config, f)
+            argv += ["--config", path]
+        with open(os.path.join(d, "stdout"), "w") as so, \
+                open(os.path.join(d, "stderr"), "w") as se, \
+                contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+            code = cli.run_command(argv)
+        with open(os.path.join(d, "exit_code"), "w") as f:
+            f.write(f"{code}\n")
+
+
+def _verdict(d: str) -> str:
+    for name in sorted(os.listdir(d)):
+        if name.endswith(".json"):
+            with open(os.path.join(d, name)) as f:
+                return str(json.load(f).get("verdict", "-"))
+    return "-"
+
+
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read().strip()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--side":
+        _run_side(os.path.abspath(argv[1]))
+        return 0
+    if len(argv) != 3:
+        print("usage: python tools/diff_outputs.py BASE_SRC CHANGE_SRC OUT", file=sys.stderr)
+        return 1
+    base_src, change_src, out = (os.path.abspath(a) for a in argv)
+    if os.path.exists(out):
+        print(f"{out} exists; give a new directory", file=sys.stderr)
+        return 1
+    os.makedirs(out)
+    sides = {"base": base_src, "change": change_src}
+    for side, src in sides.items():
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--side",
+                        os.path.join(out, side)],
+                       env=dict(os.environ, PYTHONPATH=src), cwd=out, check=True)
+
+    print(f"{'case':<22}{'exit codes':>12}  verdicts")
+    codes_match = True
+    for case in MATRIX:
+        d = {side: os.path.join(out, side, case) for side in sides}
+        codes = {side: _read(os.path.join(d[side], "exit_code")) for side in sides}
+        codes_match &= codes["base"] == codes["change"]
+        verdicts = " ".join(_verdict(d[side]) for side in sides)
+        print(f"{case:<22}{' '.join(codes.values()):>12}  {verdicts}")
+    diff = subprocess.run(["diff", "-r", os.path.join(out, "base"), os.path.join(out, "change")])
+    same = diff.returncode == 0 and codes_match
+    print("all outputs byte-identical" if same else "outputs differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
