@@ -28,16 +28,18 @@ __all__ = ["newton_step"]
 
 
 def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
-                tol, max_iter):
+                tol, max_iter, U0=None):
     """Solve one step from u over dt; returns (U, iterations, converged).
 
-    Each iteration solves the tridiagonal Jacobian system with LAPACK gtsv,
-    then halves the update until U stays positive.  Converged means a full
-    (undamped) update with max |delta| / (1 + |U|) <= tol.  A singular
-    Jacobian raises numpy.linalg.LinAlgError.
+    The first iterate is U0 (u when None) with its ends set to the boundary
+    values; U0 must be positive.  Each iteration solves the tridiagonal
+    Jacobian system with LAPACK gtsv, then halves the update until U stays
+    positive.  Converged means a full (undamped) update with
+    max |delta| / (1 + |U|) <= tol.  A singular Jacobian raises
+    numpy.linalg.LinAlgError.
     """
     N = u.shape[0]
-    U = u.copy()
+    U = (u if U0 is None else U0).copy()
     U[0] = bc_lo
     U[-1] = bc_hi
     ce = c0 * einv[1:-1]

@@ -18,9 +18,10 @@ truncation-scaled slacks, not assertions.  A finished Trajectory is
 immutable; independent runs can execute concurrently.
 
 ``run_lockstep`` steps several runs together (``run`` steps one).  Runs at
-the same time share each boundary and ordering-band lookup; a run whose grid
-subsamples a finer one reads that grid's band.  The trajectories are bit for
-bit those of separate runs.
+the same time share each boundary lookup, and the trajectories are bit for
+bit those of separate runs.  Each Newton solve starts from the linear
+extrapolation 2u - u_prev of the last two states when the step repeats the
+previous one's dt.
 """
 
 from __future__ import annotations
@@ -335,21 +336,10 @@ class Trajectory:
     config: EvolutionConfig
 
 
-def _ordering_bounds(cfg: EvolutionConfig, r: np.ndarray, t: float):
-    """The band (U_lam1, U_lam2) of cfg at radii r and time t; at t = 0 in the rescaled form."""
-    t = t if cfg.form == "physical" else 0.0
+def _ordering_bounds(cfg: EvolutionConfig, t: float):
+    """The band (U_lam1, U_lam2) of cfg on its grid at time t; at t = 0 in the rescaled form."""
+    r, t = cfg.grid.r, t if cfg.form == "physical" else 0.0
     return cfg.profile.eval_U_lambda(cfg.lam1, r, t), cfg.profile.eval_U_lambda(cfg.lam2, r, t)
-
-
-def _band_grid(cfg: EvolutionConfig, cfgs):
-    """(r, k) with r the finest grid in cfgs whose r[::k] is cfg.grid.r bitwise;
-    profile evaluation is pointwise, so the band on r read as [::k] is cfg's."""
-    r, k = cfg.grid.r, 1
-    for f in cfgs:
-        q, rem = divmod(f.grid.N - 1, cfg.grid.N - 1)
-        if f.grid.N > r.size and rem == 0 and np.array_equal(f.grid.r[::q], cfg.grid.r):
-            r, k = f.grid.r, q
-    return r, k
 
 
 def _shared(memo: dict, key: tuple, compute, *args):
@@ -359,22 +349,17 @@ def _shared(memo: dict, key: tuple, compute, *args):
     return memo[key]
 
 
-def _steps(cfg: EvolutionConfig, memo: dict, band_r: np.ndarray, k: int):
+def _steps(cfg: EvolutionConfig, memo: dict):
     """One run as a generator: it yields before each pass of the stepping loop
-    and returns the Trajectory.  Boundary and band values go through ``memo``,
-    keyed on all that fixes them; the band is evaluated on band_r, read as [::k]."""
+    and returns the Trajectory.  Boundary values go through ``memo``, keyed on
+    all that fixes them."""
     c = derive_constants(cfg.params)
     r_ends = np.array([cfg.grid.r[0], cfg.grid.r[-1]])
     bc_key = (cfg.boundary, cfg.profile, cfg.params, float(r_ends[0]), float(r_ends[1]))
-    band_key = (band_r.tobytes(), cfg.profile, cfg.lam1, cfg.lam2, cfg.form)
 
     def boundary(t):
         return _shared(memo, bc_key + (t,), cfg.boundary.values, t, r_ends, cfg.profile,
                        cfg.params)
-
-    def band(t):
-        lo, hi = _shared(memo, band_key + (t,), _ordering_bounds, cfg, band_r, t)
-        return lo[::k], hi[::k]
 
     u = cfg.initial.values(cfg.grid, cfg.profile, cfg.params)
     if np.any(u <= 0.0):
@@ -382,7 +367,7 @@ def _steps(cfg: EvolutionConfig, memo: dict, band_r: np.ndarray, k: int):
     if cfg.monitors:
         if cfg.lam1 is None or cfg.lam2 is None:
             raise EvolutionError("ordering monitors need lam1 and lam2")
-        lo, hi = band(0.0)
+        lo, hi = _ordering_bounds(cfg, 0.0)
         slack0 = 1e-9 * float(np.max(hi))
         if np.any(u < lo - slack0) or np.any(u > hi + slack0):
             raise EvolutionError("initial data violates the ordering band f_lam1 <= u0 <= f_lam2")
@@ -424,8 +409,11 @@ def _steps(cfg: EvolutionConfig, memo: dict, band_r: np.ndarray, k: int):
                   if next_snap < len(cfg.snapshot_times) else cfg.horizon)
         dt_try = min(sub, cfg.dt, target - t)
         bc = bc0 if static_bc else boundary(t + dt_try)
+        # predictor: extrapolate the last two states over a repeated dt
+        pred = 2.0 * u - u_prev if dt_prev == dt_try else None
         U, iters, ok = newton_step(u, dt_try, bc[0], bc[1], m, c0, einv, ap, am,
-                                   alpha, b_ds, cfg.newton_tol, 50)
+                                   alpha, b_ds, cfg.newton_tol, 50,
+                                   pred if pred is not None and np.all(pred > 0.0) else None)
         iters_total += iters
         if not ok:
             rejections += 1
@@ -444,12 +432,12 @@ def _steps(cfg: EvolutionConfig, memo: dict, band_r: np.ndarray, k: int):
                 excess = (U[1:-1] - u[1:-1]) / dt_try - U[1:-1] / ((1.0 - m) * t_new)
                 ab_log.append(float(np.max(excess)))
             if not rescaled:
-                lo, hi = band(t_new)
+                lo, hi = _ordering_bounds(cfg, t_new)
             lo_log.append(float(np.min(U - lo)))
             hi_log.append(float(np.min(hi - U)))
             step_times.append(t_new)
-        if u_prev is not None and dt_prev == dt_try:
-            trunc_time = max(trunc_time, float(np.max(np.abs(U - 2.0 * u + u_prev))) / dt_try)
+        if pred is not None:
+            trunc_time = max(trunc_time, float(np.max(np.abs(U - pred))) / dt_try)
         u_prev = u
         dt_prev = dt_try
         u = U
@@ -488,7 +476,7 @@ def run_lockstep(cfgs) -> list[Trajectory]:
     """Advance runs together, one pass of each stepping loop per round; each
     Trajectory equals, bit for bit, the one ``run`` gives for its config."""
     memo = {}
-    live = {i: _steps(cfg, memo, *_band_grid(cfg, cfgs)) for i, cfg in enumerate(cfgs)}
+    live = {i: _steps(cfg, memo) for i, cfg in enumerate(cfgs)}
     out = [None] * len(cfgs)
     while live:
         for i, steps in list(live.items()):

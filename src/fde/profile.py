@@ -287,7 +287,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     w, w_s = y[0], y[1]
     if np.any(w_s <= 0.0):
         bad = s[np.argmax(w_s <= 0.0)]
-        raise ProfileError(f"w~_s <= 0 at s={bad:.3f}; trace invalid")
+        raise ProfileError(f"eta={req.eta!r} gives w~_s <= 0 at s={bad:.3f}; trace invalid")
 
     h = w - c.farfield_slope * s
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)

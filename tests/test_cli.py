@@ -372,9 +372,11 @@ def test_wrong_type_config_value_named(tmp_path, capsys, no_solver, case):
 
 @pytest.mark.parametrize("argv", [["profile", "--eta", "1e300"],
                                   ["expansion", "--eta", "1e300"],
-                                  ["profile", "--eta", "1e-300"]])
+                                  ["profile", "--eta", "1e-300"],
+                                  ["profile", "--eta", "1e-25"]])
 def test_extreme_eta_rejected(tmp_path, capsys, argv):
-    # the startup slope ~ eta^(2-m) overflows or underflows
+    # the startup slope ~ eta^(2-m) overflows or underflows; at eta 1e-25
+    # it is finite, but the far-field slope w~_s turns nonpositive
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run_command(argv + ["--out", str(tmp_path)])

@@ -7,8 +7,11 @@ checkout's ``src``).  For each tree, one subprocess with PYTHONPATH set to
 that tree runs the fixed matrix below in-process, writing each case's
 artifacts, stdout, stderr and exit code to OUT/base/<case> or
 OUT/change/<case>.  Then ``diff -r`` compares the two output trees, and a
-table lists each case's exit codes and verdict.  Exits 0 when the trees are
-identical, 1 otherwise.
+table lists each case's exit codes and verdict.  For each CSV that differs,
+the largest absolute and relative difference of each column is printed; for
+each JSON report, the same two figures for each key whose numbers differ
+(items of a list share their list's key).  Relative differences are taken
+against the base value.  Exits 0 when the trees are identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import json
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 _EVOLVE = {"grid": {"R": 7.38905609893065, "N": 201}, "dt": 2e-3, "horizon": 0.05,
            "snapshots": 6,
@@ -91,6 +96,80 @@ def _read(path: str) -> str:
         return f.read().strip()
 
 
+def _max_diff(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Largest |b - a| and |b - a| / |a| over paired values; NaN pairs count as equal."""
+    with np.errstate(invalid="ignore"):
+        d = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(b - a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(d == 0.0, 0.0, d / np.abs(a))
+    return float(np.max(d, initial=0.0)), float(np.max(rel, initial=0.0))
+
+
+def _csv_columns(path: str) -> dict:
+    with open(path) as f:
+        header = f.readline().strip().split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return {name: data[:, j] for j, name in enumerate(header)}
+
+
+def _json_leaves(obj, key: str = ""):
+    """(key, value) for each leaf of a JSON document, list items under their list's key."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _json_leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _json_leaves(v, key + "[]")
+    else:
+        yield key, obj
+
+
+def _json_columns(path: str) -> dict:
+    """Key -> its leaf values: an array when they are all numbers, else a list."""
+    with open(path) as f:
+        doc = json.load(f)
+    cols = {}
+    for key, v in _json_leaves(doc):
+        cols.setdefault(key, []).append(v)
+    return {k: np.asarray(v, dtype=float) if all(map(_is_number, v)) else v
+            for k, v in cols.items()}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _magnitudes(base_dir: str, change_dir: str, name: str) -> list:
+    """Lines giving, per column or key of one differing output file, the largest
+    absolute and relative difference."""
+    read = _csv_columns if name.endswith(".csv") else _json_columns
+    base, change = read(os.path.join(base_dir, name)), read(os.path.join(change_dir, name))
+    if base.keys() != change.keys():
+        return ["  columns or keys differ"]
+    lines = []
+    for key in base:
+        a, b = base[key], change[key]
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape == b.shape:
+            d, rel = _max_diff(a, b)
+            if d != 0.0:
+                lines.append(f"  {key:<28}abs {d:.2e}  rel {rel:.2e}")
+        elif not (isinstance(a, list) and isinstance(b, list) and a == b):
+            lines.append(f"  {key:<28}{a!r:.60} -> {b!r:.60}")
+    return lines
+
+
+def _report_magnitudes(out: str) -> None:
+    """Print the difference magnitudes of every CSV and JSON output that differs."""
+    for case in MATRIX:
+        d = {side: os.path.join(out, side, case) for side in ("base", "change")}
+        for name in sorted(set(os.listdir(d["base"])) & set(os.listdir(d["change"]))):
+            if not name.endswith((".csv", ".json")):
+                continue
+            if _read(os.path.join(d["base"], name)) != _read(os.path.join(d["change"], name)):
+                print(f"{case}/{name}")
+                print("\n".join(_magnitudes(d["base"], d["change"], name)))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 2 and argv[0] == "--side":
@@ -120,6 +199,8 @@ def main(argv=None) -> int:
         print(f"{case:<22}{' '.join(codes.values()):>12}  {verdicts}")
     diff = subprocess.run(["diff", "-r", os.path.join(out, "base"), os.path.join(out, "change")])
     same = diff.returncode == 0 and codes_match
+    if diff.returncode != 0:
+        _report_magnitudes(out)
     print("all outputs byte-identical" if same else "outputs differ")
     return 0 if same else 1
 
