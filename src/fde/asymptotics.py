@@ -53,6 +53,12 @@ def _a2(n: int, m: float, K: float, beta_tilde: float) -> float:
     return _a2_const_part(n, m) - (n - 2 - (n + 2) * m) / (1.0 - m) * K * beta_tilde
 
 
+def _a1(n: int, m: float, q: float, a2: float) -> float:
+    """a1 = ys^2/(4 q^2) - (1-m)^2 a2/(4 (n-1) q^2) with ys = n - 2 - (n+2) m."""
+    ys = n - 2 - (n + 2) * m
+    return ys * ys / (4.0 * q * q) - (1.0 - m) ** 2 * a2 / (4.0 * (n - 1) * q * q)
+
+
 @dataclass(frozen=True)
 class ExpansionCoefficients:
     """Expansion constants of one (n, m), with a2 and a3 for one requested (eta, beta~).
@@ -103,11 +109,9 @@ def compute_K0(params: ModelParams, eta: float = 1.0, beta_tilde: float = 1.0,
     prof = compute_profile(req)
     k, q = prof.k_estimate, prof.constants.q
     K0 = (1.0 - m) * k.K / (2.0 * (n - 1) * q)
-    a2_11 = _a2(n, m, k.K, 1.0)
-    ys = n - 2 - (n + 2) * m
-    a1 = ys * ys / (4.0 * q * q) - (1.0 - m) ** 2 * a2_11 / (4.0 * (n - 1) * q * q)
     coeffs = ExpansionCoefficients(
-        n=n, m=m, K0=K0, K_11=k.K, a1=a1, a2_eta_beta=0.0, a3=0.0,
+        n=n, m=m, K0=K0, K_11=k.K, a1=_a1(n, m, q, _a2(n, m, k.K, 1.0)),
+        a2_eta_beta=0.0, a3=0.0,
         K_error=k.error_estimate, converged=k.converged, constants=prof.constants,
     )
     return replace(coeffs, a2_eta_beta=_a2(n, m, coeffs.K_for(eta, beta_tilde), beta_tilde),
@@ -211,10 +215,8 @@ def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
     a3_hat = float(np.mean(s * resid["constant"] - llc ** 2 * np.log(s)))
     a3_rel_dev = abs(a3_hat - a3) / max(abs(a3), 1e-300)
 
-    # flag if only the flipped a2 sign matches; a1 keeps ys ** 2, not bit for bit ys * ys
-    a2_flip = _a2(n, m, -coeffs.K_for(eta, bt), bt)
-    ys = n - 2 - (n + 2) * m
-    a1_flip = ys ** 2 / (4.0 * q * q) - (1.0 - m) ** 2 * a2_flip / (4.0 * (n - 1) * q * q)
+    # flag if only the flipped a2 sign matches
+    a1_flip = _a1(n, m, q, _a2(n, m, -coeffs.K_for(eta, bt), bt))
     a3_flip = replace(coeffs, a1=a1_flip).a3_for(eta, bt)
     flip_flag = bool(a3_rel_dev > 0.05 and abs(a3_hat - a3_flip) < abs(a3_hat - a3))
 

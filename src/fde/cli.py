@@ -14,6 +14,7 @@ are meaningful; an identical config gives byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -58,12 +59,9 @@ def _write_csv(path: str, header: list, columns: list):
     cols = [np.asarray(c, dtype=float) for c in columns]
 
     # formatted and written a block of rows at a time, so memory stays small
-    def blocks():
-        yield ",".join(header) + "\n"
-        for i in range(0, len(cols[0]), 512):
-            yield "".join([row % v for v in zip(*[c[i:i + 512].tolist() for c in cols])])
-
-    _write_atomic(path, blocks())
+    blocks = ("".join([row % v for v in zip(*[c[i:i + 512].tolist() for c in cols])])
+              for i in range(0, len(cols[0]), 512))
+    _write_atomic(path, itertools.chain([",".join(header) + "\n"], blocks))
 
 
 def _write_report(path: str, payload: dict):
@@ -295,6 +293,8 @@ def _build_evolution(cfg, form, initial, boundary, monitors, profile):
     for key, val in (("dt", dt), ("horizon", horizon)):
         if not 0.0 < val < math.inf:
             raise ConfigError(f"{key} must be positive and finite, got {val!r}")
+    if cfg["snapshots"] < 1:
+        raise ConfigError(f"snapshots must be >= 1, got {cfg['snapshots']!r}")
     grid = evolution.build_grid(cfg["grid"]["R"], cfg["grid"]["N"])
     snaps = np.linspace(0.0, horizon, cfg["snapshots"])
     return evolution.EvolutionConfig(
@@ -358,7 +358,7 @@ def _cmd_contract(cfg, out: str) -> int:
     runs = pair(cfg["grid"]["N"])
     if cfg["half_resolution"]:
         runs += pair(cfg["grid"]["N"] // 2 + 1)
-    trajs = evolution.run_lockstep(runs)
+    trajs = [evolution.run(ecfg) for ecfg in runs]
     half = hgrid = None
     if cfg["half_resolution"]:
         hgrid, half = runs[2].grid, (trajs[2], trajs[3])

@@ -17,11 +17,12 @@ Aronson-Benilan-type monitors per accepted step; both are diagnostics with
 truncation-scaled slacks, not assertions.  A finished Trajectory is
 immutable; independent runs can execute concurrently.
 
-``run_lockstep`` steps several runs together (``run`` steps one).  Runs at
-the same time share each boundary lookup, and the trajectories are bit for
-bit those of separate runs.  Each Newton solve starts from the linear
-extrapolation 2u - u_prev of the last two states when the step repeats the
-previous one's dt.
+A run reads its boundary data from a table keyed by step end time, filled by
+one ``BoundarySpec.values`` call for the next ``_REPLAY`` steps as replayed
+without rejections.  A step not in the table (the first, one after a
+rejection, one past the table's end) refills it: a wrong replay costs time,
+never bits.  Each Newton solve starts from the linear extrapolation
+2u - u_prev of the last two states when the step repeats the previous dt.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "inversion_residual_check",
     "barenblatt_oracle",
     "run",
-    "run_lockstep",
     "aronson_benilan_monitor",
     "ordering_monitor",
 ]
@@ -145,13 +145,15 @@ class BoundarySpec:
         _check_kind(self, "boundary", {"f_lambda": ("lam",), "U_lambda": ("lam",),
                                        "barenblatt": ("k", "T"), "constant": ("value",)})
 
-    def values(self, t: float, r_ends: np.ndarray, profile: Optional[Profile],
-               params: ModelParams):
+    def values(self, times, r_ends: np.ndarray, profile: Optional[Profile],
+               params: ModelParams) -> np.ndarray:
+        """The data at r_ends, one row per time in ``times``."""
         if self.kind in ("f_lambda", "U_lambda"):  # f_lambda is U_lambda at t = 0
-            return profile.eval_U_lambda(self.lam, r_ends, t if self.kind == "U_lambda" else 0.0)
+            ts = times if self.kind == "U_lambda" else np.zeros(len(times))
+            return profile.eval_U_lambda(self.lam, r_ends, ts)
         if self.kind == "barenblatt":
-            return barenblatt_oracle(r_ends, t, self.k, self.T, params)
-        return np.full(r_ends.shape, self.value, dtype=float)  # constant
+            return np.array([barenblatt_oracle(r_ends, t, self.k, self.T, params) for t in times])
+        return np.full((len(times), r_ends.size), self.value, dtype=float)  # constant
 
 
 @dataclass(frozen=True)
@@ -342,25 +344,41 @@ def _ordering_bounds(cfg: EvolutionConfig, t: float):
     return cfg.profile.eval_U_lambda(cfg.lam1, r, t), cfg.profile.eval_U_lambda(cfg.lam2, r, t)
 
 
-def _shared(memo: dict, key: tuple, compute, *args):
-    """memo[key], computed as compute(*args) on first use."""
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
+_REPLAY = 1024  # most step end times in one boundary table; bounds its memory
 
 
-def _steps(cfg: EvolutionConfig, memo: dict):
-    """One run as a generator: it yields before each pass of the stepping loop
-    and returns the Trajectory.  Boundary values go through ``memo``, keyed on
-    all that fixes them."""
+def _step_size(cfg: EvolutionConfig, t: float, sub: float, next_snap: int):
+    """dt of the next step from state (t, sub, next_snap): the sub-step, capped
+    at dt and clipped to the next snapshot or the horizon; None at the horizon."""
+    if t >= cfg.horizon - 1e-14 * cfg.horizon:
+        return None
+    target = (cfg.snapshot_times[next_snap]
+              if next_snap < len(cfg.snapshot_times) else cfg.horizon)
+    return min(sub, cfg.dt, target - t)
+
+
+def _accept(cfg: EvolutionConfig, t: float, dt_try: float, sub: float, next_snap: int):
+    """State (t, sub, next_snap) after an accepted step of dt_try: the sub-step
+    doubles back towards dt, and a snapshot time reached is passed."""
+    t += dt_try
+    if next_snap < len(cfg.snapshot_times) and t >= cfg.snapshot_times[next_snap] - 1e-14:
+        next_snap += 1
+    return t, min(sub * 2.0, cfg.dt), next_snap
+
+
+def _step_ends(cfg: EvolutionConfig, t: float, sub: float, next_snap: int) -> list:
+    """End times of the next _REPLAY steps from state (t, sub, next_snap) if none is rejected."""
+    ends = []
+    while len(ends) < _REPLAY and (dt_try := _step_size(cfg, t, sub, next_snap)) is not None:
+        t, sub, next_snap = _accept(cfg, t, dt_try, sub, next_snap)
+        ends.append(t)
+    return ends
+
+
+def run(cfg: EvolutionConfig) -> Trajectory:
+    """Advance a configured run, recording snapshots and monitors."""
     c = derive_constants(cfg.params)
     r_ends = np.array([cfg.grid.r[0], cfg.grid.r[-1]])
-    bc_key = (cfg.boundary, cfg.profile, cfg.params, float(r_ends[0]), float(r_ends[1]))
-
-    def boundary(t):
-        return _shared(memo, bc_key + (t,), cfg.boundary.values, t, r_ends, cfg.profile,
-                       cfg.params)
-
     u = cfg.initial.values(cfg.grid, cfg.profile, cfg.params)
     if np.any(u <= 0.0):
         raise EvolutionError("initial data must be positive")
@@ -379,12 +397,9 @@ def _steps(cfg: EvolutionConfig, memo: dict):
     alpha = c.alpha if rescaled else 0.0
     b_ds = (cfg.params.beta / cfg.grid.ds) if rescaled else 0.0
 
-    # clamp initial endpoints to the boundary data so step 1 is consistent;
-    # f_lambda and constant data do not depend on t, nor does the rescaled band
-    bc0 = boundary(0.0)
-    static_bc = cfg.boundary.kind in ("f_lambda", "constant")
+    # clamp initial endpoints to the boundary data so step 1 is consistent
     u = u.copy()
-    u[0], u[-1] = bc0[0], bc0[1]
+    u[0], u[-1] = cfg.boundary.values([0.0], r_ends, cfg.profile, cfg.params)[0]
 
     fields = np.empty((len(cfg.snapshot_times) + 1, cfg.grid.N))  # + one at the horizon
     fields[0] = u
@@ -403,12 +418,13 @@ def _steps(cfg: EvolutionConfig, memo: dict):
 
     t = 0.0
     sub = cfg.dt
-    while t < cfg.horizon - 1e-14 * cfg.horizon:
-        yield
-        target = (cfg.snapshot_times[next_snap]
-                  if next_snap < len(cfg.snapshot_times) else cfg.horizon)
-        dt_try = min(sub, cfg.dt, target - t)
-        bc = bc0 if static_bc else boundary(t + dt_try)
+    table = {}  # step end time -> boundary values
+    while (dt_try := _step_size(cfg, t, sub, next_snap)) is not None:
+        t_new = t + dt_try
+        if t_new not in table:
+            ends = _step_ends(cfg, t, sub, next_snap)
+            table = dict(zip(ends, cfg.boundary.values(ends, r_ends, cfg.profile, cfg.params)))
+        bc = table[t_new]
         # predictor: extrapolate the last two states over a repeated dt
         pred = 2.0 * u - u_prev if dt_prev == dt_try else None
         U, iters, ok = newton_step(u, dt_try, bc[0], bc[1], m, c0, einv, ap, am,
@@ -424,29 +440,24 @@ def _steps(cfg: EvolutionConfig, memo: dict):
                     f"t={snap_times[-1]!r}"
                 )
             continue
-        t_new = t + dt_try
         if cfg.monitors:
             # snapshot-clipped mini steps amplify Newton-tolerance noise in
             # the difference quotient by 1/dt; skip the AB log there
             if dt_try >= 0.1 * cfg.dt:
                 excess = (U[1:-1] - u[1:-1]) / dt_try - U[1:-1] / ((1.0 - m) * t_new)
                 ab_log.append(float(np.max(excess)))
-            if not rescaled:
+            if not rescaled:  # the rescaled band does not depend on t
                 lo, hi = _ordering_bounds(cfg, t_new)
             lo_log.append(float(np.min(U - lo)))
             hi_log.append(float(np.min(hi - U)))
             step_times.append(t_new)
         if pred is not None:
             trunc_time = max(trunc_time, float(np.max(np.abs(U - pred))) / dt_try)
-        u_prev = u
-        dt_prev = dt_try
-        u = U
-        t = t_new
-        sub = min(sub * 2.0, cfg.dt)
-        if next_snap < len(cfg.snapshot_times) and t >= cfg.snapshot_times[next_snap] - 1e-14:
+        u_prev, dt_prev, u = u, dt_try, U
+        t, sub, next_snap = _accept(cfg, t, dt_try, sub, next_snap)
+        if next_snap > len(snap_times):  # a snapshot time was reached
             fields[len(snap_times)] = u
             snap_times.append(t)
-            next_snap += 1
 
     if abs(snap_times[-1] - cfg.horizon) > 1e-12 * max(1.0, cfg.horizon):
         fields[len(snap_times)] = u
@@ -470,28 +481,6 @@ def _steps(cfg: EvolutionConfig, memo: dict):
         trunc_space=trunc_space,
         config=cfg,
     )
-
-
-def run_lockstep(cfgs) -> list[Trajectory]:
-    """Advance runs together, one pass of each stepping loop per round; each
-    Trajectory equals, bit for bit, the one ``run`` gives for its config."""
-    memo = {}
-    live = {i: _steps(cfg, memo) for i, cfg in enumerate(cfgs)}
-    out = [None] * len(cfgs)
-    while live:
-        for i, steps in list(live.items()):
-            try:
-                next(steps)
-            except StopIteration as done:
-                out[i] = done.value
-                del live[i]
-        memo.clear()  # values are shared within a round only, so memory stays O(N)
-    return out
-
-
-def run(cfg: EvolutionConfig) -> Trajectory:
-    """Advance a configured run, recording snapshots and monitors."""
-    return run_lockstep([cfg])[0]
 
 
 def aronson_benilan_monitor(traj: Trajectory) -> dict:

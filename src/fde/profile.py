@@ -460,12 +460,15 @@ class Profile:
         """g_lambda(r) = lambda^{2/(1-m)-(n-2)/m} g_1(r/lambda), which is U~bar_lambda at t = 0."""
         return self.eval_U_bar_lambda(lam, r, 0.0)
 
-    def eval_U_lambda(self, lam: float, r, t: float):
-        """U_lambda(r, t) = e^{-alpha t} f_lambda(e^{-beta t} r)."""
+    def eval_U_lambda(self, lam: float, r, t):
+        """U_lambda(r, t) = e^{-alpha t} f_lambda(e^{-beta t} r); one row per time for a
+        sequence t.  e^{-beta t} is math.exp, which np.exp does not always match."""
         c = self.constants
         beta = self.request.params.beta
-        arg = math.exp(-beta * t) * np.asarray(r, dtype=float)
-        lnf, _ = self.eval_f_lambda_log(lam, arg, with_rat=False)
+        r = np.asarray(r, dtype=float)
+        t = np.reshape(np.asarray(t, dtype=float), np.shape(t) + (1,) * r.ndim)
+        shrink = np.vectorize(math.exp, otypes=[float])(-beta * t)
+        lnf, _ = self.eval_f_lambda_log(lam, shrink * r, with_rat=False)
         return np.exp(-c.alpha * t + lnf)
 
     def eval_U_bar_lambda(self, lam: float, r, t: float):

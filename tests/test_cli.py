@@ -275,7 +275,7 @@ def no_solver(monkeypatch):
     def solver(*args, **kwargs):
         pytest.fail("a solver ran")
     monkeypatch.setattr(cli, "compute_profile", solver)
-    monkeypatch.setattr(evolution, "run_lockstep", solver)
+    monkeypatch.setattr(evolution, "run", solver)
 
 
 def _merge(base, override):
@@ -391,7 +391,6 @@ def test_extreme_eta_rejected(tmp_path, capsys, argv):
 def test_weight_built_before_stepping(tmp_path, capsys, monkeypatch, command):
     def solver(*args, **kwargs):
         pytest.fail("runs were stepped")
-    monkeypatch.setattr(evolution, "run_lockstep", solver)
     monkeypatch.setattr(evolution, "run", solver)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"weight": {"kind": "power_mu", "mu": 5.0}}))
@@ -399,6 +398,24 @@ def test_weight_built_before_stepping(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert "power_mu" in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "contract", "converge"])
+@pytest.mark.parametrize("snapshots", [0, -1])
+def test_snapshots_below_one_rejected(tmp_path, capsys, monkeypatch, command, snapshots):
+    def solver(*args, **kwargs):
+        pytest.fail("runs were stepped")
+    monkeypatch.setattr(evolution, "run", solver)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"snapshots": snapshots}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert not caught
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "snapshots" in err
 
 
 def _fill(table):

@@ -23,7 +23,6 @@ from fde.evolution import (
     ordering_monitor,
     rescale_transform,
     run,
-    run_lockstep,
 )
 from fde.params import ModelParams, derive_constants
 from fde.profile import Profile
@@ -467,65 +466,64 @@ def test_static_band_and_boundary_evaluated_once(profile_cache, monkeypatch):
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("sizes,flaky", [((201, 101), False), ((201, 101), True),
-                                         ((200, 101), False)])
-def test_lockstep_equals_separate_runs(profile_cache, monkeypatch, sizes, flaky):
-    # contract's group as contract steps it, without monitors: u1 from f_lam1
-    # and u2 from f_lam2 at two resolutions, with the U_lam1 boundary shared.
-    # Stepped together they give the separate runs' trajectories bit for
-    # bit, also when one run rejects a step (its times then leave the
-    # others') and when the coarse grid is not a subsample of the fine one.
+_BOUNDARIES = {
+    "U_lambda": BoundarySpec(kind="U_lambda", lam=2.0),
+    "f_lambda": BoundarySpec(kind="f_lambda", lam=2.0),
+    "barenblatt": BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
+    "constant": BoundarySpec(kind="constant", value=3.7),
+}
+
+
+@pytest.mark.parametrize("kind,flaky,steps",
+                         [(kind, flaky, 50) for kind in _BOUNDARIES for flaky in (False, True)]
+                         + [("U_lambda", False, evolution._REPLAY + 100)])
+def test_boundary_table_equals_per_step_lookup(profile_cache, monkeypatch, kind, flaky, steps):
+    # a run reads its boundary data from a table filled for the steps ahead
+    # in one call.  It gives, bit for bit, the Trajectory of the same run
+    # with a one-step table, which looks each step up on its own: also when
+    # a rejection leaves the replayed schedule, and when the run outlasts
+    # the table.  dt = 1e-3 is not exact in binary, so snapshots clip steps.
     prof = profile_cache(3, 0.2)
-    cfgs = [EvolutionConfig(
-        grid=build_grid(math.e ** 2, N), params=P32, form="physical",
-        initial=InitialSpec(kind="f_lambda", lam=lam),
-        boundary=BoundarySpec(kind="U_lambda", lam=2.0),
-        dt=1e-3, horizon=0.05, snapshot_times=np.linspace(0.0, 0.05, 6),
-        profile=prof)
-        for N in sizes for lam in (2.0, 1.0)]
+    dt = 1e-3
+    initial = (InitialSpec(kind="barenblatt", k=1.0, T=1.0) if kind == "barenblatt"
+               else InitialSpec(kind="f_lambda", lam=2.0))
+    cfg = EvolutionConfig(
+        grid=build_grid(math.e, 51), params=P32, form="physical",
+        initial=initial, boundary=_BOUNDARIES[kind], dt=dt, horizon=steps * dt,
+        snapshot_times=np.linspace(0.0, steps * dt, 4), profile=prof)
     kernel = evolution.newton_step
-    failed = []
     solves = []
 
     def flaky_step(u, *args):
-        # the first step at N 101 reports non-convergence
-        solves.append((u.size, args[0]))
-        if flaky and u.size == 101 and not failed:
-            failed.append(True)
+        # the third solve reports non-convergence
+        solves.append(args[0])
+        if flaky and len(solves) == 3:
             return u, 0, False
         return kernel(u, *args)
 
+    values = BoundarySpec.values
     calls = []
-    eval_g_log = Profile.eval_g_log
 
-    def counted(self, r, **kw):
-        calls.append(np.size(r))
-        return eval_g_log(self, r, **kw)
+    def counted(self, times, *args):
+        calls.append(len(times))
+        return values(self, times, *args)
 
     monkeypatch.setattr(evolution, "newton_step", flaky_step)
-    monkeypatch.setattr(Profile, "eval_g_log", counted)
-    together = run_lockstep(cfgs)
-    n_lockstep = len(calls)
-    n_solves = len(solves)
-    failed.clear()
-    separate = [run(cfg) for cfg in cfgs]
+    monkeypatch.setattr(BoundarySpec, "values", counted)
+    limit = evolution._REPLAY
+    traj = run(cfg)
+    n_calls, n_solves = len(calls), len(solves)
+    monkeypatch.setattr(evolution, "_REPLAY", 1)
+    solves.clear()
+    ref = run(cfg)
 
-    assert sum(t.rejections for t in together) == int(flaky)
-    if flaky:
-        dts = {N: [dt for size, dt in solves[:n_solves] if size == N] for N in sizes}
-        assert not np.array_equal(dts[101], dts[201])
-    for a, b, cfg in zip(together, separate, cfgs):
-        assert a.config is b.config is cfg
-        for f in dataclasses.fields(Trajectory):
-            if f.name != "config":
-                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    assert traj.rejections == ref.rejections == int(flaky)
+    for f in dataclasses.fields(Trajectory):
+        if f.name != "config":
+            assert np.array_equal(getattr(traj, f.name), getattr(ref, f.name)), f.name
     if not flaky:
-        # the four runs step in step: per round one boundary lookup for all
-        # of them, which separately make four; setup adds each run's
-        # initial data
-        rounds = n_solves // len(cfgs) + 1
-        assert n_lockstep <= rounds + len(cfgs)
-        assert len(calls) - n_lockstep >= len(cfgs) * rounds
+        assert n_solves >= steps
+        assert n_calls <= 1 + math.ceil(n_solves / limit)
 
 
 def test_blend_run_ordering(profile_cache):

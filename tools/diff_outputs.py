@@ -49,6 +49,10 @@ MATRIX = {
                                          boundary={"kind": "f_lambda", "lam": 1.5})),
     "evolve_physical": (["evolve"], dict(_EVOLVE, form="physical",
                                          boundary={"kind": "U_lambda", "lam": 1.5})),
+    # 1500 steps of time-varying boundary data, more than one boundary table holds
+    "evolve_long": (["evolve"], dict(_EVOLVE, form="physical", dt=1e-4, horizon=0.15,
+                                     grid={"R": 7.38905609893065, "N": 101},
+                                     boundary={"kind": "U_lambda", "lam": 1.5})),
     "contract_custom": (["contract"], dict(_CONTRACT, weight={
         "kind": "custom_power_times_profile", "lam3": 1.3, "power": -0.5, "exponent": 0.4})),
     "contract_gamma2": (["contract"], dict(_CONTRACT, weight={
