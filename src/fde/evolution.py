@@ -21,8 +21,11 @@ A run reads its boundary data from a table keyed by step end time, filled by
 one ``BoundarySpec.values`` call for the next ``_REPLAY`` steps as replayed
 without rejections.  A step not in the table (the first, one after a
 rejection, one past the table's end) refills it: a wrong replay costs time,
-never bits.  Each Newton solve starts from the linear extrapolation
-2u - u_prev of the last two states when the step repeats the previous dt.
+never bits.  A Newton solve starts from the quadratic extrapolation
+3u - 3u_prev + u_prev2 of the last three states when the step repeats the
+dt of the last two, from the linear one 2u - u_prev when it repeats only the
+last, and from u otherwise (also when the extrapolation is not positive).
+From a quadratic start most steps need one Newton iteration (see _kernels).
 """
 
 from __future__ import annotations
@@ -333,7 +336,7 @@ class Trajectory:
     ord_gap_hi: np.ndarray
     newton_iters_total: int
     rejections: int
-    trunc_time: float            # max |second time difference| / dt
+    trunc_time: float            # max |U - (2u - u_prev)| / dt over repeated-dt steps
     trunc_space: float           # max |second s-difference| over snapshots
     config: EvolutionConfig
 
@@ -413,8 +416,8 @@ def run(cfg: EvolutionConfig) -> Trajectory:
     iters_total = 0
     rejections = 0
     trunc_time = 0.0
-    u_prev = None
-    dt_prev = None
+    u_prev = u_prev2 = None
+    dt_prev = dt_prev2 = None
 
     t = 0.0
     sub = cfg.dt
@@ -425,8 +428,10 @@ def run(cfg: EvolutionConfig) -> Trajectory:
             ends = _step_ends(cfg, t, sub, next_snap)
             table = dict(zip(ends, cfg.boundary.values(ends, r_ends, cfg.profile, cfg.params)))
         bc = table[t_new]
-        # predictor: extrapolate the last two states over a repeated dt
-        pred = 2.0 * u - u_prev if dt_prev == dt_try else None
+        # predictor: the linear extrapolation when dt repeats the last
+        # accepted step's, the quadratic one when it repeats the last two
+        lin = 2.0 * u - u_prev if dt_prev == dt_try else None
+        pred = 3.0 * (u - u_prev) + u_prev2 if lin is not None and dt_prev2 == dt_try else lin
         U, iters, ok = newton_step(u, dt_try, bc[0], bc[1], m, c0, einv, ap, am,
                                    alpha, b_ds, cfg.newton_tol, 50,
                                    pred if pred is not None and np.all(pred > 0.0) else None)
@@ -451,8 +456,9 @@ def run(cfg: EvolutionConfig) -> Trajectory:
             lo_log.append(float(np.min(U - lo)))
             hi_log.append(float(np.min(hi - U)))
             step_times.append(t_new)
-        if pred is not None:
-            trunc_time = max(trunc_time, float(np.max(np.abs(U - pred))) / dt_try)
+        if lin is not None:
+            trunc_time = max(trunc_time, float(np.max(np.abs(U - lin))) / dt_try)
+        u_prev2, dt_prev2 = u_prev, dt_prev
         u_prev, dt_prev, u = u, dt_try, U
         t, sub, next_snap = _accept(cfg, t, dt_try, sub, next_snap)
         if next_snap > len(snap_times):  # a snapshot time was reached

@@ -207,15 +207,68 @@ def test_newton_step_predictor_start(form):
     assert np.max(np.abs(U_pred - U_plain) / (1.0 + np.abs(U_plain))) <= 1e-10
 
 
+@pytest.mark.parametrize("form", ["physical", "rescaled"])
+def test_newton_step_one_iteration_acceptance(form):
+    # after 30 steps of dt = 1e-4 the run is smooth in time: from the
+    # three-point start 3u - 3u_prev + u_prev2 the first update is below
+    # sqrt(1e-3 tol) = 1e-7 and the step returns after one iteration, equal
+    # to the solve started from u to rounding; from the linear start the
+    # first update exceeds 1e-7, and the step goes on to a second iteration
+    m, c0, dt, tol = 0.2, 10.0, 1e-4, 1e-11
+    g = build_grid(math.e, 51)
+    einv, ap, am = g.coeffs(3)
+    alpha, b_ds = (0.0, 0.0) if form == "physical" else (-2.5, -1.0 / g.ds)
+    args = (m, c0, einv, ap, am, alpha, b_ds, tol)
+    states = [barenblatt_oracle(g.r, 0.0, 1.0, 1.0, P32)]
+    for k in range(1, 32):
+        bc = barenblatt_oracle(g.r[[0, -1]], k * dt, 1.0, 1.0, P32)
+        U, _, ok = newton_step(states[-1], dt, bc[0], bc[1], *args, 50)
+        assert ok
+        states.append(U)
+    u, u_prev, u_prev2 = states[-1], states[-2], states[-3]
+    bc = barenblatt_oracle(g.r[[0, -1]], 32 * dt, 1.0, 1.0, P32)
+
+    def first_update(U0):
+        U1 = newton_step(u, dt, bc[0], bc[1], *args, 1, U0)[0]
+        start = U0.copy()
+        start[[0, -1]] = bc
+        return float(np.max(np.abs(U1 - start) / (1.0 + U1)))
+
+    quad, lin = 3.0 * (u - u_prev) + u_prev2, 2.0 * u - u_prev
+    U_quad, iters, ok = newton_step(u, dt, bc[0], bc[1], *args, 50, quad)
+    assert ok and iters == 1
+    U_plain, iters_plain, ok = newton_step(u, dt, bc[0], bc[1], *args, 50, None)
+    assert ok and iters_plain >= 2
+    assert np.max(np.abs(U_quad - U_plain) / np.abs(U_plain)) <= 1e-14
+    assert first_update(quad) <= 1e-7 < first_update(lin)
+    _, iters, ok = newton_step(u, dt, bc[0], bc[1], *args, 50, lin)
+    assert ok and iters >= 2
+
+
 def test_predictor_start_only_after_a_repeated_step(monkeypatch):
-    # a step starts from 2u - u_prev only when it repeats the last accepted
-    # dt, so not after a rejection nor after a snapshot-clipped step
+    # a step starts from 3u - 3u_prev + u_prev2 when it repeats the dt of
+    # the last two accepted steps, from 2u - u_prev when it repeats only the
+    # last, and from u otherwise: after a rejection, a snapshot-clipped step
+    # or the first step
     dt = 2.0 ** -8  # exact in binary, so the step sequence is exact
     kernel = evolution.newton_step
     log = []
+    states = []  # the accepted states, in order
+
+    def start(U0):
+        if U0 is None:
+            return "none"
+        lin = 2.0 * states[-1] - states[-2]
+        if np.allclose(U0, lin, rtol=1e-13, atol=0.0):
+            return "linear"
+        quad = 3.0 * states[-1] - 3.0 * states[-2] + states[-3]
+        assert np.allclose(U0, quad, rtol=1e-13, atol=0.0)
+        return "quadratic"
 
     def recorded(u, dt_try, *args):
-        log.append((dt_try, args[-1] is not None))
+        if not states or u is not states[-1]:
+            states.append(u)
+        log.append((dt_try, start(args[-1])))
         if len(log) == 3:  # the third solve reports non-convergence
             return u, 0, False
         return kernel(u, dt_try, *args)
@@ -228,9 +281,45 @@ def test_predictor_start_only_after_a_repeated_step(monkeypatch):
         dt=dt, horizon=16 * dt, snapshot_times=[0.0, 5.25 * dt, 16 * dt]))
     assert traj.rejections == 1
     # t/dt: 0, 1, 2 (rejected), 2 at dt/2, 2.5, 3.5, 4.5 clipped to the
-    # snapshot at 5.25, 5.25, 6.25
-    assert log[:9] == [(dt, False), (dt, True), (dt, True), (dt / 2, False), (dt, False),
-                       (dt, True), (0.75 * dt, False), (dt, False), (dt, True)]
+    # snapshot at 5.25, 5.25, 6.25, 7.25
+    assert log[:10] == [(dt, "none"), (dt, "linear"), (dt, "quadratic"), (dt / 2, "none"),
+                        (dt, "none"), (dt, "linear"), (0.75 * dt, "none"), (dt, "none"),
+                        (dt, "linear"), (dt, "quadratic")]
+
+
+def test_trunc_time_is_the_linear_extrapolation_error(monkeypatch):
+    # trunc_time, which scales the Aronson-Benilan and ordering slacks, is
+    # max |U - (2u - u_prev)| / dt over the accepted steps that repeat the
+    # last dt, whatever start the Newton solve was given.  The ninth step,
+    # which starts from 3u - 3u_prev + u_prev2, is disturbed so that the
+    # maximum falls where the two extrapolations differ.
+    dt = 2.0 ** -8
+    kernel = evolution.newton_step
+    accepted = []  # (u, dt, U) of each accepted step
+
+    def recorded(u, dt_try, *args):
+        U, iters, ok = kernel(u, dt_try, *args)
+        if len(accepted) == 8:
+            U = U * (1.0 + 1e-4)
+        accepted.append((u, dt_try, U))
+        return U, iters, ok
+
+    monkeypatch.setattr(evolution, "newton_step", recorded)
+    traj = run(EvolutionConfig(
+        grid=build_grid(math.e, 51), params=P32, form="physical",
+        initial=InitialSpec(kind="barenblatt", k=1.0, T=1.0),
+        boundary=BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
+        dt=dt, horizon=16 * dt, snapshot_times=[0.0, 5.25 * dt, 16 * dt]))
+    assert traj.rejections == 0
+    errors = {}  # accepted step -> its linear-extrapolation error / dt
+    for k in range(1, len(accepted)):
+        u, h, U = accepted[k]
+        if h == accepted[k - 1][1]:
+            errors[k] = float(np.max(np.abs(U - (2.0 * u - accepted[k - 1][0])))) / h
+    worst = max(errors, key=errors.get)
+    # the worst step repeats the dt of the two before it: its start was quadratic
+    assert accepted[worst][1] == accepted[worst - 1][1] == accepted[worst - 2][1]
+    assert traj.trunc_time == errors[worst]
 
 
 # -- physical stepping ----------------------------------------------------

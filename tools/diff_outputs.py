@@ -6,12 +6,17 @@ BASE_SRC and CHANGE_SRC are directories that hold the ``fde`` package (a
 checkout's ``src``).  For each tree, one subprocess with PYTHONPATH set to
 that tree runs the fixed matrix below in-process, writing each case's
 artifacts, stdout, stderr and exit code to OUT/base/<case> or
-OUT/change/<case>.  Then ``diff -r`` compares the two output trees, and a
-table lists each case's exit codes and verdict.  For each CSV that differs,
-the largest absolute and relative difference of each column is printed; for
+OUT/change/<case>.  A table lists each case's exit codes and verdict, and
+``diff -rq`` names the files that differ.  For each CSV that differs, the
+largest absolute and relative difference of each column is printed; for
 each JSON report, the same two figures for each key whose numbers differ
 (items of a list share their list's key).  Relative differences are taken
-against the base value.  Exits 0 when the trees are identical, 1 otherwise.
+against the base value.  Last, for the default ``contract`` and
+``converge`` cases, each side's worst ratio
+|value - reference| / (atol + rtol * |reference|) against the benchmark's
+reference series (``perfbench/reference/``, read only) is printed; the
+benchmark accepts a ratio up to 1.  Exits 0 when the trees are identical,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ _EVOLVE = {"grid": {"R": 7.38905609893065, "N": 201}, "dt": 2e-3, "horizon": 0.0
            "initial": {"kind": "blend", "lam1": 2.0, "lam2": 1.0, "theta": 0.3},
            "monitors": {"enabled": True, "lam1": 2.0, "lam2": 1.0}}
 _CONTRACT = {"grid": {"R": 148.4131591025766, "N": 801}, "horizon": 0.2, "snapshots": 6}
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "reference")
 
 # case -> (argv, config or None); a config is written to OUT/configs/<case>.json
 MATRIX = {
@@ -174,6 +182,31 @@ def _report_magnitudes(out: str) -> None:
                 print("\n".join(_magnitudes(d["base"], d["change"], name)))
 
 
+def _reference_ratios(out: str) -> None:
+    """Print each side's worst |value - ref| / (atol + rtol |ref|) over every
+    reference CSV that the default contract and converge cases write."""
+    with open(os.path.join(REFERENCE, "tolerance.json")) as f:
+        tol = json.load(f)
+    for case in ("contract", "converge"):
+        for name in tol["files"]:
+            paths = {side: os.path.join(out, side, case, name) for side in ("base", "change")}
+            if not all(map(os.path.exists, paths.values())):
+                continue
+            ref = _csv_columns(os.path.join(REFERENCE, name))
+            worst = {}
+            for side, path in paths.items():
+                got = _csv_columns(path)
+                if got.keys() != ref.keys() or any(got[k].shape != r.shape
+                                                   for k, r in ref.items()):
+                    worst[side] = "columns or rows differ"
+                    continue
+                worst[side] = "%.3g" % max(
+                    float(np.max(np.abs(got[k] - r) / (tol["atol"] + tol["rtol"] * np.abs(r))))
+                    for k, r in ref.items())
+            print(f"{case}/{name}: worst reference ratio base {worst['base']}"
+                  f"  change {worst['change']}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 2 and argv[0] == "--side":
@@ -201,10 +234,11 @@ def main(argv=None) -> int:
         codes_match &= codes["base"] == codes["change"]
         verdicts = " ".join(_verdict(d[side]) for side in sides)
         print(f"{case:<22}{' '.join(codes.values()):>12}  {verdicts}")
-    diff = subprocess.run(["diff", "-r", os.path.join(out, "base"), os.path.join(out, "change")])
+    diff = subprocess.run(["diff", "-rq", os.path.join(out, "base"), os.path.join(out, "change")])
     same = diff.returncode == 0 and codes_match
     if diff.returncode != 0:
         _report_magnitudes(out)
+    _reference_ratios(out)
     print("all outputs byte-identical" if same else "outputs differ")
     return 0 if same else 1
 
