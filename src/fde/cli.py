@@ -287,7 +287,9 @@ def _cmd_expansion(cfg, out: str) -> int:
     return _EXIT_OK if verdict else _EXIT_FAIL
 
 
-def _build_evolution(cfg, form, initial, boundary, monitors, profile):
+def _build_evolution(cfg, form, initial, boundary, profile, band=(None, None), monitors=False):
+    """The run of cfg; ``band`` (lam1, lam2) checks the initial data, and
+    ``monitors`` logs the ordering and Aronson-Benilan monitors per step."""
     p = _model(cfg)
     dt, horizon = cfg["dt"], cfg["horizon"]
     for key, val in (("dt", dt), ("horizon", horizon)):
@@ -296,24 +298,25 @@ def _build_evolution(cfg, form, initial, boundary, monitors, profile):
     if cfg["snapshots"] < 1:
         raise ConfigError(f"snapshots must be >= 1, got {cfg['snapshots']!r}")
     grid = evolution.build_grid(cfg["grid"]["R"], cfg["grid"]["N"])
-    snaps = np.linspace(0.0, horizon, cfg["snapshots"])
+    # one snapshot gives the rows at t = 0 and at the horizon, as two do
+    snaps = np.linspace(0.0, horizon, max(cfg["snapshots"], 2))
     return evolution.EvolutionConfig(
         grid=grid, params=p, form=form, initial=initial, boundary=boundary,
-        dt=dt, horizon=horizon, snapshot_times=snaps,
-        profile=profile,
+        dt=dt, snapshot_times=snaps, profile=profile,
         newton_tol=cfg.get("newton_tol", 1e-11),
-        monitors=monitors["enabled"], lam1=monitors["lam1"], lam2=monitors["lam2"],
+        monitors=monitors, lam1=band[0], lam2=band[1],
     )
 
 
 def _cmd_evolve(cfg, out: str) -> int:
     init = evolution.InitialSpec(**cfg["initial"])
     bc = evolution.BoundarySpec(**cfg["boundary"])
+    mon = cfg["monitors"]
     needs_profile = (init.kind in ("f_lambda", "blend", "bump")
-                     or bc.kind in ("f_lambda", "U_lambda")
-                     or cfg["monitors"]["enabled"])
+                     or bc.kind in ("f_lambda", "U_lambda") or mon["enabled"])
     profile = _profile_for(cfg) if needs_profile else None
-    ecfg = _build_evolution(cfg, cfg["form"], init, bc, cfg["monitors"], profile)
+    band = (mon["lam1"], mon["lam2"]) if mon["enabled"] else (None, None)
+    ecfg = _build_evolution(cfg, cfg["form"], init, bc, profile, band, mon["enabled"])
     traj = evolution.run(ecfg)
     r = ecfg.grid.r
     _write_csv(os.path.join(out, "snapshots.csv"), ["t", "r", "u"],
@@ -341,23 +344,25 @@ def _make_weight(wcfg, prof):
 
 
 def _cmd_contract(cfg, out: str) -> int:
+    N = cfg["grid"]["N"]
+    if cfg["half_resolution"] and N // 2 + 1 < 16:
+        raise ConfigError(f"grid.N must be >= 30 with half_resolution, got {N!r}")
     prof = _profile_for(cfg)
     weight = _make_weight(cfg["weight"], prof)
     lam1, lam2 = cfg["lam1"], cfg["lam2"]
-    # the report reads snapshots only, so the runs log no monitors
-    mon = {"enabled": False, "lam1": None, "lam2": None}
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
 
     def pair(N):
+        # the report reads snapshots only, so the runs log no monitors
         sub = dict(cfg)
         sub["grid"] = dict(cfg["grid"], N=N)
         return [_build_evolution(sub, "physical",
-                                 evolution.InitialSpec(kind="f_lambda", lam=lam), bc, mon, prof)
+                                 evolution.InitialSpec(kind="f_lambda", lam=lam), bc, prof)
                 for lam in (lam1, lam2)]
 
-    runs = pair(cfg["grid"]["N"])
+    runs = pair(N)
     if cfg["half_resolution"]:
-        runs += pair(cfg["grid"]["N"] // 2 + 1)
+        runs += pair(N // 2 + 1)
     trajs = [evolution.run(ecfg) for ecfg in runs]
     half = hgrid = None
     if cfg["half_resolution"]:
@@ -383,8 +388,9 @@ def _cmd_converge(cfg, out: str) -> int:
         cfg["horizon"] = 5.0 / abs(prof.request.params.beta)
     init = evolution.InitialSpec(kind="bump", lam0=lam0, **cfg["bump"])
     bc = evolution.BoundarySpec(kind="f_lambda", lam=lam0)
-    mon = {"enabled": True, "lam1": cfg["lam1"], "lam2": cfg["lam2"]}
-    ecfg = _build_evolution(cfg, "rescaled", init, bc, mon, prof)
+    # the report reads the band's lambdas only: the run checks u0 against
+    # the band and logs no monitors
+    ecfg = _build_evolution(cfg, "rescaled", init, bc, prof, (cfg["lam1"], cfg["lam2"]))
     traj = evolution.run(ecfg)
     rep = measures.convergence_report(
         traj, prof, lam0, weight, ecfg.grid, K_compact=tuple(cfg["K_compact"]),
@@ -412,7 +418,7 @@ def _cmd_validate_barenblatt(cfg, out: str) -> int:
         """One physical-form run from 0 to horizon, snapshotted at both ends."""
         return evolution.run(evolution.EvolutionConfig(
             grid=grid, params=p, form="physical", initial=initial, boundary=boundary,
-            dt=dt, horizon=horizon, snapshot_times=np.array([0.0, horizon]),
+            dt=dt, snapshot_times=np.array([0.0, horizon]),
             profile=profile))
 
     n_list, dt0 = cfg["N_list"], cfg["dt0"]

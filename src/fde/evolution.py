@@ -12,10 +12,16 @@ Euler and damped Newton (tridiagonal solves, see _kernels):
   neighbor.
 
 Dirichlet data comes from the self-similar family (f_lambda, U_lambda), the
-Barenblatt solution, or a constant.  Runs record ordering and
-Aronson-Benilan-type monitors per accepted step; both are diagnostics with
-truncation-scaled slacks, not assertions.  A finished Trajectory is
+Barenblatt solution, or a constant.  A run given an ordering band (lam1,
+lam2) checks its initial data against it; with ``monitors`` set it also logs
+ordering and Aronson-Benilan-type monitors per accepted step, diagnostics
+with truncation-scaled slacks, not assertions.  A finished Trajectory is
 immutable; independent runs can execute concurrently.
+
+The snapshot times are the run's clock: a step of dt (or of the sub-step
+left by a rejection) that ends within _LAND * dt of the next snapshot ends
+on it, and only one that overshoots by more is clipped.  So
+``Trajectory.times`` is ``snapshot_times`` bit for bit.
 
 A run reads its boundary data from a table keyed by step end time, filled by
 one ``BoundarySpec.values`` call for the next ``_REPLAY`` steps as replayed
@@ -93,8 +99,8 @@ class AnnulusGrid:
 
 
 def build_grid(R: float, N: int) -> AnnulusGrid:
-    if not R > 1.0:
-        raise EvolutionError(f"need R > 1, got {R!r}")
+    if not 1.0 < R < math.inf:
+        raise EvolutionError(f"need finite R > 1, got R={R!r}")
     if N < 16:
         raise EvolutionError(f"need N >= 16, got {N!r}")
     L = math.log(R)
@@ -221,11 +227,10 @@ def barenblatt_oracle(r, t: float, k: float, T: float, params: ModelParams):
     r = np.asarray(r, dtype=float)
     if t >= T:
         return np.zeros_like(r)
-    n, m = params.n, params.m
-    q = n - 2 - n * m
-    cstar = 2.0 * (n - 1) * q / (1.0 - m)
+    c = derive_constants(params)
     tau = T - t
-    return tau ** (n / q) * (cstar / (k + tau ** (2.0 / q) * r * r)) ** (1.0 / (1.0 - m))
+    return (tau ** (params.n / c.q)
+            * (c.cstar / (k + tau ** (2.0 / c.q) * r * r)) ** (1.0 / (1.0 - params.m)))
 
 
 def rescale_transform(field: RadialField, grid: AnnulusGrid,
@@ -304,22 +309,22 @@ class EvolutionConfig:
     initial: InitialSpec
     boundary: BoundarySpec
     dt: float
-    horizon: float
-    snapshot_times: np.ndarray
+    snapshot_times: np.ndarray   # the run's clock: from 0 to its end
     profile: Optional[Profile] = None
     newton_tol: float = 1e-11
-    monitors: bool = False
+    monitors: bool = False         # log the ordering and AB monitors per step
     lam1: Optional[float] = None   # ordering band: f_{lam1} <= u <= f_{lam2}
     lam2: Optional[float] = None
 
     def __post_init__(self):
         if self.form not in ("physical", "rescaled"):
             raise EvolutionError(f"form must be physical|rescaled, got {self.form!r}")
-        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
-            raise EvolutionError("dt and horizon must be positive and finite")
+        if not 0.0 < self.dt < math.inf:
+            raise EvolutionError(f"dt must be positive and finite, got {self.dt!r}")
         st = np.asarray(self.snapshot_times, dtype=float)
-        if st[0] != 0.0 or np.any(np.diff(st) <= 0.0) or st[-1] > self.horizon + 1e-12:
-            raise EvolutionError("snapshot times must start at 0, increase, and stay <= horizon")
+        if (st.ndim != 1 or st.size < 2 or not np.all(np.isfinite(st)) or st[0] != 0.0
+                or np.any(np.diff(st) <= 0.0)):
+            raise EvolutionError("need >= 2 finite snapshot times that start at 0 and increase")
         self.snapshot_times = st
 
 
@@ -348,33 +353,29 @@ def _ordering_bounds(cfg: EvolutionConfig, t: float):
 
 
 _REPLAY = 1024  # most step end times in one boundary table; bounds its memory
+_LAND = 1e-9    # a step ending within _LAND * dt of a snapshot ends on it
 
 
-def _step_size(cfg: EvolutionConfig, t: float, sub: float, next_snap: int):
-    """dt of the next step from state (t, sub, next_snap): the sub-step, capped
-    at dt and clipped to the next snapshot or the horizon; None at the horizon."""
-    if t >= cfg.horizon - 1e-14 * cfg.horizon:
+def _next_step(cfg: EvolutionConfig, t: float, sub: float, next_snap: int):
+    """The next step from state (t, sub, next_snap) as (dt, state after it),
+    or None after the last snapshot.  The step is the sub-step capped at dt;
+    one that ends within _LAND * dt of the next snapshot ends on it, and one
+    that overshoots it by more is clipped to it.  Once accepted, the
+    sub-step doubles back towards dt."""
+    if next_snap == len(cfg.snapshot_times):
         return None
-    target = (cfg.snapshot_times[next_snap]
-              if next_snap < len(cfg.snapshot_times) else cfg.horizon)
-    return min(sub, cfg.dt, target - t)
+    dt, target, sub = min(sub, cfg.dt), cfg.snapshot_times[next_snap], min(sub * 2.0, cfg.dt)
+    if t + dt < target - _LAND * cfg.dt:
+        return dt, t + dt, sub, next_snap
+    return (dt if t + dt <= target + _LAND * cfg.dt else target - t), target, sub, next_snap + 1
 
 
-def _accept(cfg: EvolutionConfig, t: float, dt_try: float, sub: float, next_snap: int):
-    """State (t, sub, next_snap) after an accepted step of dt_try: the sub-step
-    doubles back towards dt, and a snapshot time reached is passed."""
-    t += dt_try
-    if next_snap < len(cfg.snapshot_times) and t >= cfg.snapshot_times[next_snap] - 1e-14:
-        next_snap += 1
-    return t, min(sub * 2.0, cfg.dt), next_snap
-
-
-def _step_ends(cfg: EvolutionConfig, t: float, sub: float, next_snap: int) -> list:
+def _step_ends(cfg: EvolutionConfig, *state) -> list:
     """End times of the next _REPLAY steps from state (t, sub, next_snap) if none is rejected."""
     ends = []
-    while len(ends) < _REPLAY and (dt_try := _step_size(cfg, t, sub, next_snap)) is not None:
-        t, sub, next_snap = _accept(cfg, t, dt_try, sub, next_snap)
-        ends.append(t)
+    while len(ends) < _REPLAY and (step := _next_step(cfg, *state)) is not None:
+        state = step[1:]
+        ends.append(step[1])
     return ends
 
 
@@ -385,9 +386,10 @@ def run(cfg: EvolutionConfig) -> Trajectory:
     u = cfg.initial.values(cfg.grid, cfg.profile, cfg.params)
     if np.any(u <= 0.0):
         raise EvolutionError("initial data must be positive")
-    if cfg.monitors:
-        if cfg.lam1 is None or cfg.lam2 is None:
-            raise EvolutionError("ordering monitors need lam1 and lam2")
+    band = cfg.lam1 is not None and cfg.lam2 is not None
+    if cfg.monitors and not band:
+        raise EvolutionError("ordering monitors need lam1 and lam2")
+    if band:
         lo, hi = _ordering_bounds(cfg, 0.0)
         slack0 = 1e-9 * float(np.max(hi))
         if np.any(u < lo - slack0) or np.any(u > hi + slack0):
@@ -404,26 +406,19 @@ def run(cfg: EvolutionConfig) -> Trajectory:
     u = u.copy()
     u[0], u[-1] = cfg.boundary.values([0.0], r_ends, cfg.profile, cfg.params)[0]
 
-    fields = np.empty((len(cfg.snapshot_times) + 1, cfg.grid.N))  # + one at the horizon
+    fields = np.empty((len(cfg.snapshot_times), cfg.grid.N))
     fields[0] = u
-    snap_times = [0.0]
-    next_snap = 1
 
-    step_times = []
-    ab_log = []
-    lo_log = []
-    hi_log = []
-    iters_total = 0
-    rejections = 0
+    step_times, ab_log, lo_log, hi_log = [], [], [], []
+    iters_total = rejections = 0
     trunc_time = 0.0
     u_prev = u_prev2 = None
     dt_prev = dt_prev2 = None
 
-    t = 0.0
-    sub = cfg.dt
+    t, sub, next_snap = 0.0, cfg.dt, 1
     table = {}  # step end time -> boundary values
-    while (dt_try := _step_size(cfg, t, sub, next_snap)) is not None:
-        t_new = t + dt_try
+    while (step := _next_step(cfg, t, sub, next_snap)) is not None:
+        dt_try, t_new, sub_next, snap_next = step
         if t_new not in table:
             ends = _step_ends(cfg, t, sub, next_snap)
             table = dict(zip(ends, cfg.boundary.values(ends, r_ends, cfg.profile, cfg.params)))
@@ -442,11 +437,11 @@ def run(cfg: EvolutionConfig) -> Trajectory:
             if sub < 1e-12 * cfg.dt:
                 raise EvolutionError(
                     f"time step underflow at t={t!r}; last good snapshot at "
-                    f"t={snap_times[-1]!r}"
+                    f"t={cfg.snapshot_times[next_snap - 1]!r}"
                 )
             continue
         if cfg.monitors:
-            # snapshot-clipped mini steps amplify Newton-tolerance noise in
+            # short snapshot-clipped steps amplify Newton-tolerance noise in
             # the difference quotient by 1/dt; skip the AB log there
             if dt_try >= 0.1 * cfg.dt:
                 excess = (U[1:-1] - u[1:-1]) / dt_try - U[1:-1] / ((1.0 - m) * t_new)
@@ -460,21 +455,15 @@ def run(cfg: EvolutionConfig) -> Trajectory:
             trunc_time = max(trunc_time, float(np.max(np.abs(U - lin))) / dt_try)
         u_prev2, dt_prev2 = u_prev, dt_prev
         u_prev, dt_prev, u = u, dt_try, U
-        t, sub, next_snap = _accept(cfg, t, dt_try, sub, next_snap)
-        if next_snap > len(snap_times):  # a snapshot time was reached
-            fields[len(snap_times)] = u
-            snap_times.append(t)
+        if snap_next > next_snap:  # the step ended on a snapshot time
+            fields[next_snap] = u
+        t, sub, next_snap = t_new, sub_next, snap_next
 
-    if abs(snap_times[-1] - cfg.horizon) > 1e-12 * max(1.0, cfg.horizon):
-        fields[len(snap_times)] = u
-        snap_times.append(t)
-
-    fields = fields[:len(snap_times)]
     d2 = np.abs(fields[:, 2:] - 2.0 * fields[:, 1:-1] + fields[:, :-2])
     trunc_space = float(np.max(d2)) if fields.shape[1] > 2 else 0.0
 
     return Trajectory(
-        times=np.asarray(snap_times),
+        times=cfg.snapshot_times,
         fields=fields,
         form=cfg.form,
         step_times=np.asarray(step_times),

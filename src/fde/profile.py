@@ -74,6 +74,9 @@ class ProfileRequest:
     tol: float = 1e-10
 
     def __post_init__(self):
+        for key in ("eta", "r0", "r_switch", "s_max", "tol"):
+            if not math.isfinite(getattr(self, key)):
+                raise ProfileError(f"{key} must be finite, got {getattr(self, key)!r}")
         if not self.eta > 0.0:
             raise ProfileError(f"eta must be positive, got {self.eta!r}")
         if not (0.0 < self.r0 < self.r_switch):
@@ -242,16 +245,15 @@ def integrate_inner(req: ProfileRequest, c: Optional[DerivedConstants] = None,
     return InnerProfile(r=r, g=g, g_r=g_r, residual_max=_flux_residual_inner(req, c, r, g, g_r))
 
 
-def _rhs_far(n: float, m: float, bt: float):
+def _rhs_far(n: int, m: float, c: DerivedConstants):
     """w~_ss as a function of (w~, w~_s); autonomous in s."""
     c_sq = (1.0 - 2.0 * m) / (1.0 - m)
-    c_lin = ((n + 2.0) * m - (n - 2.0)) / (1.0 - m)
-    c_w = 2.0 * (n - 2.0 - n * m) / (1.0 - m)
-    c_adv = bt / (n - 1.0)
+    b0, b1 = c.b0, c.b1
+    c_adv = c.beta_tilde / (n - 1.0)
 
     def rhs(s, y):
         w, ws = y
-        return (ws, c_sq * ws * ws / w - c_lin * ws + c_w * w - c_adv * w * ws)
+        return (ws, c_sq * ws * ws / w - b0 * ws + b1 * w - c_adv * w * ws)
 
     return rhs
 
@@ -274,7 +276,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
         raise ProfileError(f"w_s(r_switch) = {ws0!r} <= 0; inner profile invalid at handoff")
 
     sol = solve_ivp(
-        _rhs_far(float(n), m, bt), (s0, req.s_max), (w0, ws0),
+        _rhs_far(n, m, c), (s0, req.s_max), (w0, ws0),
         method="LSODA", rtol=req.tol, atol=req.tol, dense_output=True,
     )
     if not sol.success:
@@ -293,7 +295,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
 
     # flux-style residual for the second-order system: w_s and its Simpson-integrated slope
-    wss = _rhs_far(float(n), m, bt)(s, (w, w_s))[1]
+    wss = _rhs_far(n, m, c)(s, (w, w_s))[1]
     return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1,
                          residual_max=_simpson_residual(s, w_s, wss))
 

@@ -57,7 +57,7 @@ def contraction_bundle(profile_cache):
             grid = evolution.build_grid(math.e ** 5, N)
             cfg = evolution.EvolutionConfig(
                 grid=grid, params=p, form="physical", initial=init, boundary=bc,
-                dt=2e-3, horizon=1.0, snapshot_times=np.linspace(0.0, 1.0, 21),
+                dt=2e-3, snapshot_times=np.linspace(0.0, 1.0, 21),
                 profile=prof, monitors=True, lam1=lam1, lam2=lam2)
             return grid, evolution.run(cfg)
 
@@ -184,7 +184,7 @@ def test_criterion_8_solver_orders(profile_cache):
         grid = evolution.build_grid(math.e, N)
         cfg = evolution.EvolutionConfig(
             grid=grid, params=p, form="physical", initial=init, boundary=bc,
-            dt=dt, horizon=horizon, snapshot_times=np.array([0.0, horizon]))
+            dt=dt, snapshot_times=np.array([0.0, horizon]))
         traj = evolution.run(cfg)
         exact = evolution.barenblatt_oracle(grid.r, traj.times[-1], k, T, p)
         errs.append(float(np.max(np.abs(traj.fields[-1] - exact))))
@@ -195,7 +195,7 @@ def test_criterion_8_solver_orders(profile_cache):
     for dt in (0.01, 0.005, 0.0025):
         cfg = evolution.EvolutionConfig(
             grid=gridT, params=p, form="physical", initial=init, boundary=bc,
-            dt=dt, horizon=horizon, snapshot_times=np.array([0.0, horizon]))
+            dt=dt, snapshot_times=np.array([0.0, horizon]))
         fields.append(evolution.run(cfg).fields[-1])
     d1 = float(np.max(np.abs(fields[0] - fields[1])))
     d2 = float(np.max(np.abs(fields[1] - fields[2])))
@@ -209,7 +209,7 @@ def test_criterion_8_solver_orders(profile_cache):
         grid=gridU, params=p, form="physical",
         initial=evolution.InitialSpec(kind="f_lambda", lam=lam),
         boundary=evolution.BoundarySpec(kind="U_lambda", lam=lam),
-        dt=1e-4, horizon=0.05, snapshot_times=np.array([0.0, 0.05]),
+        dt=1e-4, snapshot_times=np.array([0.0, 0.05]),
         profile=prof)
     traj = evolution.run(cfg)
     exact = prof.eval_U_lambda(lam, gridU.r, traj.times[-1])
@@ -280,8 +280,7 @@ def test_criterion_11_convergence(profile_cache):
             initial=evolution.InitialSpec(kind="bump", lam0=1.0, amplitude=0.10,
                                           r_lo=0.2, r_hi=2.0),
             boundary=evolution.BoundarySpec(kind="f_lambda", lam=1.0),
-            dt=5e-3, horizon=5.0 / abs(p.beta),
-            snapshot_times=np.linspace(0.0, 5.0, 11),
+            dt=5e-3, snapshot_times=np.linspace(0.0, 5.0, 11),
             profile=prof, monitors=True, lam1=1.0, lam2=0.4)
         traj = evolution.run(cfg)
         w = measures.WeightSpec(kind=wkind, params=p, constants=c, lam3=1.0,

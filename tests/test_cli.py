@@ -80,6 +80,20 @@ def test_evolve_determinism(tmp_path):
     assert _read(out1 / "evolve_report.json") == _read(out2 / "evolve_report.json")
 
 
+def test_one_snapshot_writes_both_ends(tmp_path):
+    # snapshots: 1 gives the rows at t = 0 and at the horizon, as 2 does
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "initial": {"kind": "constant", "value": 2.0},
+        "boundary": {"kind": "constant", "value": 2.0},
+        "grid": {"N": 51}, "dt": 1e-2, "horizon": 0.03, "snapshots": 1,
+    }))
+    assert run_command(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = _read(tmp_path / "snapshots.csv").splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0] * 51 + [0.03] * 51
+    assert json.loads(_read(tmp_path / "evolve_report.json"))["times"] == [0.0, 0.03]
+
+
 def test_contract_small_pass(tmp_path):
     cfg = {
         "n": 3, "m": 0.2, "beta": -1.0,
@@ -134,6 +148,49 @@ def test_converge_fail_exit_code(tmp_path):
     assert run_command(["converge", "--config", str(path), "--out", str(tmp_path)]) == 2
     rep = json.loads(_read(tmp_path / "converge_report.json"))
     assert rep["verdict"] == "FAIL"
+
+
+_SMALL_CONVERGE = {"grid": {"N": 101}, "dt": 1e-2, "horizon": 0.05, "snapshots": 3}
+
+
+def test_converge_initial_data_outside_band(tmp_path, capsys, monkeypatch):
+    # a bump below f_lam1 fails the band check at t = 0, before any step
+    def solver(*args, **kwargs):
+        pytest.fail("a step was solved")
+    monkeypatch.setattr(evolution, "newton_step", solver)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(_SMALL_CONVERGE, bump={"amplitude": -0.5})))
+    assert run_command(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "ordering band" in err
+
+
+def test_converge_logs_no_monitors(tmp_path, monkeypatch):
+    # the report reads only the band's lambdas, so the run logs nothing per
+    # step and looks the band up once, for its check of the initial data
+    runs = []
+    bands = []
+    run, bounds = evolution.run, evolution._ordering_bounds
+
+    def recorded_run(cfg):
+        runs.append(run(cfg))
+        return runs[-1]
+
+    def recorded_bounds(cfg, t):
+        bands.append(t)
+        return bounds(cfg, t)
+
+    monkeypatch.setattr(evolution, "run", recorded_run)
+    monkeypatch.setattr(evolution, "_ordering_bounds", recorded_bounds)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_SMALL_CONVERGE))
+    assert run_command(["converge", "--config", str(cfg), "--out", str(tmp_path)]) in (0, 2)
+    (traj,) = runs
+    assert (traj.config.lam1, traj.config.lam2) == (1.0, 0.4)
+    assert not traj.config.monitors
+    assert traj.step_times.size == traj.ab_excess.size == traj.ord_gap_lo.size == 0
+    assert bands == [0.0]
 
 
 def test_validate_barenblatt_small(tmp_path):
@@ -208,6 +265,43 @@ def test_non_finite_step_flags_rejected(tmp_path, capsys, flag, value):
     assert len(err.splitlines()) == 1
     assert flag[2:] in err
     assert not os.path.exists(tmp_path / "snapshots.csv")
+
+
+@pytest.mark.parametrize("argv,config,key", [
+    (["profile", "--smax", "inf"], {}, "s_max"),
+    (["profile"], {"r0": math.inf}, "r0"),
+    (["profile"], {"r_switch": math.inf}, "r_switch"),
+    (["profile"], {"tol": math.inf}, "tol"),
+    (["expansion", "--smax", "inf"], {}, "s_max"),
+])
+def test_non_finite_profile_request_rejected(tmp_path, capsys, argv, config, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert not caught
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {key} must be finite, got inf"
+
+
+@pytest.mark.parametrize("command", ["evolve", "contract"])
+def test_infinite_R_rejected(tmp_path, capsys, command):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command([command, "--R", "inf", "--out", str(tmp_path)])
+    assert code == 1
+    assert not caught
+    err = capsys.readouterr().err.strip()
+    assert err == "error: need finite R > 1, got R=inf"
+
+
+def test_contract_half_grid_too_small(tmp_path, capsys, no_solver):
+    # the half-resolution rerun has N // 2 + 1 nodes; the error names grid.N
+    assert run_command(["contract", "--N", "17", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "config error: grid.N must be >= 30 with half_resolution, got 17"
 
 
 @pytest.mark.parametrize("argv", [

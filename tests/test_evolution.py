@@ -249,8 +249,10 @@ def test_predictor_start_only_after_a_repeated_step(monkeypatch):
     # a step starts from 3u - 3u_prev + u_prev2 when it repeats the dt of
     # the last two accepted steps, from 2u - u_prev when it repeats only the
     # last, and from u otherwise: after a rejection, a snapshot-clipped step
-    # or the first step
+    # or the first step.  A snapshot one ulp short of a step's end does not
+    # clip it: the step lands on it with dt and keeps the quadratic start.
     dt = 2.0 ** -8  # exact in binary, so the step sequence is exact
+    snaps = [0.0, 5.25 * dt, np.nextafter(9.25 * dt, 0.0), 16 * dt]
     kernel = evolution.newton_step
     log = []
     states = []  # the accepted states, in order
@@ -278,13 +280,18 @@ def test_predictor_start_only_after_a_repeated_step(monkeypatch):
         grid=build_grid(math.e, 51), params=P32, form="physical",
         initial=InitialSpec(kind="barenblatt", k=1.0, T=1.0),
         boundary=BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
-        dt=dt, horizon=16 * dt, snapshot_times=[0.0, 5.25 * dt, 16 * dt]))
+        dt=dt, snapshot_times=snaps))
     assert traj.rejections == 1
+    assert np.array_equal(traj.times, snaps)
     # t/dt: 0, 1, 2 (rejected), 2 at dt/2, 2.5, 3.5, 4.5 clipped to the
-    # snapshot at 5.25, 5.25, 6.25, 7.25
-    assert log[:10] == [(dt, "none"), (dt, "linear"), (dt, "quadratic"), (dt / 2, "none"),
+    # snapshot at 5.25, 5.25, 6.25, 7.25, 8.25 landing on the snapshot
+    # just short of 9.25, then 9.25 on to 15.25 and a clip to 16
+    assert log[:12] == [(dt, "none"), (dt, "linear"), (dt, "quadratic"), (dt / 2, "none"),
                         (dt, "none"), (dt, "linear"), (0.75 * dt, "none"), (dt, "none"),
-                        (dt, "linear"), (dt, "quadratic")]
+                        (dt, "linear"), (dt, "quadratic"), (dt, "quadratic"),
+                        (dt, "quadratic")]
+    assert log[12:17] == [(dt, "quadratic")] * 5
+    assert log[17:] == [(16 * dt - (snaps[2] + 6 * dt), "none")]
 
 
 def test_trunc_time_is_the_linear_extrapolation_error(monkeypatch):
@@ -309,7 +316,7 @@ def test_trunc_time_is_the_linear_extrapolation_error(monkeypatch):
         grid=build_grid(math.e, 51), params=P32, form="physical",
         initial=InitialSpec(kind="barenblatt", k=1.0, T=1.0),
         boundary=BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
-        dt=dt, horizon=16 * dt, snapshot_times=[0.0, 5.25 * dt, 16 * dt]))
+        dt=dt, snapshot_times=[0.0, 5.25 * dt, 16 * dt]))
     assert traj.rejections == 0
     errors = {}  # accepted step -> its linear-extrapolation error / dt
     for k in range(1, len(accepted)):
@@ -331,7 +338,7 @@ def test_constant_steady_state():
         grid=g, params=P32, form="physical",
         initial=InitialSpec(kind="constant", value=3.7),
         boundary=BoundarySpec(kind="constant", value=3.7),
-        dt=0.01, horizon=0.01, snapshot_times=[0.0, 0.01]))
+        dt=0.01, snapshot_times=[0.0, 0.01]))
     np.testing.assert_allclose(traj.fields[-1], 3.7, rtol=1e-12)
     assert traj.times[-1] == pytest.approx(0.01)
 
@@ -347,7 +354,7 @@ def test_stationary_U_lambda_one_step(profile_cache):
             grid=g, params=P32, form="physical",
             initial=InitialSpec(kind="f_lambda", lam=5.0),
             boundary=BoundarySpec(kind="U_lambda", lam=5.0),
-            dt=dt, horizon=dt, snapshot_times=[0.0, dt], profile=prof))
+            dt=dt, snapshot_times=[0.0, dt], profile=prof))
         exact = prof.eval_U_lambda(5.0, g.r, dt)
         errs.append(np.max(np.abs(traj.fields[-1] - exact)))
     assert errs[0] < 1e-6
@@ -363,7 +370,7 @@ def test_barenblatt_tracking_refinement():
             grid=g, params=P32, form="physical",
             initial=InitialSpec(kind="barenblatt", k=1.0, T=1.0),
             boundary=BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
-            dt=dt, horizon=0.25, snapshot_times=np.array([0.0, 0.25]))
+            dt=dt, snapshot_times=np.array([0.0, 0.25]))
         traj = run(cfg)
         exact = barenblatt_oracle(g.r, traj.times[-1], 1.0, 1.0, P32)
         errs.append(np.max(np.abs(traj.fields[-1] - exact)))
@@ -382,7 +389,7 @@ def test_rescaled_steady_profile_drift(profile_cache):
         grid=g, params=P32, form="rescaled",
         initial=InitialSpec(kind="f_lambda", lam=1.0),
         boundary=BoundarySpec(kind="f_lambda", lam=1.0),
-        dt=2e-3, horizon=1.0, snapshot_times=np.array([0.0, 1.0]), profile=prof)
+        dt=2e-3, snapshot_times=np.array([0.0, 1.0]), profile=prof)
     traj = run(cfg)
     drift = np.max(np.abs(traj.fields[-1] - f) / f)
     assert drift <= g.ds  # second-order advection leaves ample margin
@@ -403,14 +410,14 @@ def test_physical_vs_rescaled_consistency(profile_cache):
         grid=g, params=P32, form="physical",
         initial=InitialSpec(kind="f_lambda", lam=1.0),
         boundary=BoundarySpec(kind="U_lambda", lam=1.0),
-        dt=5e-4, horizon=horizon, snapshot_times=np.array([0.0, horizon]),
+        dt=5e-4, snapshot_times=np.array([0.0, horizon]),
         profile=prof)
     traj_p = run(cfg_p)
     cfg_r = EvolutionConfig(
         grid=g, params=P32, form="rescaled",
         initial=InitialSpec(kind="f_lambda", lam=1.0),
         boundary=BoundarySpec(kind="f_lambda", lam=1.0),
-        dt=5e-4, horizon=horizon, snapshot_times=np.array([0.0, horizon]),
+        dt=5e-4, snapshot_times=np.array([0.0, horizon]),
         profile=prof)
     traj_r = run(cfg_r)
     phys = RadialField(u=traj_p.fields[-1], t=horizon, form="physical")
@@ -496,13 +503,38 @@ def test_inversion_residual_refines():
             grid=g, params=P32, form="physical",
             initial=InitialSpec(kind="barenblatt", k=1.0, T=1.0),
             boundary=BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
-            dt=dt, horizon=0.1, snapshot_times=np.linspace(0.0, 0.1, 6))
+            dt=dt, snapshot_times=np.linspace(0.0, 0.1, 6))
         traj = run(cfg)
         res.append(inversion_residual_check(traj, g, P32)["max_scaled_residual"])
     assert res[1] < res[0]
 
 
 # -- run loop and monitors --------------------------------------------------
+
+def test_run_steps_on_its_snapshot_grid(profile_cache, monkeypatch):
+    # dt = 5e-3 is not exact in binary, so the summed step lengths miss the
+    # snapshot times by rounding; each step still solves with dt, and the
+    # steps that end near a snapshot end on it
+    prof = profile_cache(3, 0.2)
+    kernel = evolution.newton_step
+    dts = []
+
+    def recorded(u, dt_try, *args):
+        dts.append(dt_try)
+        return kernel(u, dt_try, *args)
+
+    monkeypatch.setattr(evolution, "newton_step", recorded)
+    snaps = np.linspace(0.0, 5.0, 11)
+    traj = run(EvolutionConfig(
+        grid=build_grid(math.e, 33), params=P32, form="rescaled",
+        initial=InitialSpec(kind="f_lambda", lam=1.0),
+        boundary=BoundarySpec(kind="f_lambda", lam=1.0),
+        dt=5e-3, snapshot_times=snaps, profile=prof))
+    assert traj.rejections == 0
+    assert dts == [5e-3] * 1000
+    assert traj.times.tobytes() == snaps.tobytes()
+    assert traj.fields.shape == (11, 33)
+
 
 def test_run_snapshots_and_monitors_exact_solution(profile_cache):
     # u0 = f_lambda, boundary U_lambda: exact solution; both monitors pass
@@ -513,7 +545,7 @@ def test_run_snapshots_and_monitors_exact_solution(profile_cache):
         grid=g, params=P32, form="physical",
         initial=InitialSpec(kind="f_lambda", lam=5.0),
         boundary=BoundarySpec(kind="U_lambda", lam=5.0),
-        dt=1e-4, horizon=0.02, snapshot_times=np.linspace(0.0, 0.02, 5),
+        dt=1e-4, snapshot_times=np.linspace(0.0, 0.02, 5),
         profile=prof, monitors=True, lam1=5.0, lam2=5.0)
     traj = run(cfg)
     assert np.all(np.diff(traj.times) > 0)
@@ -546,7 +578,7 @@ def test_static_band_and_boundary_evaluated_once(profile_cache, monkeypatch):
             grid=build_grid(math.e, 101), params=P32, form="rescaled",
             initial=InitialSpec(kind="f_lambda", lam=1.0),
             boundary=BoundarySpec(kind="f_lambda", lam=1.0),
-            dt=dt, horizon=steps * dt, snapshot_times=[0.0, steps * dt],
+            dt=dt, snapshot_times=[0.0, steps * dt],
             profile=prof, monitors=True, lam1=2.0, lam2=0.5))
         assert traj.rejections == 0
         assert len(traj.step_times) == steps
@@ -578,7 +610,7 @@ def test_boundary_table_equals_per_step_lookup(profile_cache, monkeypatch, kind,
                else InitialSpec(kind="f_lambda", lam=2.0))
     cfg = EvolutionConfig(
         grid=build_grid(math.e, 51), params=P32, form="physical",
-        initial=initial, boundary=_BOUNDARIES[kind], dt=dt, horizon=steps * dt,
+        initial=initial, boundary=_BOUNDARIES[kind], dt=dt,
         snapshot_times=np.linspace(0.0, steps * dt, 4), profile=prof)
     kernel = evolution.newton_step
     solves = []
@@ -623,7 +655,7 @@ def test_blend_run_ordering(profile_cache):
         grid=g, params=P32, form="physical",
         initial=InitialSpec(kind="blend", lam1=2.0, lam2=1.0, theta=0.5),
         boundary=BoundarySpec(kind="U_lambda", lam=2.0),
-        dt=1e-3, horizon=0.3, snapshot_times=np.array([0.0, 0.3]),
+        dt=1e-3, snapshot_times=np.array([0.0, 0.3]),
         profile=prof, monitors=True, lam1=2.0, lam2=1.0)
     traj = run(cfg)
     om = ordering_monitor(traj)
@@ -642,7 +674,7 @@ def test_discrete_comparison_principle(profile_cache):
                  InitialSpec(kind="blend", lam1=2.0, lam2=1.0, theta=0.5),
                  InitialSpec(kind="f_lambda", lam=1.0)):
         cfg = EvolutionConfig(grid=g, params=P32, form="physical", initial=init,
-                              boundary=bc, dt=1e-3, horizon=0.2,
+                              boundary=bc, dt=1e-3,
                               snapshot_times=np.linspace(0.0, 0.2, 5), profile=prof)
         runs.append(run(cfg))
     for k in range(5):
@@ -658,7 +690,7 @@ def test_positivity_preserved():
         grid=g, params=P32, form="physical",
         initial=InitialSpec(kind="barenblatt", k=1.0, T=0.3),
         boundary=BoundarySpec(kind="barenblatt", k=1.0, T=0.3),
-        dt=5e-3, horizon=0.28, snapshot_times=np.array([0.0, 0.28]))
+        dt=5e-3, snapshot_times=np.array([0.0, 0.28]))
     traj = run(cfg)
     assert np.all(traj.fields[-1] > 0.0)
 
@@ -670,16 +702,17 @@ def test_config_validation(profile_cache):
         EvolutionConfig(grid=g, params=P32, form="both",
                         initial=InitialSpec(kind="constant", value=1.0),
                         boundary=BoundarySpec(kind="constant", value=1.0),
-                        dt=0.1, horizon=1.0, snapshot_times=np.array([0.0, 1.0]))
-    with pytest.raises(EvolutionError, match="snapshot"):
-        EvolutionConfig(grid=g, params=P32, form="physical",
-                        initial=InitialSpec(kind="constant", value=1.0),
-                        boundary=BoundarySpec(kind="constant", value=1.0),
-                        dt=0.1, horizon=1.0, snapshot_times=np.array([0.5, 1.0]))
+                        dt=0.1, snapshot_times=np.array([0.0, 1.0]))
+    for snaps in ([0.5, 1.0], [0.0], [0.0, 1.0, 1.0], [0.0, math.inf], [0.0, math.nan]):
+        with pytest.raises(EvolutionError, match="snapshot"):
+            EvolutionConfig(grid=g, params=P32, form="physical",
+                            initial=InitialSpec(kind="constant", value=1.0),
+                            boundary=BoundarySpec(kind="constant", value=1.0),
+                            dt=0.1, snapshot_times=np.array(snaps))
     cfg = EvolutionConfig(grid=g, params=P32, form="physical",
                           initial=InitialSpec(kind="f_lambda", lam=5.0),
                           boundary=BoundarySpec(kind="U_lambda", lam=5.0),
-                          dt=0.1, horizon=1.0, snapshot_times=np.array([0.0, 1.0]),
+                          dt=0.1, snapshot_times=np.array([0.0, 1.0]),
                           profile=prof, monitors=True)
     with pytest.raises(EvolutionError, match="lam1"):
         run(cfg)
@@ -687,7 +720,7 @@ def test_config_validation(profile_cache):
     cfg2 = EvolutionConfig(grid=g, params=P32, form="physical",
                            initial=InitialSpec(kind="f_lambda", lam=0.5),
                            boundary=BoundarySpec(kind="U_lambda", lam=2.0),
-                           dt=0.1, horizon=1.0, snapshot_times=np.array([0.0, 1.0]),
+                           dt=0.1, snapshot_times=np.array([0.0, 1.0]),
                            profile=prof, monitors=True, lam1=2.0, lam2=1.0)
     with pytest.raises(EvolutionError, match="ordering band"):
         run(cfg2)

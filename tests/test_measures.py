@@ -183,7 +183,7 @@ def _small_pair(profile_cache, init2_kind="f_lambda", lam_b=1.0):
 
     def one(init):
         cfg = EvolutionConfig(grid=g, params=P32, form="physical", initial=init,
-                              boundary=bc, dt=2e-3, horizon=0.3,
+                              boundary=bc, dt=2e-3,
                               snapshot_times=np.linspace(0.0, 0.3, 7), profile=prof)
         return run(cfg)
 
@@ -231,7 +231,7 @@ def test_contraction_refuses_different_boundaries(profile_cache):
             grid=g, params=P32, form="physical",
             initial=InitialSpec(kind="f_lambda", lam=2.0),
             boundary=BoundarySpec(kind="U_lambda", lam=lam_bc),
-            dt=2e-3, horizon=0.1, snapshot_times=np.linspace(0.0, 0.1, 3),
+            dt=2e-3, snapshot_times=np.linspace(0.0, 0.1, 3),
             profile=prof)
         return run(cfg)
 
@@ -248,7 +248,7 @@ def test_convergence_steady_start_stays_at_noise(profile_cache):
         grid=g, params=P32, form="rescaled",
         initial=InitialSpec(kind="f_lambda", lam=1.0),
         boundary=BoundarySpec(kind="f_lambda", lam=1.0),
-        dt=5e-3, horizon=1.0, snapshot_times=np.linspace(0.0, 1.0, 5),
+        dt=5e-3, snapshot_times=np.linspace(0.0, 1.0, 5),
         profile=prof, monitors=True, lam1=1.0, lam2=1.0)
     traj = run(cfg)
     w = WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0,
@@ -269,7 +269,7 @@ def test_convergence_band_validation(profile_cache):
         grid=g, params=P32, form="rescaled",
         initial=InitialSpec(kind="f_lambda", lam=1.0),
         boundary=BoundarySpec(kind="f_lambda", lam=1.0),
-        dt=5e-2, horizon=0.1, snapshot_times=np.array([0.0, 0.1]),
+        dt=5e-2, snapshot_times=np.array([0.0, 0.1]),
         profile=prof, monitors=True, lam1=1.0, lam2=0.5)
     traj = run(cfg)
     w = WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0,

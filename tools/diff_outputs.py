@@ -61,6 +61,8 @@ MATRIX = {
     "evolve_long": (["evolve"], dict(_EVOLVE, form="physical", dt=1e-4, horizon=0.15,
                                      grid={"R": 7.38905609893065, "N": 101},
                                      boundary={"kind": "U_lambda", "lam": 1.5})),
+    # one snapshot: the rows at t = 0 and at the horizon
+    "evolve_one_snapshot": (["evolve"], dict(_EVOLVE, snapshots=1)),
     "contract_custom": (["contract"], dict(_CONTRACT, weight={
         "kind": "custom_power_times_profile", "lam3": 1.3, "power": -0.5, "exponent": 0.4})),
     "contract_gamma2": (["contract"], dict(_CONTRACT, weight={
