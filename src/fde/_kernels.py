@@ -9,14 +9,20 @@ The interior residual for the step from u to U over dt is
 with c0 = (n-1)/m, einv_i = e^{-n s_i}/ds^2 and ap/am the half-node flux
 weights e^{(n-2) s_{i +- 1/2}} of the log-radial transform; alpha and the
 advection (beta * u_s, b_ds = beta/ds) are zero for the physical form.
-Endpoint rows clamp the Dirichlet values.
+The end nodes hold the Dirichlet values, so Newton solves only the N-2
+interior rows.  dt and c0 are folded into the face weights once per step,
+wp = dt c0 einv ap and wm = dt c0 einv am: with h = diff(U^m) the diffusion
+part of -F is wp h_{i} - wm h_{i-1} (h_i = U^m_{i+1} - U^m_i), and the
+tridiagonal Jacobian is three products of d(U^m)/dU with wm, wp + wm and wp.
 
 Advection is hybrid central/upwind: central differencing (second order)
 wherever the diffusion face weight dominates the central advection half
 (cell Peclet < 2, so the tridiagonal Jacobian stays an M-matrix), falling
 back to the backward upwind difference elsewhere.  beta < 0 drives the
 rescaled characteristics toward larger s, so upwind leans on the smaller-s
-neighbor.  The blend weights are frozen at the start-of-step state.
+neighbor.  The blend weights are frozen at the start-of-step state, so
+dt * (alpha U_i + adv_i) = dt alpha U_i + ku g_i + kl g_{i-1} with
+g = diff(U) and per-step weights ku, kl.
 
 Newton's error after an update d is about kappa * d**2, with kappa the
 affine-covariant contraction rate (Deuflhard, Newton Methods for Nonlinear
@@ -41,67 +47,73 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
     """Solve one step from u over dt; returns (U, iterations, converged).
 
     The first iterate is U0 (u when None) with its ends set to the boundary
-    values; U0 must be positive.  Each iteration solves the tridiagonal
-    Jacobian system with LAPACK gtsv, then halves the update until U stays
-    positive.  Converged means a full (undamped) update whose size
-    d = max |delta| / (1 + U) has d <= tol, or, at the first iteration from
-    a given U0, d**2 <= 1e-3 * tol.  A singular Jacobian raises
-    numpy.linalg.LinAlgError.
+    values; U0 must be positive.  Each iteration solves the interior
+    tridiagonal Jacobian system with LAPACK gtsv, on fresh arrays it may
+    overwrite, then halves the update until U stays positive (one min()
+    over U, ends included).  Converged means a full (undamped) update whose
+    size d = max |delta| / (1 + U) has d <= tol, or, at the first iteration
+    from a given U0, d**2 <= 1e-3 * tol.  A singular Jacobian raises
+    numpy.linalg.LinAlgError.  The inputs are never written to.
     """
-    N = u.shape[0]
     U = (u if U0 is None else U0).copy()
     U[0] = bc_lo
     U[-1] = bc_hi
-    ce = c0 * einv[1:-1]
-    cap = ce * ap[1:-1]
-    cam = ce * am[1:-1]
-    cdiag = ce * (ap[1:-1] + am[1:-1])
+    ce = (dt * c0) * einv[1:-1]
+    wp = ce * ap[1:-1]
+    wm = ce * am[1:-1]
+    wd = wp + wm
+    diag0 = 1.0
 
     # central (1) vs upwind (0): central is admissible when the outflow
     # diffusion face dominates |b_ds|/2; the physical form has no alpha or
     # advection terms and skips them
     rescaled = alpha != 0.0 or b_ds != 0.0
     if rescaled:
-        th = np.zeros(N - 2)
+        th = np.zeros(u.shape[0] - 2)
         if b_ds != 0.0:
-            th = (cap * (m * u[2:] ** (m - 1.0)) >= -0.5 * b_ds).astype(float)
-        half_th = 0.5 * th
-        up_th = 1.0 - th
-        adv_lo = b_ds * (half_th + 1.0 - th)
-        adv_di = b_ds * up_th
-        adv_up = b_ds * 0.5 * th
+            th = (c0 * einv[1:-1] * ap[1:-1] * (m * u[2:] ** (m - 1.0))
+                  >= -0.5 * b_ds).astype(float)
+        bt = dt * b_ds
+        # adv_i is b_ds (g_i + g_{i-1}) / 2 if central, b_ds g_{i-1} if upwind
+        ku = (0.5 * bt) * th
+        kl = bt - ku
+        adt = dt * alpha
+        diag0 = 1.0 - (adt + kl - ku)
 
     converged = False
     it = 0
-    F = np.zeros(N)
-    d = np.ones(N)
-    dl = np.zeros(N - 1)
-    du = np.zeros(N - 1)
+    delta = np.zeros(u.shape[0])  # the update; its end entries stay 0
     for it in range(1, max_iter + 1):
+        Ui = U[1:-1]
         Um = U ** m
-        dUm = m * Um / U
-        L = ce * (ap[1:-1] * (Um[2:] - Um[1:-1]) - am[1:-1] * (Um[1:-1] - Um[:-2]))
+        h = Um[1:] - Um[:-1]
+        rhs = wp * h[1:]  # -F
+        rhs -= wm * h[:-1]
+        rhs -= Ui - u[1:-1]
         if rescaled:
-            L += alpha * U[1:-1] + b_ds * (half_th * (U[2:] - U[:-2])
-                                           + up_th * (U[1:-1] - U[:-2]))
-            d[1:-1] = 1.0 + dt * (cdiag * dUm[1:-1] - alpha - adv_di)
-            du[1:] = -dt * (cap * dUm[2:] + adv_up)
-            dl[:-1] = -dt * (cam * dUm[:-2] - adv_lo)
-        else:
-            d[1:-1] = 1.0 + dt * (cdiag * dUm[1:-1])
-            du[1:] = -dt * (cap * dUm[2:])
-            dl[:-1] = -dt * (cam * dUm[:-2])
-        F[1:-1] = U[1:-1] - u[1:-1] - dt * L
-        delta, info = dgtsv(dl, d, du, -F)[3:]
+            g = U[1:] - U[:-1]
+            rhs += adt * Ui
+            rhs += ku * g[1:]
+            rhs += kl * g[:-1]
+        nd = (-m * Um[1:-1]) / Ui  # -d(U^m)/dU at the interior nodes
+        diag = diag0 - wd * nd
+        du = wp[:-1] * nd[1:]
+        dl = wm[1:] * nd[:-1]
+        if rescaled:
+            du -= ku[:-1]
+            dl += kl[1:]
+        x, info = dgtsv(dl, diag, du, rhs, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=1)[3:]
         if info != 0:
             raise np.linalg.LinAlgError(f"Newton Jacobian solve failed (gtsv info={info})")
+        delta[1:-1] = x
         theta_ls = 1.0
-        U_new = U + delta
-        while np.any(U_new <= 0.0) and theta_ls > 1e-18:
+        new = U + delta
+        while new.min() <= 0.0 and theta_ls > 1e-18:
             theta_ls *= 0.5
-            U_new = U + theta_ls * delta
-        U = U_new
-        scaled = float(np.max(np.abs(delta) / (1.0 + U)))
+            new = U + theta_ls * delta
+        U = new
+        scaled = float((np.abs(delta) / (1.0 + U)).max())
         first_ok = it == 1 and U0 is not None and scaled * scaled <= 1e-3 * tol
         if theta_ls == 1.0 and (scaled <= tol or first_ok):
             converged = True

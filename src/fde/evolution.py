@@ -425,11 +425,16 @@ def run(cfg: EvolutionConfig) -> Trajectory:
         bc = table[t_new]
         # predictor: the linear extrapolation when dt repeats the last
         # accepted step's, the quadratic one when it repeats the last two
-        lin = 2.0 * u - u_prev if dt_prev == dt_try else None
-        pred = 3.0 * (u - u_prev) + u_prev2 if lin is not None and dt_prev2 == dt_try else lin
+        pred = lin = None
+        if dt_prev == dt_try:
+            pred = lin = 2.0 * u - u_prev
+            if dt_prev2 == dt_try:
+                pred = u - u_prev
+                pred *= 3.0
+                pred += u_prev2
         U, iters, ok = newton_step(u, dt_try, bc[0], bc[1], m, c0, einv, ap, am,
                                    alpha, b_ds, cfg.newton_tol, 50,
-                                   pred if pred is not None and np.all(pred > 0.0) else None)
+                                   pred if pred is not None and pred.min() > 0.0 else None)
         iters_total += iters
         if not ok:
             rejections += 1
@@ -452,7 +457,8 @@ def run(cfg: EvolutionConfig) -> Trajectory:
             hi_log.append(float(np.min(hi - U)))
             step_times.append(t_new)
         if lin is not None:
-            trunc_time = max(trunc_time, float(np.max(np.abs(U - lin))) / dt_try)
+            err = U - lin
+            trunc_time = max(trunc_time, float(np.abs(err, out=err).max()) / dt_try)
         u_prev2, dt_prev2 = u_prev, dt_prev
         u_prev, dt_prev, u = u, dt_try, U
         if snap_next > next_snap:  # the step ended on a snapshot time

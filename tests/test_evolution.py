@@ -186,6 +186,76 @@ def test_newton_step_golden_damped():
     np.testing.assert_allclose(U, _GOLDEN_DAMPED[1], rtol=1e-12, atol=0.0)
 
 
+def _kernel_cases():
+    """The golden steps as name -> (u, arguments from dt to b_ds)."""
+    m, c0 = 0.2, 10.0
+    g = build_grid(math.e, 17)
+    einv, ap, am = g.coeffs(3)
+    u = barenblatt_oracle(g.r, 0.0, 1.0, 1.0, P32)
+    bc = barenblatt_oracle(g.r[[0, -1]], 0.01, 1.0, 1.0, P32)
+    cases = {
+        "physical": (u, (0.01, bc[0], bc[1], m, c0, einv, ap, am, 0.0, 0.0)),
+        "rescaled_central": (u, (0.01, u[0] * 0.99, u[-1] * 0.99, m, c0, einv, ap, am,
+                                 -2.5, -1.0 / g.ds)),
+        "damped": (u, (0.1, 0.01 * u[0], 0.01 * u[-1], m, c0, einv, ap, am, 0.0, 0.0)),
+    }
+    g = build_grid(math.e ** 2, 41)
+    einv, ap, am = g.coeffs(3)
+    u = np.exp(-6.0 * g.s)
+    cases["rescaled_mixed"] = (u, (0.01, u[0], u[-1], m, c0, einv, ap, am, -2.5, -1.0 / g.ds))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["physical", "rescaled_mixed", "damped"])
+def test_newton_step_never_writes_its_inputs(name):
+    # gtsv may overwrite its arrays and U is updated in place: both must be
+    # the kernel's own temporaries, never u, U0 or the grid weights
+    u, args = _kernel_cases()[name]
+    for U0 in (None, 1.001 * u):
+        inputs = (u, U0, *args[5:8])
+        before = [None if a is None else a.copy() for a in inputs]
+        U, _, ok = newton_step(u, *args, 1e-12, 50, U0)
+        for a, b in zip(inputs, before):
+            assert b is None or np.array_equal(a, b), name
+        assert not any(np.shares_memory(U, a) for a in inputs if a is not None)
+        assert ok
+
+
+def _dense_residual(U, u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds):
+    """F and its dense Jacobian, node by node from the residual formula of
+    fde._kernels, with the central/upwind choice frozen at u."""
+    N = U.size
+    F, J = np.zeros(N), np.zeros((N, N))
+    F[0], F[-1] = U[0] - bc_lo, U[-1] - bc_hi
+    J[0, 0] = J[-1, -1] = 1.0
+    for i in range(1, N - 1):
+        w = c0 * einv[i]
+        central = b_ds != 0.0 and w * ap[i] * m * u[i + 1] ** (m - 1.0) >= -0.5 * b_ds
+        # weights of U_{i-1}, U_i, U_{i+1} in alpha * U_i + adv_i(U)
+        k = (-0.5 * b_ds, alpha, 0.5 * b_ds) if central else (-b_ds, alpha + b_ds, 0.0)
+        Um, dUm = U[i - 1:i + 2] ** m, m * U[i - 1:i + 2] ** (m - 1.0)
+        diffusion = w * (ap[i] * (Um[2] - Um[1]) - am[i] * (Um[1] - Um[0]))
+        F[i] = U[i] - u[i] - dt * (diffusion + k[0] * U[i - 1] + k[1] * U[i] + k[2] * U[i + 1])
+        J[i, i - 1] = -dt * (w * am[i] * dUm[0] + k[0])
+        J[i, i] = 1.0 - dt * (-w * (ap[i] + am[i]) * dUm[1] + k[1])
+        J[i, i + 1] = -dt * (w * ap[i] * dUm[2] + k[2])
+    return F, J
+
+
+@pytest.mark.parametrize("name", ["physical", "rescaled_central", "rescaled_mixed"])
+def test_newton_step_solves_the_documented_scheme(name):
+    # one dense Newton update of the scheme as written, from the kernel's
+    # converged step, is at the tolerance: the kernel's interior system and
+    # folded weights discretize the same operator
+    tol = 1e-12
+    u, args = _kernel_cases()[name]
+    U, _, ok = newton_step(u, *args, tol, 50)
+    assert ok
+    F, J = _dense_residual(U, u, *args)
+    d = np.linalg.solve(J, -F)
+    assert np.max(np.abs(d) / (1.0 + U)) <= 10.0 * tol
+
+
 @pytest.mark.parametrize("form", ["physical", "rescaled"])
 def test_newton_step_predictor_start(form):
     # started from the extrapolation 2u - u_prev instead of u, Newton

@@ -1,0 +1,33 @@
+"""tools/diff_outputs.py: the difference figures it prints."""
+
+import importlib.util
+import os
+
+import numpy as np
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "diff_outputs.py")
+_spec = importlib.util.spec_from_file_location("diff_outputs", _PATH)
+diff_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diff_outputs)
+
+
+def test_max_diff_bound_ratio():
+    # |change - base| / (1e-12 + 1e-10 |base|): 1 on the bound, NaN pairs equal
+    base = np.array([1.0, 0.0, 100.0, np.nan])
+    change = np.array([1.0 + 0.5e-10, 1e-12, 100.0, np.nan])
+    d, rel, bound = diff_outputs._max_diff(base, change)
+    assert d == abs(change[0] - 1.0)
+    assert rel == np.inf  # 1e-12 against a base of 0
+    assert bound == 1.0
+    assert diff_outputs._max_diff(base, base.copy()) == (0.0, 0.0, 0.0)
+
+
+def test_csv_lines_carry_the_bound_ratio(tmp_path):
+    for side, v in (("base", "2.0"), ("change", "2.0000000001")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "a.csv").write_text(f"t,x\n0.0,{v}\n")
+    lines = diff_outputs._magnitudes(str(tmp_path / "base"), str(tmp_path / "change"), "a.csv")
+    assert len(lines) == 1 and lines[0].split()[0] == "x"
+    ratio = float(lines[0].split("bound ratio")[1])
+    assert abs(ratio - 1e-10 / (1e-12 + 2e-10)) <= 1e-3 * ratio

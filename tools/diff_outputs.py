@@ -8,10 +8,12 @@ that tree runs the fixed matrix below in-process, writing each case's
 artifacts, stdout, stderr and exit code to OUT/base/<case> or
 OUT/change/<case>.  A table lists each case's exit codes and verdict, and
 ``diff -rq`` names the files that differ.  For each CSV that differs, the
-largest absolute and relative difference of each column is printed; for
-each JSON report, the same two figures for each key whose numbers differ
-(items of a list share their list's key).  Relative differences are taken
-against the base value.  Last, for the default ``contract`` and
+largest absolute and relative difference of each column is printed, with
+its bound ratio: the worst |change - base| / (1e-12 + 1e-10 |base|), which
+is at most 1 where every number of the column is inside that bound.  For
+each JSON report, the absolute and relative figures are printed for each
+key whose numbers differ (items of a list share their list's key).
+Relative differences are taken against the base value.  Last, for the default ``contract`` and
 ``converge`` cases, each side's worst ratio
 |value - reference| / (atol + rtol * |reference|) against the benchmark's
 reference series (``perfbench/reference/``, read only) is printed; the
@@ -34,6 +36,8 @@ _EVOLVE = {"grid": {"R": 7.38905609893065, "N": 201}, "dt": 2e-3, "horizon": 0.0
            "initial": {"kind": "blend", "lam1": 2.0, "lam2": 1.0, "theta": 0.3},
            "monitors": {"enabled": True, "lam1": 2.0, "lam2": 1.0}}
 _CONTRACT = {"grid": {"R": 148.4131591025766, "N": 801}, "horizon": 0.2, "snapshots": 6}
+
+BOUND_ATOL, BOUND_RTOL = 1e-12, 1e-10  # the bound |change - base| <= atol + rtol |base|
 
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench", "reference")
@@ -111,12 +115,14 @@ def _read(path: str) -> str:
 
 
 def _max_diff(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Largest |b - a| and |b - a| / |a| over paired values; NaN pairs count as equal."""
+    """Largest |b - a|, |b - a| / |a| and |b - a| / (BOUND_ATOL + BOUND_RTOL |a|)
+    over paired values; NaN pairs count as equal."""
     with np.errstate(invalid="ignore"):
         d = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(b - a))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(d == 0.0, 0.0, d / np.abs(a))
-    return float(np.max(d, initial=0.0)), float(np.max(rel, initial=0.0))
+        bound = np.where(d == 0.0, 0.0, d / (BOUND_ATOL + BOUND_RTOL * np.abs(a)))
+    return tuple(float(np.max(x, initial=0.0)) for x in (d, rel, bound))
 
 
 def _csv_columns(path: str) -> dict:
@@ -155,7 +161,7 @@ def _is_number(v) -> bool:
 
 def _magnitudes(base_dir: str, change_dir: str, name: str) -> list:
     """Lines giving, per column or key of one differing output file, the largest
-    absolute and relative difference."""
+    absolute and relative difference, and for a CSV column its bound ratio."""
     read = _csv_columns if name.endswith(".csv") else _json_columns
     base, change = read(os.path.join(base_dir, name)), read(os.path.join(change_dir, name))
     if base.keys() != change.keys():
@@ -164,9 +170,10 @@ def _magnitudes(base_dir: str, change_dir: str, name: str) -> list:
     for key in base:
         a, b = base[key], change[key]
         if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.shape == b.shape:
-            d, rel = _max_diff(a, b)
+            d, rel, bound = _max_diff(a, b)
             if d != 0.0:
-                lines.append(f"  {key:<28}abs {d:.2e}  rel {rel:.2e}")
+                ratio = f"  bound ratio {bound:.3g}" if name.endswith(".csv") else ""
+                lines.append(f"  {key:<28}abs {d:.2e}  rel {rel:.2e}{ratio}")
         elif not (isinstance(a, list) and isinstance(b, list) and a == b):
             lines.append(f"  {key:<28}{a!r:.60} -> {b!r:.60}")
     return lines
