@@ -69,10 +69,8 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
     # advection terms and skips them
     rescaled = alpha != 0.0 or b_ds != 0.0
     if rescaled:
-        th = np.zeros(u.shape[0] - 2)
-        if b_ds != 0.0:
-            th = (c0 * einv[1:-1] * ap[1:-1] * (m * u[2:] ** (m - 1.0))
-                  >= -0.5 * b_ds).astype(float)
+        th = (c0 * einv[1:-1] * ap[1:-1] * (m * u[2:] ** (m - 1.0))
+              >= -0.5 * b_ds).astype(float)
         bt = dt * b_ds
         # adv_i is b_ds (g_i + g_{i-1}) / 2 if central, b_ds g_{i-1} if upwind
         ku = (0.5 * bt) * th

@@ -11,9 +11,10 @@ constant K(1,1) of the normalized (eta=1, beta~=1) profile:
                                   + o(1/log r) },     q = n-2-nm,
 
 and the f-form is the same series in log(1/r).  ``compute_K0`` extracts
-K(1,1) numerically and assembles the coefficient record; the evaluators
-return truncations at the requested order; ``expansion_residual_report``
-quantifies the residual trend against an independently computed profile.
+K(1,1) numerically and assembles the coefficient record;
+``expansion_series`` gives the braces truncated at the requested order, as
+a function of |log r|; ``expansion_residual_report`` quantifies the
+residual trend against an independently computed profile.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "ORDERS",
     "ExpansionCoefficients",
     "compute_K0",
-    "eval_expansion_f",
-    "eval_expansion_g",
     "expansion_series",
     "expansion_residual_report",
     "difference_constant_check",
@@ -136,50 +135,6 @@ def expansion_series(L, coeffs: ExpansionCoefficients, c: DerivedConstants,
         a3 = coeffs.a3_for(A, beta_tilde)
         series = series + a3 / L + c.loglog_coeff ** 2 * np.log(L) / L
     return series
-
-
-def eval_expansion_f(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
-                     A: float = None, lam: float = None,
-                     order: str = "one_over_log"):
-    """Truncated blow-up expansion of f near r = 0.
-
-    Exactly one of A (the far-field amplitude) and lam (the scaling
-    parameter, A = lam^{-gamma1}) must be given; the two forms agree to
-    rounding.  Valid for r < 1; orders beyond `leading` need r <= e^{-e}.
-    """
-    if (A is None) == (lam is None):
-        raise ValueError("give exactly one of A and lam")
-    m, q, g1 = coeffs.m, c.q, c.gamma1
-    if lam is not None:
-        A = lam ** (-g1)
-        log_A_over_g1 = -math.log(lam)
-    else:
-        log_A_over_g1 = math.log(A) / g1
-    r = np.asarray(r, dtype=float)
-    if np.any(r >= 1.0):
-        raise ValueError("f expansion is an r -> 0 statement; need r < 1")
-    if _order_level(order) >= 1 and np.any(r > math.exp(-math.e)):
-        raise ValueError("orders with log(log r^{-1}) need r <= e^{-e}")
-    beta_abs = -c.alpha * (1.0 - m) / 2.0  # |beta| recovered from alpha
-    log_amp = log_A_over_g1 + m / q * math.log(beta_abs)
-    L = np.log(1.0 / r)
-    series = expansion_series(L, coeffs, c, log_amp, A, beta_abs, order)
-    ln_pref = math.log(c.blowup_const) - 2.0 * np.log(r)
-    return np.exp((ln_pref + np.log(series)) / (1.0 - m))
-
-
-def eval_expansion_g(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
-                     eta: float, beta_tilde: float, order: str = "one_over_log"):
-    """Truncated growth expansion of g at r -> infinity; needs r > e."""
-    n, m, q = coeffs.n, coeffs.m, c.q
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= math.e):
-        raise ValueError("g expansion is an r -> infinity statement; need r > e")
-    log_amp = math.log(eta) / c.gamma1 + m / q * math.log(beta_tilde)
-    L = np.log(r)
-    series = expansion_series(L, coeffs, c, log_amp, eta, beta_tilde, order)
-    ln_pref = math.log(2.0 * (n - 1) * q / ((1.0 - m) * beta_tilde)) - q / m * np.log(r)
-    return np.exp((ln_pref + np.log(series)) / (1.0 - m))
 
 
 def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,

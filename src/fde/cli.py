@@ -220,10 +220,13 @@ def _profile_for(cfg):
 def _cmd_constants(cfg, out: str) -> int:
     p = _model(cfg)
     c = derive_constants(p)
+    mu = cfg.get("mu")
+    if mu is not None and not math.isfinite(mu):
+        raise ConfigError(f"mu must be finite, got {mu!r}")
     print(json.dumps(_json_safe(c.as_dict()), indent=2, sort_keys=True))
     if out:
         payload = {"constants": _json_safe(c.as_dict()),
-                   "regime": _json_safe(validate_regime(p, cfg.get("mu")).as_dict())}
+                   "regime": _json_safe(validate_regime(p, mu).as_dict())}
         _write_report(os.path.join(out, "constants.json"), payload)
     return _EXIT_OK
 
@@ -364,10 +367,8 @@ def _cmd_contract(cfg, out: str) -> int:
     if cfg["half_resolution"]:
         runs += pair(N // 2 + 1)
     trajs = [evolution.run(ecfg) for ecfg in runs]
-    half = hgrid = None
-    if cfg["half_resolution"]:
-        hgrid, half = runs[2].grid, (trajs[2], trajs[3])
-    rep = measures.contraction_report(trajs[0], trajs[1], weight, runs[0].grid, half, hgrid)
+    half = (runs[2].grid, trajs[2], trajs[3]) if cfg["half_resolution"] else None
+    rep = measures.contraction_report(trajs[0], trajs[1], weight, runs[0].grid, half)
     _write_csv(os.path.join(out, "contraction.csv"),
                ["t", "norm", "norm_positive_part", "slack"],
                [rep["times"], rep["series"], rep["series_positive_part"], rep["slack"]])

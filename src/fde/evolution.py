@@ -27,11 +27,14 @@ A run reads its boundary data from a table keyed by step end time, filled by
 one ``BoundarySpec.values`` call for the next ``_REPLAY`` steps as replayed
 without rejections.  A step not in the table (the first, one after a
 rejection, one past the table's end) refills it: a wrong replay costs time,
-never bits.  A Newton solve starts from the quadratic extrapolation
-3u - 3u_prev + u_prev2 of the last three states when the step repeats the
-dt of the last two, from the linear one 2u - u_prev when it repeats only the
-last, and from u otherwise (also when the extrapolation is not positive).
-From a quadratic start most steps need one Newton iteration (see _kernels).
+never bits.  A boundary value that is not finite and positive, in the table
+or at t = 0, ends the run with an EvolutionError.
+
+A Newton solve starts from the quadratic extrapolation 3u - 3u_prev +
+u_prev2 of the last three states when the step repeats the dt of the last
+two, from the linear one 2u - u_prev when it repeats only the last, and
+from u otherwise (also when the extrapolation is not positive).  From a
+quadratic start most steps need one Newton iteration (see _kernels).
 """
 
 from __future__ import annotations
@@ -44,21 +47,17 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from ._kernels import newton_step
-from .params import DerivedConstants, ModelParams, derive_constants
+from .params import ModelParams, derive_constants
 from .profile import Profile
 
 __all__ = [
     "EvolutionError",
     "AnnulusGrid",
-    "RadialField",
     "BoundarySpec",
     "InitialSpec",
     "EvolutionConfig",
     "Trajectory",
     "build_grid",
-    "rescale_transform",
-    "inversion_transform",
-    "inversion_residual_check",
     "barenblatt_oracle",
     "run",
     "aronson_benilan_monitor",
@@ -113,26 +112,6 @@ def build_grid(R: float, N: int) -> AnnulusGrid:
     if N % 2 == 1:
         r[half] = 1.0
     return AnnulusGrid(R=R, N=N, s=s, r=r, ds=float(s[1] - s[0]))
-
-
-@dataclass(frozen=True)
-class RadialField:
-    """Node values with a time stamp and a form tag.
-
-    NaN entries mark nodes a transform could not fill (no extrapolation);
-    all finite entries must be positive.
-    """
-
-    u: np.ndarray
-    t: float
-    form: str  # "physical" | "rescaled" | "inverted"
-
-    def __post_init__(self):
-        finite = np.isfinite(self.u)
-        if not np.any(finite):
-            raise EvolutionError("field has no finite nodes")
-        if np.any(self.u[finite] <= 0.0):
-            raise EvolutionError("field must be positive at all (finite) nodes")
 
 
 @dataclass(frozen=True)
@@ -194,6 +173,18 @@ class InitialSpec:
             "f_lambda": ("lam",), "blend": ("lam1", "lam2", "theta"),
             "bump": ("lam0", "amplitude", "r_lo", "r_hi"), "barenblatt": ("k", "T"),
             "table": ("table_r", "table_u"), "constant": ("value",)})
+        if self.kind == "table":
+            r, u = np.asarray(self.table_r, dtype=float), np.asarray(self.table_u, dtype=float)
+            if r.ndim != 1 or r.size < 2 or u.shape != r.shape:
+                raise EvolutionError(f"initial table_r and table_u need equal lengths >= 2, "
+                                     f"got {r.size} and {u.size}")
+            if not (r[0] > 0.0 and np.all(np.diff(r) > 0.0) and r[-1] < math.inf):
+                raise EvolutionError("initial table_r must be positive, finite and increasing")
+            if not np.all((u > 0.0) & (u < math.inf)):
+                raise EvolutionError("initial table_u must be positive and finite")
+        if self.kind == "bump" and not 0.0 < self.r_lo < self.r_hi:
+            raise EvolutionError(f"initial bump needs 0 < r_lo < r_hi, "
+                                 f"got r_lo={self.r_lo!r}, r_hi={self.r_hi!r}")
 
     def values(self, grid: AnnulusGrid, profile: Optional[Profile],
                params: ModelParams) -> np.ndarray:
@@ -231,72 +222,6 @@ def barenblatt_oracle(r, t: float, k: float, T: float, params: ModelParams):
     tau = T - t
     return (tau ** (params.n / c.q)
             * (c.cstar / (k + tau ** (2.0 / c.q) * r * r)) ** (1.0 / (1.0 - params.m)))
-
-
-def rescale_transform(field: RadialField, grid: AnnulusGrid,
-                      c: DerivedConstants, inverse: bool = False):
-    """Physical <-> rescaled resample at the field's own time.
-
-    Forward: u~(y, t) = e^{alpha t} u(e^{beta t} y, t).  Nodes whose source
-    point e^{beta t} y falls outside the grid are missing (NaN) and reported
-    in the returned mask; no extrapolation.
-    """
-    t = field.t
-    alpha, beta = c.alpha, -c.beta_tilde
-    sign = -1.0 if inverse else 1.0
-    # forward maps rescaled node y to physical sample point e^{beta t} y
-    shift = sign * beta * t
-    src_s = grid.s + shift
-    mask = (src_s >= grid.s[0] - 1e-12) & (src_s <= grid.s[-1] + 1e-12)
-    if not np.any(mask):
-        raise EvolutionError("rescale transform: no target node maps into the domain")
-    ip = PchipInterpolator(grid.s, np.log(field.u), extrapolate=False)
-    out = np.full(grid.N, np.nan)
-    vals = ip(np.clip(src_s[mask], grid.s[0], grid.s[-1]))
-    out[mask] = np.exp(sign * alpha * t + vals)
-    form = "physical" if inverse else "rescaled"
-    return RadialField(u=out, t=t, form=form), mask
-
-
-def inversion_transform(field: RadialField, grid: AnnulusGrid,
-                        params: ModelParams) -> RadialField:
-    """u_bar(r) = r^{-(n-2)/m} u(1/r) on the mirrored grid; an involution."""
-    r = grid.r
-    mirror = r * r[::-1]
-    if np.max(np.abs(mirror - 1.0)) > 1e-12:
-        raise EvolutionError("inversion needs a grid symmetric under r <-> 1/r")
-    cexp = (params.n - 2) / params.m
-    u_bar = r ** (-cexp) * field.u[::-1]
-    form = "physical" if field.form == "inverted" else "inverted"
-    return RadialField(u=u_bar, t=field.t, form=form)
-
-
-def inversion_residual_check(traj: "Trajectory", grid: AnnulusGrid,
-                             params: ModelParams) -> dict:
-    """Discrete residual of the inverted equation on a trajectory.
-
-    For consecutive snapshots the time difference of u_bar must match
-    (n-1)/m |x|^{n+2-(n-2)/m} Delta u_bar^m evaluated at the time midpoint;
-    reports the max scaled interior residual.
-    """
-    n, m = params.n, params.m
-    einv, ap, am = grid.coeffs(n)
-    w_fac = np.exp((n + 2 - (n - 2) / m) * grid.s)
-    c0 = (n - 1) / m
-    worst = 0.0
-    for k in range(len(traj.times) - 1):
-        f0 = inversion_transform(RadialField(traj.fields[k], traj.times[k], traj.form),
-                                 grid, params)
-        f1 = inversion_transform(RadialField(traj.fields[k + 1], traj.times[k + 1], traj.form),
-                                 grid, params)
-        dt = traj.times[k + 1] - traj.times[k]
-        du = (f1.u - f0.u) / dt
-        um = (0.5 * (f0.u + f1.u)) ** m
-        lap = einv[1:-1] * (ap[1:-1] * (um[2:] - um[1:-1]) - am[1:-1] * (um[1:-1] - um[:-2]))
-        rhs = c0 * w_fac[1:-1] * lap
-        scale = np.maximum(np.abs(rhs), np.abs(du[1:-1])) + 1e-300
-        worst = max(worst, float(np.max(np.abs(du[1:-1] - rhs) / scale)))
-    return {"max_scaled_residual": worst}
 
 
 @dataclass
@@ -379,6 +304,18 @@ def _step_ends(cfg: EvolutionConfig, *state) -> list:
     return ends
 
 
+def _boundary_data(cfg: EvolutionConfig, times, r_ends: np.ndarray) -> np.ndarray:
+    """cfg's boundary data at r_ends, one row per time; EvolutionError, naming
+    the kind, time and value, where a value is not finite and positive."""
+    vals = cfg.boundary.values(times, r_ends, cfg.profile, cfg.params)
+    bad = ~((vals > 0.0) & (vals < math.inf))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise EvolutionError(f"boundary kind {cfg.boundary.kind!r} gives {float(vals[i, j])!r} "
+                             f"at t={float(times[i])!r}; boundary data must be finite and > 0")
+    return vals
+
+
 def run(cfg: EvolutionConfig) -> Trajectory:
     """Advance a configured run, recording snapshots and monitors."""
     c = derive_constants(cfg.params)
@@ -404,7 +341,7 @@ def run(cfg: EvolutionConfig) -> Trajectory:
 
     # clamp initial endpoints to the boundary data so step 1 is consistent
     u = u.copy()
-    u[0], u[-1] = cfg.boundary.values([0.0], r_ends, cfg.profile, cfg.params)[0]
+    u[0], u[-1] = _boundary_data(cfg, [0.0], r_ends)[0]
 
     fields = np.empty((len(cfg.snapshot_times), cfg.grid.N))
     fields[0] = u
@@ -421,7 +358,7 @@ def run(cfg: EvolutionConfig) -> Trajectory:
         dt_try, t_new, sub_next, snap_next = step
         if t_new not in table:
             ends = _step_ends(cfg, t, sub, next_snap)
-            table = dict(zip(ends, cfg.boundary.values(ends, r_ends, cfg.profile, cfg.params)))
+            table = dict(zip(ends, _boundary_data(cfg, ends, r_ends)))
         bc = table[t_new]
         # predictor: the linear extrapolation when dt repeats the last
         # accepted step's, the quadratic one when it repeats the last two
@@ -441,8 +378,8 @@ def run(cfg: EvolutionConfig) -> Trajectory:
             sub = dt_try * 0.5
             if sub < 1e-12 * cfg.dt:
                 raise EvolutionError(
-                    f"time step underflow at t={t!r}; last good snapshot at "
-                    f"t={cfg.snapshot_times[next_snap - 1]!r}"
+                    f"time step underflow at t={float(t)!r}; last good snapshot at "
+                    f"t={float(cfg.snapshot_times[next_snap - 1])!r}"
                 )
             continue
         if cfg.monitors:

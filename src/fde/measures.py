@@ -35,7 +35,6 @@ __all__ = [
     "MeasureError",
     "WeightSpec",
     "unit_sphere_area",
-    "weighted_l1",
     "contraction_report",
     "convergence_report",
     "ANNULUS_NOTE",
@@ -101,46 +100,22 @@ class WeightSpec:
     def values(self, r) -> np.ndarray:
         """Weight at radii r (vectorized, strictly positive)."""
         r = np.asarray(r, dtype=float)
-        n, m = self.params.n, self.params.m
-        c = self.constants
         if self.kind == "power_mu":
             return r ** (-self.mu)
-        if self.kind == "profile_gamma2":
-            lnf, _ = self.profile.eval_f_lambda_log(self.lam3, r, with_rat=False)
-            return np.exp(m * c.gamma2 * lnf)
-        if self.kind == "radial_gamma3":
-            lnf, _ = self.profile.eval_f_lambda_log(self.lam3, r, with_rat=False)
-            p = (n - 2) / m + (n - 2) * c.gamma3 - 2.0 * n
-            return np.exp(p * np.log(r) + m * c.gamma3 * lnf)
+        # each profile weight is |x|^power f_{lam3}^exponent
+        n, m, c = self.params.n, self.params.m, self.constants
+        power, exponent = {
+            "profile_gamma2": (0.0, m * c.gamma2),
+            "radial_gamma3": ((n - 2) / m + (n - 2) * c.gamma3 - 2.0 * n, m * c.gamma3),
+            "custom_power_times_profile": (self.power, self.exponent),
+        }[self.kind]
         lnf, _ = self.profile.eval_f_lambda_log(self.lam3, r, with_rat=False)
-        return np.exp(self.power * np.log(r) + self.exponent * lnf)
+        return np.exp(power * np.log(r) + exponent * lnf)
 
 
 def _l1(diff, w, grid: AnnulusGrid, n: int) -> float:
     """omega_n * int |diff|(r) w(r) r^{n-1} dr by the trapezoid rule in s."""
     return unit_sphere_area(n) * float(np.trapezoid(np.abs(diff) * w * grid.r ** n, grid.s))
-
-
-def weighted_l1(a, b, weight, grid: AnnulusGrid, n: Optional[int] = None) -> float:
-    """omega_n * int |a-b|(r) w(r) r^{n-1} dr by the trapezoid rule in s.
-
-    `weight` is a WeightSpec or a precomputed node array; fields must live
-    on the same grid.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (grid.N,) or b.shape != (grid.N,):
-        raise MeasureError(f"fields must match the grid ({grid.N} nodes); got {a.shape}, {b.shape}")
-    if isinstance(weight, WeightSpec):
-        w = weight.values(grid.r)
-        n = weight.params.n
-    else:
-        w = np.asarray(weight, dtype=float)
-        if w.shape != (grid.N,):
-            raise MeasureError("weight array must match the grid")
-        if n is None:
-            raise MeasureError("dimension n required with a raw weight array")
-    return _l1(a - b, w, grid, n)
 
 
 def _series(traj1: Trajectory, traj2: Trajectory, w, grid, n: int,
@@ -164,14 +139,13 @@ def _verdict(series: np.ndarray, slack: np.ndarray) -> str:
 
 
 def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
-                       grid: AnnulusGrid,
-                       half_pair: Optional[tuple] = None,
-                       half_grid: Optional[AnnulusGrid] = None) -> dict:
+                       grid: AnnulusGrid, half: Optional[tuple] = None) -> dict:
     """Weighted-L1 distance series between two runs, with a verdict.
 
-    Requires shared grid, snapshot times and boundary data.  When a
-    half-resolution rerun pair is supplied, the per-snapshot slack is
-    1e-8 + 10x the norm shift between resolutions; otherwise 1e-8 alone.
+    Requires shared grid, snapshot times and boundary data.  When ``half``
+    gives a half-resolution rerun as (grid, traj1, traj2), the per-snapshot
+    slack is 1e-8 + 10x the norm shift between resolutions; otherwise 1e-8
+    alone.
     """
     if traj1.form != traj2.form:
         raise MeasureError("trajectories must share the form")
@@ -190,9 +164,8 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
     series_pos = _series(traj1, traj2, w, grid, n, positive_part=True)
 
     slack = np.full_like(series, 1e-8)
-    if half_pair is not None:
-        h1, h2 = half_pair
-        hgrid = half_grid if half_grid is not None else grid
+    if half is not None:
+        hgrid, h1, h2 = half
         series_half = _series(h1, h2, weight.values(hgrid.r), hgrid, n)
         slack = slack + 10.0 * np.abs(series - series_half)
 

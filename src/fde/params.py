@@ -6,9 +6,7 @@ the weighted norms) is driven by the triple (n, m, beta) with
     n >= 3,   0 < m < (n-2)/n,   beta < 0,
 
 from which a family of exponents and coefficients is derived in closed form.
-``derive_constants`` computes them all in float64; ``derive_constants_exact``
-re-derives the rational ones with ``fractions.Fraction`` so tests can pin
-arithmetic examples without float noise.
+``derive_constants`` computes them all in float64.
 
 Regime checks (``validate_regime``) are advisory: they report which of the
 contraction / convergence theorems apply to a given (n, m, mu), but never
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Optional
 
 __all__ = [
@@ -28,7 +25,6 @@ __all__ = [
     "DerivedConstants",
     "RegimeReport",
     "derive_constants",
-    "derive_constants_exact",
     "validate_regime",
     "YAMABE_TOL",
 ]
@@ -165,49 +161,6 @@ def derive_constants(p: ModelParams) -> DerivedConstants:
         yamabe_case=yamabe,
         cstar=cstar,
     )
-
-
-def derive_constants_exact(n: int, m: Fraction, beta: Fraction) -> dict:
-    """Exact rational evaluation of the derived constants.
-
-    Valid whenever m and beta are rational; used by tests to pin the
-    arithmetic examples.  Returns a name -> Fraction (or bool) mapping with
-    the same field names as ``DerivedConstants``.
-    """
-    m = Fraction(m)
-    beta = Fraction(beta)
-    if n < 3 or not (0 < m < Fraction(n - 2, n)) or beta >= 0:
-        raise ParameterError("exact evaluation outside the admissible regime")
-    one_m = 1 - m
-    alpha = 2 * beta / one_m
-    beta_tilde = -beta
-    alpha_tilde = alpha - Fraction(n - 2) / m * beta
-    q = n - 2 - n * m
-    ys = n - 2 - (n + 2) * m
-    out = {
-        "alpha": alpha,
-        "alpha_tilde": alpha_tilde,
-        "beta_tilde": beta_tilde,
-        "q": q,
-        "gamma1": Fraction(n - 2) / m - 2 / one_m,
-        "gamma2": one_m / (2 * m) * (n - 2 / one_m),
-        "gamma3": (n * beta_tilde / alpha_tilde - 1) / m,
-        "delta1": 1 - q / m,
-        "mu1": n - 2 / one_m,
-        "b0": ((n + 2) * m - (n - 2)) / one_m,
-        "b1": 2 * q / one_m,
-        "a0": (n - 1) * 2 * q / one_m / beta_tilde,
-        "a1": ys * ys / (4 * q * q),
-        "blowup_const": 2 * (n - 1) * q / (one_m * abs(beta)),
-        "farfield_slope": 2 * (n - 1) * q / (one_m * beta_tilde),
-        "loglog_coeff": ys / (2 * q),
-        "h1_slope": (n - 1) * ys / (one_m * beta_tilde),
-        "h1_tail_coeff": (n - 1) * ys * ys / (2 * q * one_m * beta_tilde),
-        "yamabe_case": ys == 0,
-        "cstar": 2 * (n - 1) * q / one_m,
-    }
-    out["delta0"] = (1 - out["delta1"]) / 2
-    return out
 
 
 @dataclass(frozen=True)

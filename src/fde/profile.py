@@ -273,7 +273,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     w0 = rs ** wexp * g_sw ** (1.0 - m)
     ws0 = (1.0 - m) * (at / bt) * rs ** wexp * g_sw ** (-m) * (g_sw + (bt / at) * rs * gr_sw)
     if ws0 <= 0.0:
-        raise ProfileError(f"w_s(r_switch) = {ws0!r} <= 0; inner profile invalid at handoff")
+        raise ProfileError(f"w_s(r_switch) = {float(ws0)!r} <= 0; inner profile invalid at handoff")
 
     sol = solve_ivp(
         _rhs_far(n, m, c), (s0, req.s_max), (w0, ws0),
@@ -335,7 +335,7 @@ def estimate_K(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float) -> K
     """
     s_max = trace.s[-1]
     if s_max < 50.0:
-        raise ProfileError(f"K extraction needs s_max >= 50, trace ends at {s_max!r}")
+        raise ProfileError(f"K extraction needs s_max >= 50, trace ends at {float(s_max)!r}")
     k_full = _k_hat(trace, c, n, m, s_max)
     k_half = _k_hat(trace, c, n, m, s_max / 2.0)
     err = abs(k_full - k_half)
@@ -458,10 +458,6 @@ class Profile:
         """f_lambda(r) = lambda^{2/(1-m)} f_1(lambda r), which is U_lambda at t = 0."""
         return self.eval_U_lambda(lam, r, 0.0)
 
-    def eval_g_lambda(self, lam: float, r):
-        """g_lambda(r) = lambda^{2/(1-m)-(n-2)/m} g_1(r/lambda), which is U~bar_lambda at t = 0."""
-        return self.eval_U_bar_lambda(lam, r, 0.0)
-
     def eval_U_lambda(self, lam: float, r, t):
         """U_lambda(r, t) = e^{-alpha t} f_lambda(e^{-beta t} r); one row per time for a
         sequence t.  e^{-beta t} is math.exp, which np.exp does not always match."""
@@ -472,16 +468,6 @@ class Profile:
         shrink = np.vectorize(math.exp, otypes=[float])(-beta * t)
         lnf, _ = self.eval_f_lambda_log(lam, shrink * r, with_rat=False)
         return np.exp(-c.alpha * t + lnf)
-
-    def eval_U_bar_lambda(self, lam: float, r, t: float):
-        """U~bar_lambda(r, t) = e^{-alpha~ t} g_lambda(e^{-beta~ t} r)."""
-        self._require_unit_eta()
-        c = self.constants
-        p = self.request.params
-        arg = math.exp(-c.beta_tilde * t) * np.asarray(r, dtype=float) / lam
-        lng, _ = self.eval_g_log(arg, with_rat=False)
-        scale = (2.0 / (1.0 - p.m) - (p.n - 2) / p.m) * math.log(lam)
-        return np.exp(-c.alpha_tilde * t + scale + lng)
 
 
 def compute_profile(req: ProfileRequest) -> Profile:
@@ -496,8 +482,8 @@ def compute_profile(req: ProfileRequest) -> Profile:
     g_far = (far.w[0] * math.exp(-prof._wexp * far.s[0])) ** (1.0 / one_m)
     if abs(g_far - inner.g[-1]) > 10.0 * req.tol * max(1.0, inner.g[-1]):
         raise ProfileError(
-            f"handoff discontinuity at r_switch: inner g={inner.g[-1]!r}, far g={g_far!r}"
-        )
+            f"handoff discontinuity at r_switch: inner g={float(inner.g[-1])!r}, "
+            f"far g={float(g_far)!r}")
     return prof
 
 

@@ -1,0 +1,258 @@
+"""Reference implementations that the tests compare the package against.
+
+No ``fde`` command runs these; they are the paper's proof devices and
+independent re-derivations:
+
+* ``derive_constants_exact``: the derived constants in exact rationals;
+* ``eval_expansion_f`` / ``eval_expansion_g``: the blow-up and growth
+  expansions evaluated in r, on top of ``fde.asymptotics.expansion_series``;
+* ``eval_g_lambda`` / ``eval_U_bar_lambda``: the inverted family
+  U~bar_lambda of a Profile;
+* ``weighted_l1``: the weighted-L1 distance of two fields, through the
+  package's own quadrature ``fde.measures._l1``;
+* ``RadialField``, ``rescale_transform``, ``inversion_transform`` and
+  ``inversion_residual_check``: the rescaling u~(y,t) = e^{alpha t}
+  u(e^{beta t} y, t) and the inversion u_bar(r) = r^{-(n-2)/m} u(1/r)
+  applied to fields on an annulus grid.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+import numpy as np
+from scipy.interpolate import PchipInterpolator
+
+from fde.asymptotics import ExpansionCoefficients, _order_level, expansion_series
+from fde.evolution import AnnulusGrid, EvolutionError, Trajectory
+from fde.measures import MeasureError, WeightSpec, _l1
+from fde.params import DerivedConstants, ModelParams, ParameterError
+from fde.profile import Profile
+
+# -- params ----------------------------------------------------------------
+
+
+def derive_constants_exact(n: int, m: Fraction, beta: Fraction) -> dict:
+    """Exact rational evaluation of the derived constants.
+
+    Valid whenever m and beta are rational; pins the arithmetic examples.
+    Returns a name -> Fraction (or bool) mapping with the same field names
+    as ``DerivedConstants``.
+    """
+    m = Fraction(m)
+    beta = Fraction(beta)
+    if n < 3 or not (0 < m < Fraction(n - 2, n)) or beta >= 0:
+        raise ParameterError("exact evaluation outside the admissible regime")
+    one_m = 1 - m
+    alpha = 2 * beta / one_m
+    beta_tilde = -beta
+    alpha_tilde = alpha - Fraction(n - 2) / m * beta
+    q = n - 2 - n * m
+    ys = n - 2 - (n + 2) * m
+    out = {
+        "alpha": alpha,
+        "alpha_tilde": alpha_tilde,
+        "beta_tilde": beta_tilde,
+        "q": q,
+        "gamma1": Fraction(n - 2) / m - 2 / one_m,
+        "gamma2": one_m / (2 * m) * (n - 2 / one_m),
+        "gamma3": (n * beta_tilde / alpha_tilde - 1) / m,
+        "delta1": 1 - q / m,
+        "mu1": n - 2 / one_m,
+        "b0": ((n + 2) * m - (n - 2)) / one_m,
+        "b1": 2 * q / one_m,
+        "a0": (n - 1) * 2 * q / one_m / beta_tilde,
+        "a1": ys * ys / (4 * q * q),
+        "blowup_const": 2 * (n - 1) * q / (one_m * abs(beta)),
+        "farfield_slope": 2 * (n - 1) * q / (one_m * beta_tilde),
+        "loglog_coeff": ys / (2 * q),
+        "h1_slope": (n - 1) * ys / (one_m * beta_tilde),
+        "h1_tail_coeff": (n - 1) * ys * ys / (2 * q * one_m * beta_tilde),
+        "yamabe_case": ys == 0,
+        "cstar": 2 * (n - 1) * q / one_m,
+    }
+    out["delta0"] = (1 - out["delta1"]) / 2
+    return out
+
+
+# -- asymptotics -----------------------------------------------------------
+
+
+def eval_expansion_f(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
+                     A: float = None, lam: float = None,
+                     order: str = "one_over_log"):
+    """Truncated blow-up expansion of f near r = 0.
+
+    Exactly one of A (the far-field amplitude) and lam (the scaling
+    parameter, A = lam^{-gamma1}) must be given; the two forms agree to
+    rounding.  Valid for r < 1; orders beyond `leading` need r <= e^{-e}.
+    """
+    if (A is None) == (lam is None):
+        raise ValueError("give exactly one of A and lam")
+    m, q, g1 = coeffs.m, c.q, c.gamma1
+    if lam is not None:
+        A = lam ** (-g1)
+        log_A_over_g1 = -math.log(lam)
+    else:
+        log_A_over_g1 = math.log(A) / g1
+    r = np.asarray(r, dtype=float)
+    if np.any(r >= 1.0):
+        raise ValueError("f expansion is an r -> 0 statement; need r < 1")
+    if _order_level(order) >= 1 and np.any(r > math.exp(-math.e)):
+        raise ValueError("orders with log(log r^{-1}) need r <= e^{-e}")
+    beta_abs = -c.alpha * (1.0 - m) / 2.0  # |beta| recovered from alpha
+    log_amp = log_A_over_g1 + m / q * math.log(beta_abs)
+    L = np.log(1.0 / r)
+    series = expansion_series(L, coeffs, c, log_amp, A, beta_abs, order)
+    ln_pref = math.log(c.blowup_const) - 2.0 * np.log(r)
+    return np.exp((ln_pref + np.log(series)) / (1.0 - m))
+
+
+def eval_expansion_g(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
+                     eta: float, beta_tilde: float, order: str = "one_over_log"):
+    """Truncated growth expansion of g at r -> infinity; needs r > e."""
+    n, m, q = coeffs.n, coeffs.m, c.q
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= math.e):
+        raise ValueError("g expansion is an r -> infinity statement; need r > e")
+    log_amp = math.log(eta) / c.gamma1 + m / q * math.log(beta_tilde)
+    L = np.log(r)
+    series = expansion_series(L, coeffs, c, log_amp, eta, beta_tilde, order)
+    ln_pref = math.log(2.0 * (n - 1) * q / ((1.0 - m) * beta_tilde)) - q / m * np.log(r)
+    return np.exp((ln_pref + np.log(series)) / (1.0 - m))
+
+
+# -- profile ---------------------------------------------------------------
+
+
+def eval_U_bar_lambda(prof: Profile, lam: float, r, t: float):
+    """U~bar_lambda(r, t) = e^{-alpha~ t} g_lambda(e^{-beta~ t} r) of the eta = 1 profile."""
+    prof._require_unit_eta()
+    c = prof.constants
+    p = prof.request.params
+    arg = math.exp(-c.beta_tilde * t) * np.asarray(r, dtype=float) / lam
+    lng, _ = prof.eval_g_log(arg, with_rat=False)
+    scale = (2.0 / (1.0 - p.m) - (p.n - 2) / p.m) * math.log(lam)
+    return np.exp(-c.alpha_tilde * t + scale + lng)
+
+
+def eval_g_lambda(prof: Profile, lam: float, r):
+    """g_lambda(r) = lambda^{2/(1-m)-(n-2)/m} g_1(r/lambda), which is U~bar_lambda at t = 0."""
+    return eval_U_bar_lambda(prof, lam, r, 0.0)
+
+
+# -- measures --------------------------------------------------------------
+
+
+def weighted_l1(a, b, weight, grid: AnnulusGrid, n: Optional[int] = None) -> float:
+    """omega_n * int |a-b|(r) w(r) r^{n-1} dr by the trapezoid rule in s.
+
+    `weight` is a WeightSpec or a precomputed node array; fields must live
+    on the same grid.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != (grid.N,) or b.shape != (grid.N,):
+        raise MeasureError(f"fields must match the grid ({grid.N} nodes); got {a.shape}, {b.shape}")
+    if isinstance(weight, WeightSpec):
+        w = weight.values(grid.r)
+        n = weight.params.n
+    else:
+        w = np.asarray(weight, dtype=float)
+        if w.shape != (grid.N,):
+            raise MeasureError("weight array must match the grid")
+        if n is None:
+            raise MeasureError("dimension n required with a raw weight array")
+    return _l1(a - b, w, grid, n)
+
+
+# -- evolution -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RadialField:
+    """Node values with a time stamp and a form tag.
+
+    NaN entries mark nodes a transform could not fill (no extrapolation);
+    all finite entries must be positive.
+    """
+
+    u: np.ndarray
+    t: float
+    form: str  # "physical" | "rescaled" | "inverted"
+
+    def __post_init__(self):
+        finite = np.isfinite(self.u)
+        if not np.any(finite):
+            raise EvolutionError("field has no finite nodes")
+        if np.any(self.u[finite] <= 0.0):
+            raise EvolutionError("field must be positive at all (finite) nodes")
+
+
+def rescale_transform(field: RadialField, grid: AnnulusGrid,
+                      c: DerivedConstants, inverse: bool = False):
+    """Physical <-> rescaled resample at the field's own time.
+
+    Forward: u~(y, t) = e^{alpha t} u(e^{beta t} y, t).  Nodes whose source
+    point e^{beta t} y falls outside the grid are missing (NaN) and reported
+    in the returned mask; no extrapolation.
+    """
+    t = field.t
+    alpha, beta = c.alpha, -c.beta_tilde
+    sign = -1.0 if inverse else 1.0
+    # forward maps rescaled node y to physical sample point e^{beta t} y
+    shift = sign * beta * t
+    src_s = grid.s + shift
+    mask = (src_s >= grid.s[0] - 1e-12) & (src_s <= grid.s[-1] + 1e-12)
+    if not np.any(mask):
+        raise EvolutionError("rescale transform: no target node maps into the domain")
+    ip = PchipInterpolator(grid.s, np.log(field.u), extrapolate=False)
+    out = np.full(grid.N, np.nan)
+    vals = ip(np.clip(src_s[mask], grid.s[0], grid.s[-1]))
+    out[mask] = np.exp(sign * alpha * t + vals)
+    form = "physical" if inverse else "rescaled"
+    return RadialField(u=out, t=t, form=form), mask
+
+
+def inversion_transform(field: RadialField, grid: AnnulusGrid,
+                        params: ModelParams) -> RadialField:
+    """u_bar(r) = r^{-(n-2)/m} u(1/r) on the mirrored grid; an involution."""
+    r = grid.r
+    mirror = r * r[::-1]
+    if np.max(np.abs(mirror - 1.0)) > 1e-12:
+        raise EvolutionError("inversion needs a grid symmetric under r <-> 1/r")
+    cexp = (params.n - 2) / params.m
+    u_bar = r ** (-cexp) * field.u[::-1]
+    form = "physical" if field.form == "inverted" else "inverted"
+    return RadialField(u=u_bar, t=field.t, form=form)
+
+
+def inversion_residual_check(traj: Trajectory, grid: AnnulusGrid,
+                             params: ModelParams) -> dict:
+    """Discrete residual of the inverted equation on a trajectory.
+
+    For consecutive snapshots the time difference of u_bar must match
+    (n-1)/m |x|^{n+2-(n-2)/m} Delta u_bar^m evaluated at the time midpoint;
+    reports the max scaled interior residual.
+    """
+    n, m = params.n, params.m
+    einv, ap, am = grid.coeffs(n)
+    w_fac = np.exp((n + 2 - (n - 2) / m) * grid.s)
+    c0 = (n - 1) / m
+    worst = 0.0
+    for k in range(len(traj.times) - 1):
+        f0 = inversion_transform(RadialField(traj.fields[k], traj.times[k], traj.form),
+                                 grid, params)
+        f1 = inversion_transform(RadialField(traj.fields[k + 1], traj.times[k + 1], traj.form),
+                                 grid, params)
+        dt = traj.times[k + 1] - traj.times[k]
+        du = (f1.u - f0.u) / dt
+        um = (0.5 * (f0.u + f1.u)) ** m
+        lap = einv[1:-1] * (ap[1:-1] * (um[2:] - um[1:-1]) - am[1:-1] * (um[1:-1] - um[:-2]))
+        rhs = c0 * w_fac[1:-1] * lap
+        scale = np.maximum(np.abs(rhs), np.abs(du[1:-1])) + 1e-300
+        worst = max(worst, float(np.max(np.abs(du[1:-1] - rhs) / scale)))
+    return {"max_scaled_residual": worst}

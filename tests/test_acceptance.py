@@ -250,7 +250,7 @@ def test_criterion_10_contraction_suites(contraction_bundle):
     ]
     for name, w in weights:
         rep = measures.contraction_report(b["pair"][0], b["pair"][1], w, b["grid"],
-                                          half_pair=b["half"], half_grid=b["hgrid"])
+                                          half=(b["hgrid"], *b["half"]))
         ok = ok and rep["verdict"] == "PASS"
         details.append(f"{name}: {rep['verdict']}")
 
@@ -259,7 +259,7 @@ def test_criterion_10_contraction_suites(contraction_bundle):
     w = measures.WeightSpec(kind="radial_gamma3", params=b["params"],
                             constants=c19, lam3=1.0, profile=b["profile"])
     rep = measures.contraction_report(b["pair"][0], b["pair"][1], w, b["grid"],
-                                      half_pair=b["half"], half_grid=b["hgrid"])
+                                      half=(b["hgrid"], *b["half"]))
     ok = ok and rep["verdict"] == "PASS"
     details.append(f"radial_gamma3 (m=0.19): {rep['verdict']}")
     ok = ok and elapsed < 300.0

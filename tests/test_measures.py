@@ -9,9 +9,7 @@ from fde.evolution import (
     BoundarySpec,
     EvolutionConfig,
     InitialSpec,
-    RadialField,
     build_grid,
-    inversion_transform,
     run,
 )
 from fde.measures import (
@@ -21,9 +19,9 @@ from fde.measures import (
     contraction_report,
     convergence_report,
     unit_sphere_area,
-    weighted_l1,
 )
 from fde.params import ModelParams, derive_constants
+from reference import RadialField, eval_g_lambda, inversion_transform, weighted_l1
 
 P32 = ModelParams(n=3, m=0.2, beta=-1.0)
 C32 = derive_constants(P32)
@@ -171,7 +169,7 @@ def test_radial_gamma3_equals_inverted_g_weight(profile_cache):
     lhs = weighted_l1(u1, u2, w, g)
     b1 = inversion_transform(RadialField(u=u1, t=0.0, form="physical"), g, p)
     b2 = inversion_transform(RadialField(u=u2, t=0.0, form="physical"), g, p)
-    w_g = prof.eval_g_lambda(1.2, g.r) ** (p.m * c.gamma3)
+    w_g = eval_g_lambda(prof, 1.2, g.r) ** (p.m * c.gamma3)
     rhs = weighted_l1(b1.u, b2.u, w_g, g, n=p.n)
     assert lhs == pytest.approx(rhs, rel=1e-8)
 

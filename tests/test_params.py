@@ -10,9 +10,9 @@ from fde.params import (
     ModelParams,
     ParameterError,
     derive_constants,
-    derive_constants_exact,
     validate_regime,
 )
+from reference import derive_constants_exact
 
 
 def test_example_n3_m02():

@@ -17,6 +17,7 @@ from fde.profile import (
     integrate_inner,
     local_series_start,
 )
+from reference import eval_g_lambda, eval_U_bar_lambda
 
 
 def req_for(n, m, beta=-1.0, eta=1.0, **kw):
@@ -277,8 +278,8 @@ def test_value_only_eval_matches_full_path(profile_cache):
     g_lam = np.exp((2.0 / (1.0 - m) - (n - 2) / m) * math.log(lam)
                    + prof.eval_g_log(y / lam, with_rat=False)[0])
     assert (y / lam).min() <= req.r0 and (y / lam).max() > req.r_switch
-    assert np.array_equal(prof.eval_g_lambda(lam, y), prof.eval_U_bar_lambda(lam, y, 0.0))
-    assert np.array_equal(prof.eval_g_lambda(lam, y), g_lam)
+    assert np.array_equal(eval_g_lambda(prof, lam, y), eval_U_bar_lambda(prof, lam, y, 0.0))
+    assert np.array_equal(eval_g_lambda(prof, lam, y), g_lam)
 
 
 def test_eval_out_of_range(profile_cache):
@@ -352,7 +353,7 @@ def test_U_bar_identity(profile_cache):
     prof = profile_cache(3, 0.2)
     r = np.geomspace(0.2, 5.0, 9)
     for t in (0.0, 0.4):
-        lhs = prof.eval_U_bar_lambda(1.5, r, t)
+        lhs = eval_U_bar_lambda(prof, 1.5, r, t)
         rhs = r ** (-5.0) * prof.eval_U_lambda(1.5, 1.0 / r, t)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 

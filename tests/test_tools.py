@@ -31,3 +31,26 @@ def test_csv_lines_carry_the_bound_ratio(tmp_path):
     assert len(lines) == 1 and lines[0].split()[0] == "x"
     ratio = float(lines[0].split("bound ratio")[1])
     assert abs(ratio - 1e-10 / (1e-12 + 2e-10)) <= 1e-3 * ratio
+
+
+def test_surface_counts_lines_and_public_names(tmp_path):
+    pkg = tmp_path / "fde"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text('from .a import x\n__all__ = ["x"]\n')
+    (pkg / "a.py").write_text('__all__ = ["x", "y"]\n\nx = y = 1\n')
+    (pkg / "b.py").write_text("z = 2\n")
+    (pkg / "notes.txt").write_text("not a module\n")
+    # 2 + 3 + 1 lines; __init__'s re-export is not counted again
+    assert diff_outputs._surface(str(tmp_path)) == (6, 2)
+
+
+def test_surface_of_the_package_matches_its_modules():
+    import importlib
+    import pkgutil
+
+    import fde
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fde.__file__)))
+    names = sum(len(getattr(importlib.import_module(f"fde.{info.name}"), "__all__", ()))
+                for info in pkgutil.iter_modules(fde.__path__))
+    assert diff_outputs._surface(src)[1] == names

@@ -3,9 +3,11 @@
     python tools/diff_outputs.py BASE_SRC CHANGE_SRC OUT
 
 BASE_SRC and CHANGE_SRC are directories that hold the ``fde`` package (a
-checkout's ``src``).  For each tree, one subprocess with PYTHONPATH set to
-that tree runs the fixed matrix below in-process, writing each case's
-artifacts, stdout, stderr and exit code to OUT/base/<case> or
+checkout's ``src``).  First each tree's size is printed: the line count of
+the package's modules and its number of public names, the sum of the
+modules' ``__all__`` lengths.  For each tree, one subprocess with
+PYTHONPATH set to that tree runs the fixed matrix below in-process, writing
+each case's artifacts, stdout, stderr and exit code to OUT/base/<case> or
 OUT/change/<case>.  A table lists each case's exit codes and verdict, and
 ``diff -rq`` names the files that differ.  For each CSV that differs, the
 largest absolute and relative difference of each column is printed, with
@@ -23,6 +25,7 @@ benchmark accepts a ratio up to 1.  Exits 0 when the trees are identical,
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import json
 import os
@@ -99,6 +102,27 @@ def _run_side(out: str) -> None:
             code = cli.run_command(argv)
         with open(os.path.join(d, "exit_code"), "w") as f:
             f.write(f"{code}\n")
+
+
+def _surface(src: str) -> tuple:
+    """(lines, public names) of the ``fde`` package under src: the line count
+    of its modules and the sum of their ``__all__`` lengths, leaving out the
+    names ``__init__`` re-exports from them."""
+    pkg = os.path.join(src, "fde")
+    lines = names = 0
+    for name in os.listdir(pkg):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as f:
+            text = f.read()
+        lines += text.count("\n")
+        if name == "__init__.py":
+            continue
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                names += len(ast.literal_eval(node.value))
+    return lines, names
 
 
 def _verdict(d: str) -> str:
@@ -230,6 +254,10 @@ def main(argv=None) -> int:
         return 1
     os.makedirs(out)
     sides = {"base": base_src, "change": change_src}
+    size = {side: _surface(src) for side, src in sides.items()}
+    for i, what in enumerate(("src lines", "public names")):
+        b, c = size["base"][i], size["change"][i]
+        print(f"{what:<14}base {b}  change {c}  ({c - b:+d})")
     for side, src in sides.items():
         subprocess.run([sys.executable, os.path.abspath(__file__), "--side",
                         os.path.join(out, side)],
