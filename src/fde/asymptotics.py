@@ -26,7 +26,7 @@ import numpy as np
 
 from .params import DerivedConstants, ModelParams
 from .params import derive_constants  # noqa: F401  (looked up here by perfbench's tracer)
-from .profile import Profile, ProfileRequest, _a2_const_part, compute_profile
+from .profile import Profile, ProfileRequest, _a2_const_part, compute_profile, estimate_K
 
 __all__ = [
     "ORDERS",
@@ -106,7 +106,7 @@ def compute_K0(params: ModelParams, eta: float = 1.0, beta_tilde: float = 1.0,
     req = ProfileRequest(params=ModelParams(n=n, m=m, beta=-1.0), eta=1.0,
                          s_max=s_max, tol=tol)
     prof = compute_profile(req)
-    k, q = prof.k_estimate, prof.constants.q
+    k, q = estimate_K(prof.far, prof.constants, n, m), prof.constants.q
     K0 = (1.0 - m) * k.K / (2.0 * (n - 1) * q)
     coeffs = ExpansionCoefficients(
         n=n, m=m, K0=K0, K_11=k.K, a1=_a1(n, m, q, _a2(n, m, k.K, 1.0)),

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import asymptotics, evolution, measures
 from .params import ModelParams, ParameterError, derive_constants, validate_regime
-from .profile import ProfileError, ProfileRequest, check_profile_invariants, compute_profile
+from .profile import (ProfileError, ProfileRequest, check_profile_invariants, compute_profile,
+                      estimate_K)
 
 SCHEMA_VERSION = 1
 
@@ -64,21 +65,14 @@ def _write_csv(path: str, header: list, columns: list):
     _write_atomic(path, itertools.chain([",".join(header) + "\n"], blocks))
 
 
+def _dumps(obj) -> str:
+    """obj as indented JSON with sorted keys; a numpy array or scalar goes in
+    as its Python value (tolist() of a numpy scalar is its item())."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda v: v.tolist())
+
+
 def _write_report(path: str, payload: dict):
-    payload = {"schema": SCHEMA_VERSION, **payload}
-    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+    _write_atomic(path, [_dumps({"schema": SCHEMA_VERSION, **payload}) + "\n"])
 
 
 _KINDS = {bool: "true or false", str: "a string", int: "an integer", float: "a number",
@@ -93,8 +87,9 @@ def _typed(spec, val, where: str = ""):
     of its default; where there is no default, ``spec`` is the type itself.  A
     None default, or none at all, lets the value be null; a None default is a
     float otherwise.  An integer key takes only an integer, and a float key an
-    integer or a float; neither takes a bool or a string.  Every dict and list
-    is built afresh, so no call can write into the table.
+    integer or a float; neither takes a bool or a string, and a float must be
+    finite.  Every dict and list is built afresh, so no call can write into
+    the table.
     """
     if isinstance(spec, dict):
         if not isinstance(val, dict):
@@ -115,9 +110,12 @@ def _typed(spec, val, where: str = ""):
         if (not isinstance(val, (int, float) if typ is float else typ)
                 or isinstance(val, bool) != (typ is bool)):
             raise TypeError
-        return typ(val)  # float() overflows on an integer beyond the float range
+        val = typ(val)  # float() overflows on an integer beyond the float range
     except (TypeError, OverflowError):
         raise ConfigError(f"config key {where} must be {_KINDS[typ]}, got {val!r}") from None
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(f"{where} must be finite, got {val!r}")
+    return val
 
 
 def _keys(names: str, **defaults) -> dict:
@@ -196,11 +194,11 @@ def _load_config(args, command: str) -> dict:
             # validate-barenblatt keeps its radius at the top, not in a grid block
             if path[-1] not in table:
                 raise ConfigError(f"flag --{flag} does not apply to {command}")
-            path = path[-1:]
+            path, block = path[-1:], table
         node = cfg
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = val
+        node[path[-1]] = _typed(block[path[-1]], val, ".".join(path))
     return cfg
 
 
@@ -220,23 +218,22 @@ def _profile_for(cfg):
 def _cmd_constants(cfg, out: str) -> int:
     p = _model(cfg)
     c = derive_constants(p)
-    mu = cfg.get("mu")
-    if mu is not None and not math.isfinite(mu):
-        raise ConfigError(f"mu must be finite, got {mu!r}")
-    print(json.dumps(_json_safe(c.as_dict()), indent=2, sort_keys=True))
+    print(_dumps(c.as_dict()))
     if out:
-        payload = {"constants": _json_safe(c.as_dict()),
-                   "regime": _json_safe(validate_regime(p, mu).as_dict())}
-        _write_report(os.path.join(out, "constants.json"), payload)
+        _write_report(os.path.join(out, "constants.json"), {
+            "constants": c.as_dict(), "regime": validate_regime(p, cfg.get("mu")).as_dict()})
     return _EXIT_OK
 
 
 def _cmd_profile(cfg, out: str) -> int:
     p = _model(cfg)
+    g = cfg["grid"]
+    if g["count"] < 1:
+        raise ConfigError(f"grid.count must be >= 1, got {g['count']!r}")
     req = ProfileRequest(params=p, eta=cfg["eta"], r0=cfg["r0"], r_switch=cfg["r_switch"],
                          s_max=cfg["s_max"], tol=cfg["tol"])
     prof = compute_profile(req)
-    g = cfg["grid"]
+    k = estimate_K(prof.far, prof.constants, p.n, p.m)
     r = np.geomspace(g["r_min"], g["r_max"], g["count"])
     gv, gr = prof.eval_g(r)
     fv, fr = prof.eval_f(r)
@@ -247,7 +244,6 @@ def _cmd_profile(cfg, out: str) -> int:
     _write_csv(os.path.join(out, "profile_far.csv"),
                ["s", "w", "w_s", "h", "h1"], [far.s, far.w, far.w_s, far.h, h1])
     inv = check_profile_invariants(prof)
-    k = prof.k_estimate
     _write_report(os.path.join(out, "profile_summary.json"), {
         "K": k.K, "K_error_estimate": k.error_estimate, "K_method": k.method,
         "K_converged": k.converged,
@@ -256,7 +252,7 @@ def _cmd_profile(cfg, out: str) -> int:
             "w_over_s_over_farfield_slope": inv["w_over_s_ratio"],
             "g_origin_over_eta": inv["g_origin_ratio"],
         },
-        "invariants": _json_safe(inv),
+        "invariants": inv,
     })
     return _EXIT_OK if inv["ok"] and k.converged else _EXIT_FAIL
 
@@ -292,7 +288,7 @@ def _cmd_expansion(cfg, out: str) -> int:
 
 def _build_evolution(cfg, form, initial, boundary, profile, band=(None, None), monitors=False):
     """The run of cfg; ``band`` (lam1, lam2) checks the initial data, and
-    ``monitors`` logs the ordering and Aronson-Benilan monitors per step."""
+    ``monitors`` reduces the ordering and Aronson-Benilan monitors over the steps."""
     p = _model(cfg)
     dt, horizon = cfg["dt"], cfg["horizon"]
     for key, val in (("dt", dt), ("horizon", horizon)):
@@ -325,15 +321,13 @@ def _cmd_evolve(cfg, out: str) -> int:
     _write_csv(os.path.join(out, "snapshots.csv"), ["t", "r", "u"],
                [np.repeat(traj.times, r.size), np.tile(r, traj.times.size), traj.fields.ravel()])
     report = {
-        "times": _json_safe(traj.times),
+        "times": traj.times,
         "newton_iters_total": traj.newton_iters_total,
         "rejections": traj.rejections,
         "trunc_time": traj.trunc_time,
         "trunc_space": traj.trunc_space,
     }
-    if ecfg.monitors:
-        report["aronson_benilan"] = _json_safe(evolution.aronson_benilan_monitor(traj))
-        report["ordering"] = _json_safe(evolution.ordering_monitor(traj))
+    report.update(traj.monitors or {})
     _write_report(os.path.join(out, "evolve_report.json"), report)
     return _EXIT_OK
 
@@ -356,7 +350,7 @@ def _cmd_contract(cfg, out: str) -> int:
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
 
     def pair(N):
-        # the report reads snapshots only, so the runs log no monitors
+        # the report reads snapshots only, so the runs keep no monitors
         sub = dict(cfg)
         sub["grid"] = dict(cfg["grid"], N=N)
         return [_build_evolution(sub, "physical",
@@ -390,7 +384,7 @@ def _cmd_converge(cfg, out: str) -> int:
     init = evolution.InitialSpec(kind="bump", lam0=lam0, **cfg["bump"])
     bc = evolution.BoundarySpec(kind="f_lambda", lam=lam0)
     # the report reads the band's lambdas only: the run checks u0 against
-    # the band and logs no monitors
+    # the band and keeps no monitors
     ecfg = _build_evolution(cfg, "rescaled", init, bc, prof, (cfg["lam1"], cfg["lam2"]))
     traj = evolution.run(ecfg)
     rep = measures.convergence_report(
@@ -411,6 +405,11 @@ def _cmd_converge(cfg, out: str) -> int:
 
 def _cmd_validate_barenblatt(cfg, out: str) -> int:
     p = _model(cfg)
+    # an order needs two errors, or three runs for two successive differences
+    for key, least in (("N_list", 2), ("temporal_dt_list", 3)):
+        if len(cfg[key]) < least:
+            raise ConfigError(f"{key} needs >= {least} entries to measure an order, "
+                              f"got {len(cfg[key])}")
     k, T, horizon, R = cfg["k"], cfg["T"], cfg["horizon"], cfg["R"]
     init = evolution.InitialSpec(kind="barenblatt", k=k, T=T)
     bc = evolution.BoundarySpec(kind="barenblatt", k=k, T=T)

@@ -13,10 +13,12 @@ Euler and damped Newton (tridiagonal solves, see _kernels):
 
 Dirichlet data comes from the self-similar family (f_lambda, U_lambda), the
 Barenblatt solution, or a constant.  A run given an ordering band (lam1,
-lam2) checks its initial data against it; with ``monitors`` set it also logs
-ordering and Aronson-Benilan-type monitors per accepted step, diagnostics
-with truncation-scaled slacks, not assertions.  A finished Trajectory is
-immutable; independent runs can execute concurrently.
+lam2) checks its initial data against it; with ``monitors`` set it also
+reduces the ordering gaps and the Aronson-Benilan-type excess over the
+accepted steps to their extrema as it goes, and reports them as
+``Trajectory.monitors``: diagnostics with truncation-scaled slacks, not
+assertions.  A finished Trajectory is immutable; independent runs can
+execute concurrently.
 
 The snapshot times are the run's clock: a step of dt (or of the sub-step
 left by a rejection) that ends within _LAND * dt of the next snapshot ends
@@ -60,8 +62,6 @@ __all__ = [
     "build_grid",
     "barenblatt_oracle",
     "run",
-    "aronson_benilan_monitor",
-    "ordering_monitor",
 ]
 
 
@@ -237,7 +237,7 @@ class EvolutionConfig:
     snapshot_times: np.ndarray   # the run's clock: from 0 to its end
     profile: Optional[Profile] = None
     newton_tol: float = 1e-11
-    monitors: bool = False         # log the ordering and AB monitors per step
+    monitors: bool = False         # reduce the ordering and AB monitors over the steps
     lam1: Optional[float] = None   # ordering band: f_{lam1} <= u <= f_{lam2}
     lam2: Optional[float] = None
 
@@ -246,6 +246,8 @@ class EvolutionConfig:
             raise EvolutionError(f"form must be physical|rescaled, got {self.form!r}")
         if not 0.0 < self.dt < math.inf:
             raise EvolutionError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise EvolutionError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
         st = np.asarray(self.snapshot_times, dtype=float)
         if (st.ndim != 1 or st.size < 2 or not np.all(np.isfinite(st)) or st[0] != 0.0
                 or np.any(np.diff(st) <= 0.0)):
@@ -255,15 +257,12 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step monitor logs and solver statistics."""
+    """Snapshots plus monitor verdicts and solver statistics."""
 
     times: np.ndarray
     fields: np.ndarray           # (n_snapshots, N)
     form: str
-    step_times: np.ndarray
-    ab_excess: np.ndarray        # per accepted step (physical-form inequality)
-    ord_gap_lo: np.ndarray
-    ord_gap_hi: np.ndarray
+    monitors: Optional[dict]     # {"aronson_benilan": ..., "ordering": ...}; None without
     newton_iters_total: int
     rejections: int
     trunc_time: float            # max |U - (2u - u_prev)| / dt over repeated-dt steps
@@ -317,7 +316,8 @@ def _boundary_data(cfg: EvolutionConfig, times, r_ends: np.ndarray) -> np.ndarra
 
 
 def run(cfg: EvolutionConfig) -> Trajectory:
-    """Advance a configured run, recording snapshots and monitors."""
+    """Advance a configured run, recording snapshots and, with cfg.monitors,
+    the worst AB excess and ordering gaps over the accepted steps."""
     c = derive_constants(cfg.params)
     r_ends = np.array([cfg.grid.r[0], cfg.grid.r[-1]])
     u = cfg.initial.values(cfg.grid, cfg.profile, cfg.params)
@@ -346,7 +346,7 @@ def run(cfg: EvolutionConfig) -> Trajectory:
     fields = np.empty((len(cfg.snapshot_times), cfg.grid.N))
     fields[0] = u
 
-    step_times, ab_log, lo_log, hi_log = [], [], [], []
+    ab_max, lo_min, hi_min = -math.inf, math.inf, math.inf  # monitor extrema
     iters_total = rejections = 0
     trunc_time = 0.0
     u_prev = u_prev2 = None
@@ -384,15 +384,14 @@ def run(cfg: EvolutionConfig) -> Trajectory:
             continue
         if cfg.monitors:
             # short snapshot-clipped steps amplify Newton-tolerance noise in
-            # the difference quotient by 1/dt; skip the AB log there
+            # the difference quotient by 1/dt; skip the AB excess there
             if dt_try >= 0.1 * cfg.dt:
                 excess = (U[1:-1] - u[1:-1]) / dt_try - U[1:-1] / ((1.0 - m) * t_new)
-                ab_log.append(float(np.max(excess)))
+                ab_max = max(ab_max, float(np.max(excess)))
             if not rescaled:  # the rescaled band does not depend on t
                 lo, hi = _ordering_bounds(cfg, t_new)
-            lo_log.append(float(np.min(U - lo)))
-            hi_log.append(float(np.min(hi - U)))
-            step_times.append(t_new)
+            lo_min = min(lo_min, float(np.min(U - lo)))
+            hi_min = min(hi_min, float(np.min(hi - U)))
         if lin is not None:
             err = U - lin
             trunc_time = max(trunc_time, float(np.abs(err, out=err).max()) / dt_try)
@@ -405,51 +404,29 @@ def run(cfg: EvolutionConfig) -> Trajectory:
     d2 = np.abs(fields[:, 2:] - 2.0 * fields[:, 1:-1] + fields[:, :-2])
     trunc_space = float(np.max(d2)) if fields.shape[1] > 2 else 0.0
 
+    monitors = None
+    if cfg.monitors:
+        if ab_max == -math.inf:
+            spacing = float(np.max(np.diff(cfg.snapshot_times)))
+            raise EvolutionError(f"the Aronson-Benilan monitor needs a step >= 0.1*dt and no "
+                                 f"step was: dt={cfg.dt!r}, snapshot spacing {spacing!r}")
+        # the AB inequality is a property of the physical flow, so scheme
+        # noise up to 10x the truncation estimates is expected, not a failure
+        ab_slack, ord_slack = 10.0 * trunc_time, 10.0 * (trunc_time * cfg.dt + trunc_space)
+        monitors = {
+            "aronson_benilan": {"max_excess": ab_max, "slack": ab_slack, "ok": ab_max <= ab_slack},
+            "ordering": {"gap_lo_min": lo_min, "gap_hi_min": hi_min, "slack": ord_slack,
+                         "ok": lo_min >= -ord_slack and hi_min >= -ord_slack},
+        }
+
     return Trajectory(
         times=cfg.snapshot_times,
         fields=fields,
         form=cfg.form,
-        step_times=np.asarray(step_times),
-        ab_excess=np.asarray(ab_log),
-        ord_gap_lo=np.asarray(lo_log),
-        ord_gap_hi=np.asarray(hi_log),
+        monitors=monitors,
         newton_iters_total=iters_total,
         rejections=rejections,
         trunc_time=trunc_time,
         trunc_space=trunc_space,
         config=cfg,
     )
-
-
-def aronson_benilan_monitor(traj: Trajectory) -> dict:
-    """Max positive excess of the discrete u_t over u/((1-m)t), with slack.
-
-    The slack is 10x the second-difference truncation estimate; the
-    inequality is a property of the physical flow, so scheme-level noise up
-    to the slack is expected, not a failure of the PDE claim.
-    """
-    if traj.ab_excess.size == 0:
-        raise EvolutionError("run was recorded without monitors")
-    slack = 10.0 * traj.trunc_time
-    max_excess = float(np.max(traj.ab_excess))
-    return {
-        "max_excess": max_excess,
-        "slack": slack,
-        "ok": max_excess <= slack,
-    }
-
-
-def ordering_monitor(traj: Trajectory) -> dict:
-    """Worst ordering gaps min(u - U_lam1), min(U_lam2 - u) over the run."""
-    if traj.ord_gap_lo.size == 0:
-        raise EvolutionError("run was recorded without monitors")
-    cfg = traj.config
-    slack = 10.0 * (traj.trunc_time * cfg.dt + traj.trunc_space)
-    gap_lo = float(np.min(traj.ord_gap_lo))
-    gap_hi = float(np.min(traj.ord_gap_hi))
-    return {
-        "gap_lo_min": gap_lo,
-        "gap_hi_min": gap_hi,
-        "slack": slack,
-        "ok": gap_lo >= -slack and gap_hi >= -slack,
-    }

@@ -9,7 +9,8 @@ Three weight families (plus a free-form escape hatch) define the norms:
 
 Norms are radial quadratures  omega_n * int |a-b| w(r) r^{n-1} dr  computed
 with the trapezoid rule in s = log r (integrand * r^n in s), exact for
-integrands constant in s.
+integrands constant in s.  A report integrates each series, one row per
+snapshot, in one call.
 
 Contraction verdicts separate PDE-level claims from scheme noise: a series
 is PASS only when genuinely nonincreasing (up to a 1e-8 floor); violations
@@ -113,20 +114,10 @@ class WeightSpec:
         return np.exp(power * np.log(r) + exponent * lnf)
 
 
-def _l1(diff, w, grid: AnnulusGrid, n: int) -> float:
-    """omega_n * int |diff|(r) w(r) r^{n-1} dr by the trapezoid rule in s."""
-    return unit_sphere_area(n) * float(np.trapezoid(np.abs(diff) * w * grid.r ** n, grid.s))
-
-
-def _series(traj1: Trajectory, traj2: Trajectory, w, grid, n: int,
-            positive_part=False) -> np.ndarray:
-    out = np.empty(len(traj1.times))
-    for k in range(len(traj1.times)):
-        diff = traj1.fields[k] - traj2.fields[k]
-        if positive_part:
-            diff = np.maximum(diff, 0.0)
-        out[k] = _l1(diff, w, grid, n)
-    return out
+def _l1(diff, w, grid: AnnulusGrid, n: int):
+    """omega_n * int |diff|(r) w(r) r^{n-1} dr by the trapezoid rule in s, for
+    each row of diff (a float for one row)."""
+    return unit_sphere_area(n) * np.trapezoid(np.abs(diff) * w * grid.r ** n, grid.s, axis=-1)
 
 
 def _verdict(series: np.ndarray, slack: np.ndarray) -> str:
@@ -160,13 +151,14 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
         }
     n = weight.params.n
     w = weight.values(grid.r)
-    series = _series(traj1, traj2, w, grid, n)
-    series_pos = _series(traj1, traj2, w, grid, n, positive_part=True)
+    diff = traj1.fields - traj2.fields
+    series = _l1(diff, w, grid, n)
+    series_pos = _l1(np.maximum(diff, 0.0, out=diff), w, grid, n)
 
     slack = np.full_like(series, 1e-8)
     if half is not None:
         hgrid, h1, h2 = half
-        series_half = _series(h1, h2, weight.values(hgrid.r), hgrid, n)
+        series_half = _l1(h1.fields - h2.fields, weight.values(hgrid.r), hgrid, n)
         slack = slack + 10.0 * np.abs(series - series_half)
 
     return {
@@ -202,20 +194,15 @@ def convergence_report(traj: Trajectory, profile: Profile, lam0: float,
         raise MeasureError(
             f"lam0={lam0!r} outside the ordering band [lam2, lam1]=[{lam2!r}, {lam1!r}]")
     target = profile.eval_f_lambda(lam0, grid.r)
-    n = weight.params.n
-    w = weight.values(grid.r)
     if len(K_compact) != 2:
         raise MeasureError(f"K_compact must hold two radii, got {K_compact!r}")
     sel = (grid.r >= K_compact[0]) & (grid.r <= K_compact[1])
     if not np.any(sel):
         raise MeasureError(f"compact window {K_compact!r} contains no grid nodes")
 
-    e1 = np.empty(len(traj.times))
-    e_inf = np.empty(len(traj.times))
-    for k in range(len(traj.times)):
-        diff = traj.fields[k] - target
-        e1[k] = _l1(diff, w, grid, n)
-        e_inf[k] = np.max(np.abs(diff[sel]))
+    diff = traj.fields - target
+    e1 = _l1(diff, weight.values(grid.r), grid, weight.params.n)
+    e_inf = np.max(np.abs(diff[:, sel]), axis=1)
 
     thresh = (1e-3 * float(np.max(target[sel]))
               if e_inf_threshold is None else e_inf_threshold)

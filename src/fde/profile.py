@@ -15,10 +15,11 @@ pipeline is:
 3. ``integrate_far_field``  -- switch to s = log r and integrate the
    autonomous equation for w~(s) = r^{(n-2-nm)/m} g^{1-m} up to s_max
    (default 200, i.e. radii up to e^200, representable only through s),
-4. ``estimate_K``           -- extract the limit constant K(eta, beta~) from
-   the far-field trace using the closed-form tail corrections.
+4. ``compute_profile``      -- assemble the ``Profile``; check the handoff.
 
-The assembled ``Profile`` evaluates g, f, the lambda-scaling family f_lambda
+``estimate_K`` extracts K(eta, beta~) from a far-field trace with the
+closed-form tail corrections; only the callers that report K run it.  The
+assembled ``Profile`` evaluates g, f, the lambda-scaling family f_lambda
 and the eternal solutions U_lambda anywhere in [0, e^{s_max}] (respectively
 [e^{-s_max}, 1/r0] for f), using log-space arithmetic so that quantities like
 f(e^{-200}) ~ e^{500} never overflow.
@@ -96,7 +97,6 @@ class InnerProfile:
     r: np.ndarray
     g: np.ndarray
     g_r: np.ndarray
-    residual_max: float     # max scaled flux-form ODE residual over node triples
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,6 @@ class FarFieldTrace:
     w_s: np.ndarray
     h: np.ndarray
     h1: Optional[np.ndarray]   # None in the Yamabe case, where h1 == h
-    residual_max: float
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ def integrate_inner(req: ProfileRequest, c: Optional[DerivedConstants] = None,
         bad = r[np.argmax(mono <= -10.0 * req.tol * req.eta)]
         raise ProfileError(f"monotonicity expression g + (bt/at) r g_r violated at r={bad:.6e}")
 
-    return InnerProfile(r=r, g=g, g_r=g_r, residual_max=_flux_residual_inner(req, c, r, g, g_r))
+    return InnerProfile(r=r, g=g, g_r=g_r)
 
 
 def _rhs_far(n: int, m: float, c: DerivedConstants):
@@ -293,11 +292,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
 
     h = w - c.farfield_slope * s
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
-
-    # flux-style residual for the second-order system: w_s and its Simpson-integrated slope
-    wss = _rhs_far(n, m, c)(s, (w, w_s))[1]
-    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1,
-                         residual_max=_simpson_residual(s, w_s, wss))
+    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1)
 
 
 def _a2_const_part(n: int, m: float) -> float:
@@ -357,12 +352,11 @@ class Profile:
     """
 
     def __init__(self, request: ProfileRequest, constants: DerivedConstants,
-                 inner: InnerProfile, far: FarFieldTrace, k_estimate: KEstimate):
+                 inner: InnerProfile, far: FarFieldTrace):
         self.request = request
         self.constants = constants
         self.inner = inner
         self.far = far
-        self.k_estimate = k_estimate
         c = constants
         self._wexp = (1.0 - request.params.m) * c.alpha_tilde / c.beta_tilde
         s_in = np.log(inner.r)
@@ -475,8 +469,7 @@ def compute_profile(req: ProfileRequest) -> Profile:
     c = derive_constants(req.params)
     inner = integrate_inner(req, c)
     far = integrate_far_field(req, inner, c)
-    k = estimate_K(far, c, req.params.n, req.params.m)
-    prof = Profile(req, c, inner, far, k)
+    prof = Profile(req, c, inner, far)
     # continuity across the handoff: reconstruct g(r_switch) from the far field
     one_m = 1.0 - req.params.m
     g_far = (far.w[0] * math.exp(-prof._wexp * far.s[0])) ** (1.0 / one_m)
@@ -522,6 +515,10 @@ def check_profile_invariants(prof: Profile) -> dict:
     _, rff = prof.eval_f_log(rs)
     f_dec = c.alpha - c.beta_tilde * rff  # = (alpha f + beta r f_r)/f
 
+    # flux-form residuals: of the inner ODE, and of w_s against its
+    # Simpson-integrated slope in the far field
+    wss = _rhs_far(n, m, c)(far.s, (far.w, far.w_s))[1]
+
     return {
         "g_min": float(np.min(g)),
         "monotone_min": float(np.min(mono)),
@@ -529,8 +526,8 @@ def check_profile_invariants(prof: Profile) -> dict:
         "superharmonic_max": float(np.max(superharm)),
         "superharmonic_tol": float(superharm_tol),
         "rwr_over_w_max": float(max(np.max(rw_inner), np.max(rw_far))),
-        "residual_inner": inner.residual_max,
-        "residual_far": far.residual_max,
+        "residual_inner": _flux_residual_inner(req, c, r, g, g_r),
+        "residual_far": _simpson_residual(far.s, far.w_s, wss),
         "ws_ratio": float(ws_end / c.farfield_slope),
         "w_over_s_ratio": float(w_over_s / c.farfield_slope),
         "g_origin_ratio": g_at_small / req.eta,

@@ -19,6 +19,7 @@ from fde.profile import (
     check_profile_invariants,
     check_scaling_identities,
     compute_profile,
+    estimate_K,
 )
 
 NM_SET = [(3, 0.2), (3, 0.25), (3, 0.19), (4, 1.0 / 3.0)]
@@ -138,7 +139,8 @@ def test_criterion_5_K_stability(profile_set):
     ok = True
     worst = 0.0
     for key, prof in profs.items():
-        k = prof.k_estimate
+        p = prof.request.params
+        k = estimate_K(prof.far, prof.constants, p.n, p.m)
         thr = 1e-3 * (1.0 + abs(k.K))
         ok = ok and k.error_estimate <= thr
         worst = max(worst, k.error_estimate / thr)
@@ -225,8 +227,8 @@ def test_criterion_8_solver_orders(profile_cache):
 def test_criterion_9_monitors(contraction_bundle):
     bundles, _ = contraction_bundle
     blend = bundles[0.2]["blend"]
-    ab = evolution.aronson_benilan_monitor(blend)
-    om = evolution.ordering_monitor(blend)
+    ab = blend.monitors["aronson_benilan"]
+    om = blend.monitors["ordering"]
     ok = ab["ok"] and om["ok"]
     _report(9, ok,
             f"ordering gaps ({om['gap_lo_min']:.1e}, {om['gap_hi_min']:.1e}) "

@@ -13,6 +13,7 @@ from fde.asymptotics import (
     expansion_series,
 )
 from fde.params import ModelParams, derive_constants
+from fde.profile import estimate_K
 from reference import eval_expansion_f, eval_expansion_g
 
 
@@ -179,12 +180,14 @@ def test_constant_block_shift_between_parameter_pairs(profile_cache):
     c2 = derive_constants(ModelParams(n=n, m=m, beta=-0.5))
     p1 = profile_cache(n, m, beta=-1.0, eta=1.0)
     p2 = profile_cache(n, m, beta=-0.5, eta=2.0)
-    blk1 = p1.k_estimate.K / c1.a0
-    blk2 = p2.k_estimate.K / c2.a0
+    k1 = estimate_K(p1.far, p1.constants, n, m)
+    k2 = estimate_K(p2.far, p2.constants, n, m)
+    blk1 = k1.K / c1.a0
+    blk2 = k2.K / c2.a0
     q = n - 2 - n * m
     shift = math.log(2.0) / c1.gamma1 + m / q * math.log(0.5)
-    tol = 2.0 * (p1.k_estimate.error_estimate / c1.a0
-                 + p2.k_estimate.error_estimate / c2.a0)
+    tol = 2.0 * (k1.error_estimate / c1.a0
+                 + k2.error_estimate / c2.a0)
     assert abs((blk2 - blk1) - shift) <= tol + 1e-9
 
 

@@ -189,7 +189,7 @@ def test_converge_logs_no_monitors(tmp_path, monkeypatch):
     (traj,) = runs
     assert (traj.config.lam1, traj.config.lam2) == (1.0, 0.4)
     assert not traj.config.monitors
-    assert traj.step_times.size == traj.ab_excess.size == traj.ord_gap_lo.size == 0
+    assert traj.monitors is None
     assert bands == [0.0]
 
 
@@ -283,7 +283,7 @@ def test_non_finite_profile_request_rejected(tmp_path, capsys, argv, config, key
     assert code == 1
     assert not caught
     err = capsys.readouterr().err.strip()
-    assert err == f"error: {key} must be finite, got inf"
+    assert err == f"config error: {key} must be finite, got inf"
 
 
 @pytest.mark.parametrize("command", ["evolve", "contract"])
@@ -294,7 +294,7 @@ def test_infinite_R_rejected(tmp_path, capsys, command):
     assert code == 1
     assert not caught
     err = capsys.readouterr().err.strip()
-    assert err == "error: need finite R > 1, got R=inf"
+    assert err == "config error: grid.R must be finite, got inf"
 
 
 def test_contract_half_grid_too_small(tmp_path, capsys, no_solver):
@@ -619,3 +619,90 @@ def test_error_message_prints_plain_floats(tmp_path, capsys):
     assert run_command(["profile", "--smax", "40", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.strip()
     assert err == "error: K extraction needs s_max >= 50, trace ends at 40.0"
+
+
+_CONSTANT_RUN = {"initial": {"kind": "constant", "value": 1.0},
+                 "boundary": {"kind": "constant", "value": 1.0}}
+
+
+@pytest.mark.parametrize("argv,config,err", [
+    (["contract"], {"weight": {"kind": "custom_power_times_profile", "lam3": 1.0,
+                               "power": math.nan, "exponent": 0.4}},
+     "config error: weight.power must be finite, got nan"),
+    (["converge"], {"decrease_factor": math.nan},
+     "config error: decrease_factor must be finite, got nan"),
+    (["converge"], {"e_inf_threshold": math.nan},
+     "config error: e_inf_threshold must be finite, got nan"),
+    (["converge"], {"bump": {"amplitude": math.nan}},
+     "config error: bump.amplitude must be finite, got nan"),
+    (["profile"], {"grid": {"r_min": math.nan}},
+     "config error: grid.r_min must be finite, got nan"),
+    (["evolve"], {"initial": {"kind": "blend", "lam1": 2.0, "lam2": 1.0, "theta": math.nan}},
+     "config error: initial.theta must be finite, got nan"),
+    (["evolve"], dict(_CONSTANT_RUN, newton_tol=math.nan),
+     "config error: newton_tol must be finite, got nan"),
+    (["evolve"], dict(_CONSTANT_RUN, newton_tol=-1.0),
+     "error: newton_tol must be positive and finite, got -1.0"),
+    (["contract", "--lambda3", "nan"], {}, "config error: weight.lam3 must be finite, got nan"),
+], ids=["weight.power", "decrease_factor", "e_inf_threshold", "bump.amplitude", "grid.r_min",
+        "initial.theta", "newton_tol-nan", "newton_tol-negative", "flag-lambda3"])
+def test_non_finite_or_non_positive_value_rejected(tmp_path, capsys, no_solver, argv, config, err):
+    # a NaN in a config file or a flag ends in one line naming its key, before
+    # any solver runs; none reaches a verdict or a NaN in the report
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv + ["--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert not caught
+    assert capsys.readouterr().err.strip() == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config,err", [
+    ("validate-barenblatt", {"N_list": [101]},
+     "N_list needs >= 2 entries to measure an order, got 1"),
+    ("validate-barenblatt", {"N_list": []},
+     "N_list needs >= 2 entries to measure an order, got 0"),
+    ("validate-barenblatt", {"temporal_dt_list": [0.01, 0.005]},
+     "temporal_dt_list needs >= 3 entries to measure an order, got 2"),
+    ("validate-barenblatt", {"temporal_dt_list": []},
+     "temporal_dt_list needs >= 3 entries to measure an order, got 0"),
+    ("profile", {"grid": {"count": 0}}, "grid.count must be >= 1, got 0"),
+], ids=["N_list-1", "N_list-0", "temporal_dt_list-2", "temporal_dt_list-0", "grid.count-0"])
+def test_nothing_to_measure_rejected(tmp_path, capsys, no_solver, command, config, err):
+    # a list too short for one measured order used to give PASS with empty
+    # order lists, and a profile grid of no radii numpy's zero-size error
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() == f"config error: {err}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_evolve_monitors_without_a_full_step_rejected(tmp_path, capsys):
+    # every step is clipped to the snapshot spacing 0.005 < 0.1 * dt, so the
+    # Aronson-Benilan monitor has no step to read; the run says so before
+    # any file is written
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "grid": {"R": math.e, "N": 33}, "dt": 0.1, "horizon": 0.05, "snapshots": 11,
+        "initial": {"kind": "blend", "lam1": 2.0, "lam2": 1.0, "theta": 0.3},
+        "monitors": {"enabled": True, "lam1": 2.0, "lam2": 1.0}}))
+    out = tmp_path / "out"
+    assert run_command(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the Aronson-Benilan monitor needs a step >= 0.1*dt")
+    assert "dt=0.1" in err and "snapshot spacing 0.005" in err
+    assert not out.exists()
+
+
+def test_expansion_reads_no_K_from_its_profile(tmp_path):
+    # only the K(1,1) run extracts K, so a profile horizon below the 50 that
+    # K extraction needs is no error for expansion
+    assert run_command(["expansion", "--smax", "40", "--out", str(tmp_path)]) in (0, 2)
+    report = json.loads(_read(tmp_path / "expansion_report.json"))
+    assert report["verdict"] in ("PASS", "FAIL")

@@ -14,10 +14,8 @@ from fde.evolution import (
     EvolutionError,
     InitialSpec,
     Trajectory,
-    aronson_benilan_monitor,
     barenblatt_oracle,
     build_grid,
-    ordering_monitor,
     run,
 )
 from fde.params import ModelParams, derive_constants
@@ -622,8 +620,8 @@ def test_run_snapshots_and_monitors_exact_solution(profile_cache):
         profile=prof, monitors=True, lam1=5.0, lam2=5.0)
     traj = run(cfg)
     assert np.all(np.diff(traj.times) > 0)
-    ab = aronson_benilan_monitor(traj)
-    om = ordering_monitor(traj)
+    ab = traj.monitors["aronson_benilan"]
+    om = traj.monitors["ordering"]
     assert ab["ok"] and ab["max_excess"] <= 1e-8
     assert om["ok"]
     # degenerate band lam1 = lam2: both gaps are the solver deviation
@@ -654,8 +652,6 @@ def test_static_band_and_boundary_evaluated_once(profile_cache, monkeypatch):
             dt=dt, snapshot_times=[0.0, steps * dt],
             profile=prof, monitors=True, lam1=2.0, lam2=0.5))
         assert traj.rejections == 0
-        assert len(traj.step_times) == steps
-        assert len(traj.ord_gap_lo) == len(traj.ord_gap_hi) == steps
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -731,9 +727,9 @@ def test_blend_run_ordering(profile_cache):
         dt=1e-3, snapshot_times=np.array([0.0, 0.3]),
         profile=prof, monitors=True, lam1=2.0, lam2=1.0)
     traj = run(cfg)
-    om = ordering_monitor(traj)
+    om = traj.monitors["ordering"]
     assert om["ok"], om
-    ab = aronson_benilan_monitor(traj)
+    ab = traj.monitors["aronson_benilan"]
     assert ab["ok"], ab
 
 

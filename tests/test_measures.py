@@ -220,6 +220,30 @@ def test_contraction_small_run(profile_cache):
     assert np.all(np.diff(rep["series"]) <= 1e-8)
 
 
+def test_reports_equal_the_per_snapshot_norms(profile_cache):
+    # a report integrates all its snapshots in one call; each entry is the
+    # norm of its own snapshot, bit for bit
+    prof, g, t1, t2 = _small_pair(profile_cache)
+    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.25)
+    rep = contraction_report(t1, t2, w, g)
+    for k, (a, b) in enumerate(zip(t1.fields, t2.fields)):
+        assert rep["series"][k] == weighted_l1(a, b, w, g)
+        assert rep["series_positive_part"][k] == weighted_l1(np.maximum(a - b, 0.0), 0.0 * a, w, g)
+
+    traj = run(EvolutionConfig(
+        grid=g, params=P32, form="rescaled",
+        initial=InitialSpec(kind="bump", lam0=1.0, amplitude=0.1, r_lo=0.5, r_hi=2.0),
+        boundary=BoundarySpec(kind="f_lambda", lam=1.0),
+        dt=5e-3, snapshot_times=np.linspace(0.0, 0.1, 5), profile=prof))
+    wg = WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0, profile=prof)
+    rep = convergence_report(traj, prof, 1.0, wg, g)
+    target = prof.eval_f_lambda(1.0, g.r)
+    sel = (g.r >= 0.5) & (g.r <= 2.0)
+    for k, u in enumerate(traj.fields):
+        assert rep["e1"][k] == weighted_l1(u, target, wg, g)
+        assert rep["e_inf"][k] == np.max(np.abs(u - target)[sel])
+
+
 def test_contraction_refuses_different_boundaries(profile_cache):
     prof = profile_cache(3, 0.2)
     g = build_grid(math.e ** 2, 301)

@@ -131,7 +131,7 @@ def test_inner_tiny_eta_no_crash():
 def test_inner_residual_small(profile_cache):
     for nm in [(3, 0.2), (3, 0.25), (3, 0.19), (4, 1.0 / 3.0)]:
         prof = profile_cache(*nm)
-        assert prof.inner.residual_max <= 1e-8
+        assert check_profile_invariants(prof)["residual_inner"] <= 1e-8
 
 
 # -- far field ------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_far_field_log_slope(profile_cache):
     assert c.h1_slope == pytest.approx(-2.0 / 3.0, rel=1e-14)
     s_max = prof.far.s[-1]
     h_end = prof.far.h[-1]
-    K = prof.k_estimate.K
+    K = estimate_K(prof.far, c, 3, 0.25).K
     assert (h_end - K) / math.log(s_max) == pytest.approx(c.h1_slope, rel=0.02)
 
 
@@ -192,7 +192,7 @@ def test_f_lambda_matches_independent_profile(profile_cache):
 
 def test_k_estimate_stability(profile_cache):
     prof = profile_cache(3, 0.2)
-    k = prof.k_estimate
+    k = estimate_K(prof.far, prof.constants, 3, 0.2)
     assert k.converged
     assert k.error_estimate <= 1e-3 * (1.0 + abs(k.K))
     assert "yamabe" in k.method

@@ -1,7 +1,8 @@
-"""tools/diff_outputs.py: the difference figures it prints."""
+"""tools/diff_outputs.py: the difference figures it prints; perfbench's layer names."""
 
 import importlib.util
 import os
+import sys
 
 import numpy as np
 
@@ -54,3 +55,18 @@ def test_surface_of_the_package_matches_its_modules():
     names = sum(len(getattr(importlib.import_module(f"fde.{info.name}"), "__all__", ()))
                 for info in pkgutil.iter_modules(fde.__path__))
     assert diff_outputs._surface(src)[1] == names
+
+
+def test_perfbench_finds_every_layer_it_traces(monkeypatch):
+    # perfbench wraps fde's functions by name; a refactor that drops or
+    # renames one loses that layer's span, which only this check notices
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays read-only
+    monkeypatch.syspath_prepend(bench)
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    with tracing.Tracer() as tracer:
+        pass
+    assert tracer.missing == []
