@@ -206,10 +206,16 @@ def _model(cfg) -> ModelParams:
     return ModelParams(n=cfg["n"], m=cfg["m"], beta=cfg["beta"])
 
 
-def _profile_for(cfg):
-    """The eta = 1 profile of the configured model."""
+def _profile_for(cfg, R: float, lams):
+    """The eta = 1 profile of the configured model, for a command that
+    evaluates f_lambda and U_lambda on [1/R, R] at the lambdas ``lams``.
+    Those read g up to s = log R - log lambda (less at t > 0, as beta < 0),
+    so the far field reaches to log R - log min(lams) over the lambdas set
+    and > 0; the evaluation rejects a nonpositive one."""
+    pos = [lam for lam in lams if lam is not None and lam > 0.0]
+    reach = math.log(R) - math.log(min(pos)) if pos and R > 1.0 else None
     return compute_profile(ProfileRequest(params=_model(cfg), eta=1.0,
-                                          tol=cfg.get("profile_tol", 1e-10)))
+                                          tol=cfg.get("profile_tol", 1e-10)), reach=reach)
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -313,10 +319,11 @@ def _cmd_evolve(cfg, out: str) -> int:
     mon = cfg["monitors"]
     needs_profile = (init.kind in ("f_lambda", "blend", "bump")
                      or bc.kind in ("f_lambda", "U_lambda") or mon["enabled"])
-    profile = _profile_for(cfg) if needs_profile else None
     band = (mon["lam1"], mon["lam2"]) if mon["enabled"] else (None, None)
+    lams = (init.lam, init.lam1, init.lam2, init.lam0, bc.lam) + band
+    profile = _profile_for(cfg, cfg["grid"]["R"], lams) if needs_profile else None
     ecfg = _build_evolution(cfg, cfg["form"], init, bc, profile, band, mon["enabled"])
-    traj = evolution.run(ecfg)
+    traj = evolution.run(ecfg, trunc=True)
     r = ecfg.grid.r
     _write_csv(os.path.join(out, "snapshots.csv"), ["t", "r", "u"],
                [np.repeat(traj.times, r.size), np.tile(r, traj.times.size), traj.fields.ravel()])
@@ -332,6 +339,14 @@ def _cmd_evolve(cfg, out: str) -> int:
     return _EXIT_OK
 
 
+def _weight_lam(wcfg):
+    """The lambda of the profile f_lam3 that the configured weight reads, or
+    None for power_mu, which reads no profile."""
+    if wcfg["kind"] == "power_mu":
+        return None
+    return 1.0 if wcfg.get("lam3") is None else wcfg["lam3"]
+
+
 def _make_weight(wcfg, prof):
     """The configured weight; a key left out or null stays unset, for WeightSpec to reject."""
     kw = {k: v for k, v in wcfg.items() if v is not None}
@@ -344,9 +359,9 @@ def _cmd_contract(cfg, out: str) -> int:
     N = cfg["grid"]["N"]
     if cfg["half_resolution"] and N // 2 + 1 < 16:
         raise ConfigError(f"grid.N must be >= 30 with half_resolution, got {N!r}")
-    prof = _profile_for(cfg)
-    weight = _make_weight(cfg["weight"], prof)
     lam1, lam2 = cfg["lam1"], cfg["lam2"]
+    prof = _profile_for(cfg, cfg["grid"]["R"], (lam1, lam2, _weight_lam(cfg["weight"])))
+    weight = _make_weight(cfg["weight"], prof)
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
 
     def pair(N):
@@ -376,9 +391,10 @@ def _cmd_contract(cfg, out: str) -> int:
 
 
 def _cmd_converge(cfg, out: str) -> int:
-    prof = _profile_for(cfg)
-    weight = _make_weight(cfg["weight"], prof)
     lam0 = cfg["lam0"]
+    prof = _profile_for(cfg, cfg["grid"]["R"],
+                        (lam0, cfg["lam1"], cfg["lam2"], _weight_lam(cfg["weight"])))
+    weight = _make_weight(cfg["weight"], prof)
     if cfg["horizon"] is None:
         cfg["horizon"] = 5.0 / abs(prof.request.params.beta)
     init = evolution.InitialSpec(kind="bump", lam0=lam0, **cfg["bump"])
@@ -437,8 +453,8 @@ def _cmd_validate_barenblatt(cfg, out: str) -> int:
     t_orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
 
     # exact-U_lambda tracking at the pinned (ds, dt)
-    prof = _profile_for(cfg)
     lam = cfg["lam"]
+    prof = _profile_for(cfg, math.e, (lam,))
     gridU = evolution.build_grid(math.e, cfg["track_N"])
     traj = solve(gridU, cfg["track_dt"], cfg["track_horizon"],
                  evolution.InitialSpec(kind="f_lambda", lam=lam),

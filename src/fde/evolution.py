@@ -36,7 +36,10 @@ A Newton solve starts from the quadratic extrapolation 3u - 3u_prev +
 u_prev2 of the last three states when the step repeats the dt of the last
 two, from the linear one 2u - u_prev when it repeats only the last, and
 from u otherwise (also when the extrapolation is not positive).  From a
-quadratic start most steps need one Newton iteration (see _kernels).
+quadratic start most steps need one Newton iteration (see _kernels).  The
+linear extrapolation's error, ``Trajectory.trunc_time``, is reduced over the
+steps only by a run that reads it: one with monitors, whose slacks it
+scales, or one asked for it with ``run(cfg, trunc=True)``.
 """
 
 from __future__ import annotations
@@ -265,7 +268,8 @@ class Trajectory:
     monitors: Optional[dict]     # {"aronson_benilan": ..., "ordering": ...}; None without
     newton_iters_total: int
     rejections: int
-    trunc_time: float            # max |U - (2u - u_prev)| / dt over repeated-dt steps
+    trunc_time: Optional[float]  # max |U - (2u - u_prev)| / dt over repeated-dt steps;
+                                 # None unless run with trunc or monitors
     trunc_space: float           # max |second s-difference| over snapshots
     config: EvolutionConfig
 
@@ -315,9 +319,11 @@ def _boundary_data(cfg: EvolutionConfig, times, r_ends: np.ndarray) -> np.ndarra
     return vals
 
 
-def run(cfg: EvolutionConfig) -> Trajectory:
+def run(cfg: EvolutionConfig, trunc: bool = False) -> Trajectory:
     """Advance a configured run, recording snapshots and, with cfg.monitors,
-    the worst AB excess and ordering gaps over the accepted steps."""
+    the worst AB excess and ordering gaps over the accepted steps.  With
+    trunc or cfg.monitors it also reduces trunc_time over the steps;
+    otherwise trunc_time is None."""
     c = derive_constants(cfg.params)
     r_ends = np.array([cfg.grid.r[0], cfg.grid.r[-1]])
     u = cfg.initial.values(cfg.grid, cfg.profile, cfg.params)
@@ -348,7 +354,8 @@ def run(cfg: EvolutionConfig) -> Trajectory:
 
     ab_max, lo_min, hi_min = -math.inf, math.inf, math.inf  # monitor extrema
     iters_total = rejections = 0
-    trunc_time = 0.0
+    trunc = trunc or cfg.monitors
+    trunc_time = 0.0 if trunc else None
     u_prev = u_prev2 = None
     dt_prev = dt_prev2 = None
 
@@ -361,10 +368,12 @@ def run(cfg: EvolutionConfig) -> Trajectory:
             table = dict(zip(ends, _boundary_data(cfg, ends, r_ends)))
         bc = table[t_new]
         # predictor: the linear extrapolation when dt repeats the last
-        # accepted step's, the quadratic one when it repeats the last two
+        # accepted step's, the quadratic one when it repeats the last two;
+        # the linear one is formed there too only where trunc_time reads it
         pred = lin = None
         if dt_prev == dt_try:
-            pred = lin = 2.0 * u - u_prev
+            if trunc or dt_prev2 != dt_try:
+                pred = lin = 2.0 * u - u_prev
             if dt_prev2 == dt_try:
                 pred = u - u_prev
                 pred *= 3.0
@@ -392,7 +401,7 @@ def run(cfg: EvolutionConfig) -> Trajectory:
                 lo, hi = _ordering_bounds(cfg, t_new)
             lo_min = min(lo_min, float(np.min(U - lo)))
             hi_min = min(hi_min, float(np.min(hi - U)))
-        if lin is not None:
+        if trunc and lin is not None:
             err = U - lin
             trunc_time = max(trunc_time, float(np.abs(err, out=err).max()) / dt_try)
         u_prev2, dt_prev2 = u_prev, dt_prev

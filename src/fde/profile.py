@@ -14,15 +14,19 @@ pipeline is:
 2. ``integrate_inner``      -- adaptive RK45 on (g, g_r) up to r_switch,
 3. ``integrate_far_field``  -- switch to s = log r and integrate the
    autonomous equation for w~(s) = r^{(n-2-nm)/m} g^{1-m} up to s_max
-   (default 200, i.e. radii up to e^200, representable only through s),
+   (default 200, i.e. radii up to e^200, representable only through s), or
+   only up to a caller's ``reach`` on the same node lattice,
 4. ``compute_profile``      -- assemble the ``Profile``; check the handoff.
 
 ``estimate_K`` extracts K(eta, beta~) from a far-field trace with the
-closed-form tail corrections; only the callers that report K run it.  The
-assembled ``Profile`` evaluates g, f, the lambda-scaling family f_lambda
-and the eternal solutions U_lambda anywhere in [0, e^{s_max}] (respectively
-[e^{-s_max}, 1/r0] for f), using log-space arithmetic so that quantities like
-f(e^{-200}) ~ e^{500} never overflow.
+closed-form tail corrections; only the callers that report K run it, on the
+full far field.  A caller that reads the profile only on an annulus passes
+the largest s it reads as ``reach``.  The assembled ``Profile`` evaluates g,
+f, the lambda-scaling family f_lambda and the eternal solutions U_lambda
+anywhere in [0, e^{s_end}] (respectively [e^{-s_end}, 1/r0] for f), with
+s_end = far.s[-1] the end of its far field, using log-space arithmetic so
+that quantities like f(e^{-200}) ~ e^{500} never overflow; beyond s_end an
+evaluation raises ProfileError.
 """
 
 from __future__ import annotations
@@ -259,8 +263,15 @@ def _rhs_far(n: int, m: float, c: DerivedConstants):
 
 def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
                         c: Optional[DerivedConstants] = None,
-                        ds_out: float = 0.02) -> FarFieldTrace:
-    """Continue the profile in s = log r up to s_max via the w~ equation."""
+                        ds_out: float = 0.02, reach: Optional[float] = None) -> FarFieldTrace:
+    """Continue the profile in s = log r up to s_max via the w~ equation.
+
+    The trace is sampled on a fixed node lattice from log(r_switch) to s_max.
+    Given ``reach``, it keeps only the lattice's prefix up to one node past the
+    first node >= reach (at least 3 nodes) and integrates only that far.  The
+    kept nodes carry the full trace's values bit for bit, so an evaluation up
+    to reach does not move, at a fraction of the cost.
+    """
     if c is None:
         c = derive_constants(req.params)
     n, m = req.params.n, req.params.m
@@ -274,16 +285,29 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     if ws0 <= 0.0:
         raise ProfileError(f"w_s(r_switch) = {float(ws0)!r} <= 0; inner profile invalid at handoff")
 
+    n_nodes = int(math.ceil((req.s_max - s0) / ds_out))
+    n_nodes += (n_nodes + 1) % 2  # odd count for Simpson triples
+    s = np.linspace(s0, req.s_max, n_nodes)
+    # LSODA's first step depends on t_bound, so a shorter trace keeps
+    # t_bound = s_max and stops at its last node with a terminal event: the
+    # steps, and so the values at the kept nodes, are the full trace's
+    events = None
+    k = n_nodes if reach is None else max(3, int(np.searchsorted(s, reach)) + 2)
+    if k < n_nodes:
+        s = s[:k]
+
+        def past_end(t, y):
+            return t - s[-1]
+
+        past_end.terminal = True
+        events = past_end
     sol = solve_ivp(
         _rhs_far(n, m, c), (s0, req.s_max), (w0, ws0),
-        method="LSODA", rtol=req.tol, atol=req.tol, dense_output=True,
+        method="LSODA", rtol=req.tol, atol=req.tol, dense_output=True, events=events,
     )
     if not sol.success:
         raise ProfileError(f"far-field integration failed: {sol.message}")
 
-    n_nodes = int(math.ceil((req.s_max - s0) / ds_out))
-    n_nodes += (n_nodes + 1) % 2  # odd count for Simpson triples
-    s = np.linspace(s0, req.s_max, n_nodes)
     y = sol.sol(s)
     w, w_s = y[0], y[1]
     if np.any(w_s <= 0.0):
@@ -345,7 +369,8 @@ class Profile:
     """A computed profile with piecewise evaluation.
 
     Regions: local series on (0, r0], interpolated inner solution on
-    [r0, r_switch], far-field reconstruction on [r_switch, e^{s_max}].
+    [r0, r_switch], far-field reconstruction on [r_switch, e^{far.s[-1]}],
+    which is e^{s_max} unless the far field was built to a shorter reach.
     All evaluators are vectorized over r.  A constructed Profile is never
     mutated and is safe to share across threads; independent requests can
     be computed concurrently.
@@ -380,9 +405,9 @@ class Profile:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
             raise ProfileError("g evaluation needs r > 0")
-        smax = self.request.s_max
-        if np.max(r) > math.exp(min(smax, 700.0)) * (1.0 + 1e-12):
-            raise ProfileError(f"r beyond e^s_max = e^{smax}; no extrapolation")
+        s_end = float(self.far.s[-1])
+        if np.max(r) > math.exp(min(s_end, 700.0)) * (1.0 + 1e-12):
+            raise ProfileError(f"r beyond e^s_max = e^{s_end}; no extrapolation")
         req, c = self.request, self.constants
         one_m = 1.0 - req.params.m
         s = np.log(r)
@@ -464,11 +489,12 @@ class Profile:
         return np.exp(-c.alpha * t + lnf)
 
 
-def compute_profile(req: ProfileRequest) -> Profile:
-    """Run the full pipeline and verify handoff continuity."""
+def compute_profile(req: ProfileRequest, reach: Optional[float] = None) -> Profile:
+    """Run the full pipeline and verify handoff continuity; ``reach`` (see
+    ``integrate_far_field``) ends the far field near s = reach."""
     c = derive_constants(req.params)
     inner = integrate_inner(req, c)
-    far = integrate_far_field(req, inner, c)
+    far = integrate_far_field(req, inner, c, reach=reach)
     prof = Profile(req, c, inner, far)
     # continuity across the handoff: reconstruct g(r_switch) from the far field
     one_m = 1.0 - req.params.m

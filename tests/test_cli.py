@@ -5,12 +5,14 @@ import math
 import os
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fde import cli, evolution
 from fde.cli import run_command
+from fde.profile import Profile, ProfileError
 
 
 def _read(path):
@@ -706,3 +708,81 @@ def test_expansion_reads_no_K_from_its_profile(tmp_path):
     assert run_command(["expansion", "--smax", "40", "--out", str(tmp_path)]) in (0, 2)
     report = json.loads(_read(tmp_path / "expansion_report.json"))
     assert report["verdict"] in ("PASS", "FAIL")
+
+
+@pytest.mark.parametrize("command", ["contract", "converge"])
+def test_far_field_reaches_every_evaluation(tmp_path, monkeypatch, profile_cache, command):
+    # the command builds its far field only to log R - log min(lambda); every
+    # U_lambda it evaluates (initial and boundary data, band, target) equals
+    # the full-horizon profile's, and the profile raises, never
+    # extrapolates, past its far field's end
+    calls = []
+    evaluate = Profile.eval_U_lambda
+
+    def recorded(prof, lam, r, t):
+        calls.append((prof, lam, r, t, evaluate(prof, lam, r, t)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(Profile, "eval_U_lambda", recorded)
+    assert run_command([command, "--out", str(tmp_path)]) == 0
+    full = profile_cache(3, 0.2)
+    (prof,) = {c[0] for c in calls}
+    s = prof.far.s
+    assert len(s) < len(full.far.s) and full.far.s[-1] == full.request.s_max
+    assert np.array_equal(s, full.far.s[:len(s)])
+    for _, lam, r, t, u in calls:
+        assert np.array_equal(u, evaluate(full, lam, r, t))
+    lam = min(c[1] for c in calls)
+    with pytest.raises(ProfileError, match="no extrapolation"):
+        prof.eval_U_lambda(lam, np.array([0.99 / (lam * math.exp(s[-1]))]), 0.0)
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["contract", "--lambda2", "1e-100"], "error: r beyond e^s_max = e^200.0; no extrapolation"),
+    (["contract", "--lambda2", "-1"], "error: lambda must be positive, got -1.0"),
+    (["converge", "--lambda2", "-1"], "error: lambda must be positive, got -1.0"),
+], ids=["contract-tiny", "contract-negative", "converge-negative"])
+def test_lambda_out_of_the_profile_rejected(tmp_path, capsys, argv, err):
+    # a lambda so small that its reach runs past the lattice's end reads g
+    # beyond e^s_max; a nonpositive one is left out of the reach and rejected
+    # where it is evaluated
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": {"N": 101}, "horizon": 0.01, "snapshots": 1}))
+    out = tmp_path / "out"
+    assert run_command(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == err
+
+
+@pytest.mark.parametrize("command", ["contract", "converge"])
+def test_runs_keep_no_trunc_time(tmp_path, monkeypatch, command):
+    # contract and converge read snapshots only, so no run reduces trunc_time
+    runs = []
+    run = evolution.run
+
+    def recorded_run(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(evolution, "run", recorded_run)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid": {"N": 101}, "horizon": 0.05, "snapshots": 2}))
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path)]) in (0, 2, 3)
+    assert runs and all(traj.trunc_time is None for traj in runs)
+
+
+def test_evolve_reports_trunc_time_with_or_without_monitors(tmp_path):
+    # evolve asks its run for trunc_time, which the monitors leave unchanged
+    reports = []
+    for enabled in (False, True):
+        cfg = tmp_path / f"c{enabled}.json"
+        cfg.write_text(json.dumps({
+            "grid": {"R": math.e, "N": 101}, "dt": 2e-3, "horizon": 0.05, "snapshots": 6,
+            "initial": {"kind": "blend", "lam1": 2.0, "lam2": 1.0, "theta": 0.3},
+            "monitors": {"enabled": enabled, "lam1": 2.0, "lam2": 1.0}}))
+        out = tmp_path / f"out{enabled}"
+        assert run_command(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append(json.loads(_read(out / "evolve_report.json")))
+    assert "aronson_benilan" not in reports[0] and "aronson_benilan" in reports[1]
+    assert reports[0]["trunc_time"] > 0.0
+    assert reports[0]["trunc_time"] == reports[1]["trunc_time"]
+    assert reports[1]["aronson_benilan"]["slack"] == 10.0 * reports[1]["trunc_time"]

@@ -387,7 +387,7 @@ def test_trunc_time_is_the_linear_extrapolation_error(monkeypatch):
         grid=build_grid(math.e, 51), params=P32, form="physical",
         initial=InitialSpec(kind="barenblatt", k=1.0, T=1.0),
         boundary=BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
-        dt=dt, snapshot_times=[0.0, 5.25 * dt, 16 * dt]))
+        dt=dt, snapshot_times=[0.0, 5.25 * dt, 16 * dt]), trunc=True)
     assert traj.rejections == 0
     errors = {}  # accepted step -> its linear-extrapolation error / dt
     for k in range(1, len(accepted)):
@@ -398,6 +398,21 @@ def test_trunc_time_is_the_linear_extrapolation_error(monkeypatch):
     # the worst step repeats the dt of the two before it: its start was quadratic
     assert accepted[worst][1] == accepted[worst - 1][1] == accepted[worst - 2][1]
     assert traj.trunc_time == errors[worst]
+
+
+def test_trunc_time_is_kept_only_where_read():
+    # without trunc or monitors a run reduces no trunc_time; the steps, and
+    # so the snapshots, are the same bit for bit either way
+    cfg = EvolutionConfig(
+        grid=build_grid(math.e, 51), params=P32, form="physical",
+        initial=InitialSpec(kind="barenblatt", k=1.0, T=1.0),
+        boundary=BoundarySpec(kind="barenblatt", k=1.0, T=1.0),
+        dt=2.0 ** -8, snapshot_times=[0.0, 5.25 * 2.0 ** -8, 16 * 2.0 ** -8])
+    lean, kept = run(cfg), run(cfg, trunc=True)
+    assert lean.trunc_time is None
+    assert kept.trunc_time > 0.0
+    assert np.array_equal(lean.fields, kept.fields)
+    assert lean.newton_iters_total == kept.newton_iters_total
 
 
 # -- physical stepping ----------------------------------------------------

@@ -16,6 +16,7 @@ from fde.measures import (
     ANNULUS_NOTE,
     MeasureError,
     WeightSpec,
+    _l1,
     contraction_report,
     convergence_report,
     unit_sphere_area,
@@ -103,6 +104,19 @@ def test_weighted_l1_grid_mismatch():
     w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.25)
     with pytest.raises(MeasureError, match="grid"):
         weighted_l1(np.ones(32), np.ones(64), w, g)
+
+
+@pytest.mark.parametrize("shape", [(21, 2001), (2001,)], ids=["rows", "one-row"])
+def test_l1_is_the_trapezoid_rule_bit_for_bit(shape):
+    # _l1 builds its integrand in place and sums the pairs as np.trapezoid
+    # does, with the same arithmetic in the same order
+    g = build_grid(math.e ** 5, 2001)
+    rng = np.random.default_rng(23)
+    diff, w = rng.standard_normal(shape), rng.random(2001) + 0.1
+    kept = diff.copy()
+    want = unit_sphere_area(3) * np.trapezoid(np.abs(diff) * w * g.r ** 3, g.s, axis=-1)
+    assert np.array_equal(_l1(diff, w, g, 3), want)
+    assert np.array_equal(diff, kept)
 
 
 def test_weight_validation(profile_cache):

@@ -282,6 +282,23 @@ def test_value_only_eval_matches_full_path(profile_cache):
     assert np.array_equal(eval_g_lambda(prof, lam, y), g_lam)
 
 
+@pytest.mark.parametrize("reach,nodes", [(-1.0, 3), (2.31, 3), (4.3, 102), (500.0, 9885)])
+def test_far_field_reach_keeps_a_prefix_of_the_lattice(profile_cache, reach, nodes):
+    # the far field ends one node past the first node >= reach, with at
+    # least 3 nodes, as a prefix of the full trace, bit for bit; a reach past
+    # the lattice's end gives the full trace
+    full = profile_cache(3, 0.2)
+    prof = compute_profile(full.request, reach=reach)
+    s = prof.far.s
+    assert len(s) == nodes
+    assert nodes in (3, len(full.far.s)) or s[-3] < reach <= s[-2]
+    assert prof.far.h1 is None  # the Yamabe case
+    for key in ("s", "w", "w_s", "h"):
+        assert np.array_equal(getattr(prof.far, key), getattr(full.far, key)[:nodes])
+    with pytest.raises(ProfileError, match="no extrapolation"):
+        prof.eval_g_log(math.exp(s[-1]) * 1.001)
+
+
 def test_eval_out_of_range(profile_cache):
     prof = profile_cache(3, 0.2)
     with pytest.raises(ProfileError, match="s_max"):

@@ -74,6 +74,9 @@ MATRIX = {
         "kind": "custom_power_times_profile", "lam3": 1.3, "power": -0.5, "exponent": 0.4})),
     "contract_gamma2": (["contract"], dict(_CONTRACT, weight={
         "kind": "profile_gamma2", "lam3": 1.2})),
+    # evaluations deep into the far field: g is read up to s = 6 - log 0.3 = 7.2
+    "contract_deep": (["contract"], dict(_CONTRACT, grid={"R": 403.4287934927351, "N": 801},
+                                         lam2=0.3)),
     "converge_gamma3": (["converge"], {"m": 0.19, "grid": {"R": 5.4739473917272, "N": 1001},
                                        "weight": {"kind": "radial_gamma3", "lam3": 1.1},
                                        "K_compact": [0.6, 1.8]}),
