@@ -259,11 +259,16 @@ def _cmd_profile(cfg, out: str) -> int:
             "g_origin_over_eta": inv["g_origin_ratio"],
         },
         "invariants": inv,
+        "inner_solver": {"nfev": prof.inner.nfev, "steps": prof.inner.steps},
     })
     return _EXIT_OK if inv["ok"] and k.converged else _EXIT_FAIL
 
 
 def _cmd_expansion(cfg, out: str) -> int:
+    # the residual trend is judged on (s_max/2, s_max), which needs the
+    # asymptotic regime, as the K extraction does
+    if cfg["s_max"] < 50.0:
+        raise ConfigError(f"s_max must be >= 50 for the expansion check, got {cfg['s_max']!r}")
     p = _model(cfg)
     c = derive_constants(p)
     eta = cfg["eta"]

@@ -11,7 +11,9 @@ pipeline is:
 
 1. ``local_series_start``   -- one-term local solution near r = 0 that
    absorbs the r^{-delta1} derivative singularity,
-2. ``integrate_inner``      -- adaptive RK45 on (g, g_r) up to r_switch,
+2. ``integrate_inner``      -- adaptive Dormand-Prince 5(4) on (g, g_r) up to
+   r_switch: a scalar loop (``_rk45``) that takes scipy RK45's steps bit for
+   bit and samples them on a fixed log-spaced grid,
 3. ``integrate_far_field``  -- switch to s = log r and integrate the
    autonomous equation for w~(s) = r^{(n-2-nm)/m} g^{1-m} up to s_max
    (default 200, i.e. radii up to e^200, representable only through s), or
@@ -32,11 +34,12 @@ evaluation raises ProfileError.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .params import DerivedConstants, ModelParams, derive_constants
@@ -96,11 +99,14 @@ class ProfileRequest:
 
 @dataclass(frozen=True)
 class InnerProfile:
-    """g and g_r sampled on a fixed log-spaced grid in [r0, r_switch]."""
+    """g and g_r sampled on a fixed log-spaced grid in [r0, r_switch], with the
+    integrator's right-side evaluations (nfev) and accepted steps."""
 
     r: np.ndarray
     g: np.ndarray
     g_r: np.ndarray
+    nfev: int
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -125,15 +131,14 @@ class KEstimate:
 
 
 def _rhs_inner(n: float, m: float, at: float, bt: float, src_exp: float):
-    """Right side of the inverted ODE as a first-order system in (g, g_r)."""
+    """g_rr of the inverted ODE as a function of (r, g, g_r); the system in
+    (g, g_r) is g' = g_r, g_r' = g_rr."""
 
-    def rhs(r, y):
-        g, gr = y
-        src = r ** src_exp * (at * g + bt * r * gr)
-        grr = (1.0 - m) * gr * gr / g - (n - 1) * gr / r - g ** (1.0 - m) * src / (n - 1)
-        return (gr, grr)
+    def grr(r, g, gr):
+        src = math.pow(r, src_exp) * (at * g + bt * r * gr)
+        return (1.0 - m) * gr * gr / g - (n - 1) * gr / r - math.pow(g, 1.0 - m) * src / (n - 1)
 
-    return rhs
+    return grr
 
 
 def _c_loc(req: ProfileRequest, c: DerivedConstants) -> float:
@@ -205,38 +210,116 @@ def _flux_residual_inner(req, c, r, g, g_r):
     return _simpson_residual(np.log(r), flux, rhs * r)
 
 
+# scipy's RK45 (Dormand & Prince 1980): tableau rows as rk_step slices them,
+# and the step-size policy of RungeKutta._step_impl
+_RK_A = [row[:i] for i, row in enumerate(RK45.A)]
+_RK_C = RK45.C.tolist()
+_RK_ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
+_RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: float,
+          first_step: float, nodes: np.ndarray):
+    """Integrate g' = g_r, g_r' = grr(t, g, g_r) from t0 to t_end and sample
+    (g, g_r) at the ascending ``nodes``; return (g, g_r, nfev, accepted steps).
+
+    Takes the steps of scipy's RK45 with this first_step, rtol and atol =
+    (atol, 0) bit for bit: the same stages, error norm, step-size factors and
+    minimum step.  The right side and the step control run in Python floats,
+    but each sum over stages is the ``ndarray.dot`` call RK45 makes, because
+    BLAS may fuse its multiply-adds and the far field turns a last-bit change
+    of the handoff into a ~1e-7 change of K.  Each step's t, (g, g_r) and 7
+    stages go to flat buffers.  The nodes are then sampled as OdeSolution
+    samples them: on segment searchsorted(side="left") - 1, with Q = K^T P and
+    one product per segment on the operands RkDenseOutput builds.
+
+    ProfileError when an accepted step ends with g <= 1e-300 or the step size
+    collapses.
+    """
+    n_stages, A, B, C, E = RK45.n_stages, _RK_A, RK45.B, _RK_C, RK45.E
+    K = np.empty((n_stages + 1, 2))
+    KT = [K[:s].T for s in range(n_stages + 2)]
+    x = np.empty(2)
+    ts, ys, ks = array("d", [t0]), array("d", [g, gr]), array("d")
+    t, f, h_abs = t0, grr(t0, g, gr), first_step
+    nfev = 1
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ProfileError(f"inner integration failed at r={t:.6e}: "
+                                   "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            nfev += n_stages
+            K[0, 0], K[0, 1] = gr, f
+            try:
+                for s in range(1, n_stages):
+                    dg, dr = KT[s].dot(A[s]).tolist()
+                    K[s, 0] = gr_s = gr + dr * h
+                    K[s, 1] = grr(t + C[s] * h, g + dg * h, gr_s)
+                dg, dr = KT[-2].dot(B).tolist()
+                g_new, gr_new = g + h * dg, gr + h * dr
+                f_new = grr(t + h, g_new, gr_new)
+                K[-1, 0], K[-1, 1] = gr_new, f_new
+                eg, er = KT[-1].dot(E).tolist()
+                x[0] = eg * h / (atol + max(abs(g), abs(g_new)) * rtol)
+                x[1] = er * h / (max(abs(gr), abs(gr_new)) * rtol)
+                err = math.sqrt(x.dot(x)) / 2 ** 0.5
+            except (ArithmeticError, ValueError):
+                err = math.inf  # a stage left the reals, where numpy gives inf or nan
+            if err < 1.0:
+                factor = (_RK_MAX_FACTOR if err == 0.0
+                          else min(_RK_MAX_FACTOR, _RK_SAFETY * err ** _RK_ERR_EXP))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_RK_MIN_FACTOR, _RK_SAFETY * err ** _RK_ERR_EXP)
+            rejected = True
+        if g_new <= 1e-300:
+            raise ProfileError(f"inner integration failed at r={t_new:.6e}: g reached 0")
+        ts.append(t_new)
+        ys.extend((g_new, gr_new))
+        ks.frombytes(K.tobytes())
+        t, g, gr, f = t_new, g_new, gr_new, f_new
+
+    ts = np.frombuffer(ts)
+    seg = np.clip(np.searchsorted(ts, nodes, side="left") - 1, 0, len(ts) - 2)
+    t_old = ts[seg]
+    h = ts[seg + 1] - t_old
+    p = np.cumprod(np.tile((nodes - t_old) / h, (4, 1)), axis=0)  # x, x^2, x^3, x^4
+    K = np.frombuffer(ks).reshape(-1, n_stages + 1, 2)
+    qp = np.empty((2, len(nodes)))
+    start = 0
+    for end in np.append(np.flatnonzero(np.diff(seg)) + 1, len(nodes)):
+        qp[:, start:end] = K[seg[start]].T.dot(RK45.P).dot(p[:, start:end].copy())
+        start = end
+    y = h * qp + np.frombuffer(ys).reshape(-1, 2)[seg].T
+    return y[0], y[1], nfev, len(ts) - 1
+
+
 def integrate_inner(req: ProfileRequest, c: Optional[DerivedConstants] = None,
                     n_nodes: int = 4097) -> InnerProfile:
-    """Integrate the inverted ODE from r0 to r_switch with an embedded RK 4(5) pair."""
+    """Integrate the inverted ODE from r0 to r_switch with the Dormand-Prince
+    5(4) pair, taking scipy RK45's steps (see ``_rk45``), and sample g, g_r on
+    ``n_nodes`` log-spaced radii."""
     if c is None:
         c = derive_constants(req.params)
     n, m = req.params.n, req.params.m
     g0, g0r = local_series_start(req, c)
     src_exp = (n - 2) / m - n - 2.0
-    rhs = _rhs_inner(float(n), m, c.alpha_tilde, c.beta_tilde, src_exp)
-
-    def hit_zero(r, y):
-        return y[0] - 1e-300
-
-    hit_zero.terminal = True
-
-    # g stays O(eta) but g_r sweeps many decades without changing sign, so it
-    # gets pure relative control; an absolute floor there would cap the flux
-    # accuracy near r0 and pollute the residual check.
-    sol = solve_ivp(
-        rhs, (req.r0, req.r_switch), (g0, g0r), method="RK45",
-        rtol=req.tol, atol=(req.tol * req.eta * 1e-3, 0.0),
-        first_step=req.r0 / 10.0, dense_output=True, events=hit_zero,
-    )
-    if not sol.success or sol.t[-1] < req.r_switch:
-        raise ProfileError(
-            f"inner integration failed at r={sol.t[-1]:.6e}: "
-            + (sol.message if not sol.success else "g reached 0 (step-size collapse)")
-        )
+    grr = _rhs_inner(float(n), m, c.alpha_tilde, c.beta_tilde, src_exp)
 
     r = np.geomspace(req.r0, req.r_switch, n_nodes)
-    y = sol.sol(r)
-    g, g_r = y[0], y[1]
+    # g stays O(eta) but g_r sweeps many decades without changing sign, so it
+    # gets pure relative control; an absolute floor there would cap the flux
+    # accuracy near r0 and pollute the residual check.  rtol has RK45's floor.
+    g, g_r, nfev, steps = _rk45(
+        grr, req.r0, req.r_switch, g0, g0r,
+        rtol=max(req.tol, 100.0 * np.finfo(float).eps), atol=req.tol * req.eta * 1e-3,
+        first_step=req.r0 / 10.0, nodes=r)
     if np.any(g <= 0.0):
         bad = r[np.argmax(g <= 0.0)]
         raise ProfileError(f"g non-positive at r={bad:.6e}")
@@ -245,7 +328,7 @@ def integrate_inner(req: ProfileRequest, c: Optional[DerivedConstants] = None,
         bad = r[np.argmax(mono <= -10.0 * req.tol * req.eta)]
         raise ProfileError(f"monotonicity expression g + (bt/at) r g_r violated at r={bad:.6e}")
 
-    return InnerProfile(r=r, g=g, g_r=g_r)
+    return InnerProfile(r=r, g=g, g_r=g_r, nfev=nfev, steps=steps)
 
 
 def _rhs_far(n: int, m: float, c: DerivedConstants):
@@ -344,20 +427,37 @@ def _k_hat(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float, s_eval: 
     return num / (1.0 + c.loglog_coeff / s_eval)
 
 
+def _fit_spread(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float) -> float:
+    """How far the limit of K^(s) moves with the tail model: the gap between
+    the constant terms of least-squares fits of K^ on 24 points of
+    [s_fit/8, s_fit], s_fit = min(s_max, 200), in the basis {1, log s/s^2, 1/s^2}
+    and in that basis with 1/s added."""
+    s_fit = min(float(trace.s[-1]), 200.0)
+    s = np.linspace(s_fit / 8.0, s_fit, 24)
+    k = np.array([_k_hat(trace, c, n, m, x) for x in s])
+    basis = [np.ones_like(s), np.log(s) / s ** 2, 1.0 / s ** 2]
+    k3 = np.linalg.lstsq(np.column_stack(basis), k, rcond=None)[0][0]
+    k4 = np.linalg.lstsq(np.column_stack(basis + [1.0 / s]), k, rcond=None)[0][0]
+    return float(abs(k3 - k4))
+
+
 def estimate_K(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float) -> KEstimate:
     """Extract K(eta, beta~) from the far-field trace.
 
     Uses the closed-form tail of the h1 expansion refined by the h2-level
     correction (which is linear in K and solved self-consistently); in the
-    Yamabe case the 1/s tail of h itself.  error_estimate compares the
-    values at s_max and s_max/2.
+    Yamabe case the 1/s tail of h itself.  K is that estimate at s_max.
+    K^(s) is not monotone in s: log s/s^2 and 1/s^2 terms left in it compete,
+    so its change from s_max/2 to s_max can be accidentally small.
+    error_estimate is the larger of that change and the spread of two tail
+    fits (``_fit_spread``).
     """
     s_max = trace.s[-1]
     if s_max < 50.0:
         raise ProfileError(f"K extraction needs s_max >= 50, trace ends at {float(s_max)!r}")
     k_full = _k_hat(trace, c, n, m, s_max)
     k_half = _k_hat(trace, c, n, m, s_max / 2.0)
-    err = abs(k_full - k_half)
+    err = max(abs(k_full - k_half), _fit_spread(trace, c, n, m))
     method = ("h tail (yamabe)" if c.yamabe_case
               else "h1 tail with self-consistent a2 correction")
     converged = err <= 1e-2 * (1.0 + abs(k_full))

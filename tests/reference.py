@@ -8,6 +8,9 @@ independent re-derivations:
   expansions evaluated in r, on top of ``fde.asymptotics.expansion_series``;
 * ``eval_g_lambda`` / ``eval_U_bar_lambda``: the inverted family
   U~bar_lambda of a Profile;
+* ``integrate_inner_ivp``: the inner profile stage through scipy's
+  ``solve_ivp`` RK45 with a terminal g = 0 event, whose steps
+  ``fde.profile.integrate_inner`` takes;
 * ``weighted_l1``: the weighted-L1 distance of two fields, through the
   package's own quadrature ``fde.measures._l1``;
 * ``RadialField``, ``rescale_transform``, ``inversion_transform`` and
@@ -24,13 +27,14 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from fde.asymptotics import ExpansionCoefficients, _order_level, expansion_series
 from fde.evolution import AnnulusGrid, EvolutionError, Trajectory
 from fde.measures import MeasureError, WeightSpec, _l1
-from fde.params import DerivedConstants, ModelParams, ParameterError
-from fde.profile import Profile
+from fde.params import DerivedConstants, ModelParams, ParameterError, derive_constants
+from fde.profile import InnerProfile, Profile, ProfileError, ProfileRequest, local_series_start
 
 # -- params ----------------------------------------------------------------
 
@@ -142,6 +146,42 @@ def eval_U_bar_lambda(prof: Profile, lam: float, r, t: float):
 def eval_g_lambda(prof: Profile, lam: float, r):
     """g_lambda(r) = lambda^{2/(1-m)-(n-2)/m} g_1(r/lambda), which is U~bar_lambda at t = 0."""
     return eval_U_bar_lambda(prof, lam, r, 0.0)
+
+
+def integrate_inner_ivp(req: ProfileRequest, c: Optional[DerivedConstants] = None,
+                        n_nodes: int = 4097) -> InnerProfile:
+    """``integrate_inner`` through ``solve_ivp(method="RK45")`` with dense output."""
+    if c is None:
+        c = derive_constants(req.params)
+    n, m = float(req.params.n), req.params.m
+    at, bt = c.alpha_tilde, c.beta_tilde
+    src_exp = (n - 2) / m - n - 2.0
+    g0, g0r = local_series_start(req, c)
+
+    def rhs(r, y):
+        g, gr = y
+        src = r ** src_exp * (at * g + bt * r * gr)
+        grr = (1.0 - m) * gr * gr / g - (n - 1) * gr / r - g ** (1.0 - m) * src / (n - 1)
+        return (gr, grr)
+
+    def hit_zero(r, y):
+        return y[0] - 1e-300
+
+    hit_zero.terminal = True
+
+    sol = solve_ivp(
+        rhs, (req.r0, req.r_switch), (g0, g0r), method="RK45",
+        rtol=req.tol, atol=(req.tol * req.eta * 1e-3, 0.0),
+        first_step=req.r0 / 10.0, dense_output=True, events=hit_zero,
+    )
+    if not sol.success or sol.t[-1] < req.r_switch:
+        raise ProfileError(
+            f"inner integration failed at r={sol.t[-1]:.6e}: "
+            + (sol.message if not sol.success else "g reached 0 (step-size collapse)")
+        )
+    r = np.geomspace(req.r0, req.r_switch, n_nodes)
+    y = sol.sol(r)
+    return InnerProfile(r=r, g=y[0], g_r=y[1], nfev=int(sol.nfev), steps=len(sol.t) - 1)
 
 
 # -- measures --------------------------------------------------------------

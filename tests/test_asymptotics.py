@@ -13,7 +13,7 @@ from fde.asymptotics import (
     expansion_series,
 )
 from fde.params import ModelParams, derive_constants
-from fde.profile import estimate_K
+from fde.profile import ProfileRequest, compute_profile, estimate_K
 from reference import eval_expansion_f, eval_expansion_g
 
 
@@ -189,6 +189,20 @@ def test_constant_block_shift_between_parameter_pairs(profile_cache):
     tol = 2.0 * (k1.error_estimate / c1.a0
                  + k2.error_estimate / c2.a0)
     assert abs((blk2 - blk1) - shift) <= tol + 1e-9
+
+
+@pytest.mark.parametrize("n, m, beta, eta", [(5, 0.367876, -1.18629, 1.4731),
+                                             (5, 0.366394, -1.39353, 0.868845)])
+def test_K_error_bars_cover_the_closed_form_shift(n, m, beta, eta):
+    # K(eta, beta~) of its own profile and the closed-form shift of K(1,1)
+    # agree within the two reported bars (K(1,1)'s scaled by a0/a0(1,1) =
+    # 1/beta~).  On these draws near gamma1 = 5 the half-horizon change alone
+    # fell short of the gap.
+    p = ModelParams(n=n, m=m, beta=beta)
+    prof = compute_profile(ProfileRequest(params=p, eta=eta))
+    k = estimate_K(prof.far, prof.constants, n, m)
+    coeffs = compute_K0(p, eta=eta, beta_tilde=-beta)
+    assert abs(k.K - coeffs.K_for(eta, -beta)) <= k.error_estimate + coeffs.K_error / -beta
 
 
 def test_difference_law(profile_cache):

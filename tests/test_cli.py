@@ -702,12 +702,21 @@ def test_evolve_monitors_without_a_full_step_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_expansion_reads_no_K_from_its_profile(tmp_path):
-    # only the K(1,1) run extracts K, so a profile horizon below the 50 that
-    # K extraction needs is no error for expansion
-    assert run_command(["expansion", "--smax", "40", "--out", str(tmp_path)]) in (0, 2)
-    report = json.loads(_read(tmp_path / "expansion_report.json"))
-    assert report["verdict"] in ("PASS", "FAIL")
+@pytest.mark.parametrize("smax", ["3", "10", "40", "50"])
+def test_expansion_needs_the_asymptotic_horizon(tmp_path, capsys, smax):
+    # the residual trend is judged on (s_max/2, s_max): a horizon below the 50
+    # that K extraction needs is an input error, not a failed expansion check
+    out = tmp_path / "out"
+    code = run_command(["expansion", "--smax", smax, "--out", str(out)])
+    err = capsys.readouterr().err.strip()
+    if float(smax) < 50.0:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "s_max" in err
+        assert not out.exists()
+    else:
+        assert code in (0, 2)
+        report = json.loads(_read(out / "expansion_report.json"))
+        assert report["verdict"] == ("PASS" if code == 0 else "FAIL")
 
 
 @pytest.mark.parametrize("command", ["contract", "converge"])

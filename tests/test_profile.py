@@ -13,11 +13,12 @@ from fde.profile import (
     check_scaling_identities,
     compute_profile,
     estimate_K,
+    _rk45,
     integrate_far_field,
     integrate_inner,
     local_series_start,
 )
-from reference import eval_g_lambda, eval_U_bar_lambda
+from reference import eval_g_lambda, eval_U_bar_lambda, integrate_inner_ivp
 
 
 def req_for(n, m, beta=-1.0, eta=1.0, **kw):
@@ -126,6 +127,42 @@ def test_inner_tiny_eta_no_crash():
     inner = integrate_inner(req_for(3, 0.2, eta=1e-8))
     assert inner.g[0] == pytest.approx(1e-8, rel=1e-6)
     assert np.all(inner.g > 0.0)
+
+
+@pytest.mark.parametrize("n, m, beta, eta", [
+    (4, 0.0765, -1.0, 1.0),
+    (5, 0.1228, -0.5, 2.0),
+    (5, 0.367876, -1.18629, 1.4731),
+    (3, 0.2, -1.0, 1e-8),
+    (3, 0.2, -1.0, 1.0),          # Yamabe m = (n-2)/(n+2)
+    (4, 1.0 / 3.0, -1.0, 0.5),    # Yamabe
+])
+def test_inner_stepper_takes_rk45_steps(n, m, beta, eta):
+    # the same steps as solve_ivp's RK45 and the same samples, bit for bit
+    req = req_for(n, m, beta=beta, eta=eta)
+    new, ref = integrate_inner(req), integrate_inner_ivp(req)
+    assert (new.nfev, new.steps) == (ref.nfev, ref.steps)
+    for a, b in ((new.r, ref.r), (new.g, ref.g), (new.g_r, ref.g_r)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_inner_stepper_stops_where_g_reaches_zero():
+    # g' = -1 from g = 1: the error estimate is 0, so steps grow tenfold,
+    # and the step from 0.111 to 1.111 ends below zero
+    with pytest.raises(ProfileError) as e:
+        _rk45(lambda t, g, gr: 0.0, 0.0, 2.0, 1.0, -1.0, rtol=1e-10, atol=1e-13,
+              first_step=1e-3, nodes=np.linspace(0.0, 2.0, 5))
+    assert str(e.value) == "inner integration failed at r=1.111000e+00: g reached 0"
+
+
+def test_inner_stepper_reports_step_collapse():
+    # a right side that returns NaN rejects every step until the step size
+    # falls below the spacing of floats at r = 1
+    with pytest.raises(ProfileError) as e:
+        _rk45(lambda t, g, gr: math.nan, 1.0, 2.0, 1.0, -1.0, rtol=1e-10, atol=1e-13,
+              first_step=1e-3, nodes=np.linspace(1.0, 2.0, 5))
+    assert str(e.value) == ("inner integration failed at r=1.000000e+00: "
+                            "Required step size is less than spacing between numbers.")
 
 
 def test_inner_residual_small(profile_cache):
