@@ -94,19 +94,19 @@ class ExpansionCoefficients:
         return a0 * (self.K0 + math.log(eta) / c.gamma1 + m / c.q * math.log(beta_tilde))
 
 
-def compute_K0(params: ModelParams, eta: float = 1.0, beta_tilde: float = 1.0,
-               s_max: float = 400.0, tol: float = 1e-10) -> ExpansionCoefficients:
-    """Run the (1,1) pipeline, extract K(1,1), and assemble the coefficients.
+def compute_K0(params: ModelParams, eta: float = 1.0, s_max: float = 400.0,
+               tol: float = 1e-10) -> ExpansionCoefficients:
+    """Run the (1,1) pipeline of (n, m), extract K(1,1), and assemble the coefficients.
 
     The K extraction error decays like 1/s_max, so the default horizon is
-    deeper than the profile default; the (eta, beta~) arguments pick the pair
-    for which a2 and a3 are reported.
+    deeper than the profile default; eta and beta~ = -params.beta pick the
+    pair for which a2 and a3 are reported.
     """
-    n, m = params.n, params.m
+    n, m, beta_tilde = params.n, params.m, -params.beta
     req = ProfileRequest(params=ModelParams(n=n, m=m, beta=-1.0), eta=1.0,
                          s_max=s_max, tol=tol)
     prof = compute_profile(req)
-    k, q = estimate_K(prof.far, prof.constants, n, m), prof.constants.q
+    k, q = estimate_K(prof.far, req.params), prof.constants.q
     K0 = (1.0 - m) * k.K / (2.0 * (n - 1) * q)
     coeffs = ExpansionCoefficients(
         n=n, m=m, K0=K0, K_11=k.K, a1=_a1(n, m, q, _a2(n, m, k.K, 1.0)),
@@ -117,23 +117,25 @@ def compute_K0(params: ModelParams, eta: float = 1.0, beta_tilde: float = 1.0,
                    a3=coeffs.a3_for(eta, beta_tilde))
 
 
-def expansion_series(L, coeffs: ExpansionCoefficients, c: DerivedConstants,
+def expansion_series(L, coeffs: ExpansionCoefficients,
                      log_amp: float, A: float, beta_tilde: float, order: str):
     """The braces content of the expansion as a function of L = |log r|.
 
     log_amp is the constant block (1/gamma1) log A + (m/q) log beta~ already
-    combined; partial sums are nested by construction.
+    combined; partial sums are nested by construction.  The log-log
+    coefficient, a function of (n, m) alone, is that of coeffs.constants.
     """
     level = _order_level(order)
+    llc = coeffs.constants.loglog_coeff
     L = np.asarray(L, dtype=float)
     series = L.copy()
     if level >= 1:
-        series = series + c.loglog_coeff * np.log(L)
+        series = series + llc * np.log(L)
     if level >= 2:
         series = series + coeffs.K0 + log_amp
     if level >= 3:
         a3 = coeffs.a3_for(A, beta_tilde)
-        series = series + a3 / L + c.loglog_coeff ** 2 * np.log(L) / L
+        series = series + a3 / L + llc ** 2 * np.log(L) / L
     return series
 
 
@@ -159,7 +161,7 @@ def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
     N = far.w[sel] / c.farfield_slope
     log_amp = math.log(eta) / c.gamma1 + m / q * math.log(bt)
 
-    partial = {o: expansion_series(s, coeffs, c, log_amp, eta, bt, o) for o in ORDERS}
+    partial = {o: expansion_series(s, coeffs, log_amp, eta, bt, o) for o in ORDERS}
     resid = {o: N - partial[o] for o in ORDERS}
 
     llc = c.loglog_coeff
@@ -189,18 +191,17 @@ def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
     }
 
 
-def difference_constant_check(prof1: Profile, lam1: float, lam2: float,
-                              c: DerivedConstants, r_lo: float = 1e-6,
+def difference_constant_check(prof1: Profile, lam1: float, lam2: float, r_lo: float = 1e-6,
                               r_hi: float = 1e-3, n_samples: int = 16) -> dict:
     """Profile-difference law near the origin.
 
-    D(r) = (f_{lam2} - f_{lam1}) r^{2/(1-m)} (log 1/r)^{-m/(1-m)} must
-    approach blowup_const^{m/(1-m)} * (blowup_const/(1-m)) * log(lam1/lam2)
-    and stay positive.  lam1 >= lam2 required; equal lambdas give D == 0.
+    D(r) = (f_{lam2} - f_{lam1}) r^{2/(1-m)} (log 1/r)^{-m/(1-m)} must approach
+    B^{m/(1-m)} (B/(1-m)) log(lam1/lam2), B = prof1.constants.blowup_const, and
+    stay positive.  lam1 >= lam2 required; equal lambdas give D == 0.
     """
     if lam1 < lam2:
         raise ValueError(f"need lam1 >= lam2 > 0, got lam1={lam1!r}, lam2={lam2!r}")
-    m = prof1.request.params.m
+    c, m = prof1.constants, prof1.request.params.m
     one_m = 1.0 - m
     r = np.geomspace(r_lo, r_hi, n_samples)
     f2 = prof1.eval_f_lambda(lam2, r)

@@ -239,7 +239,7 @@ def _cmd_profile(cfg, out: str) -> int:
     req = ProfileRequest(params=p, eta=cfg["eta"], r0=cfg["r0"], r_switch=cfg["r_switch"],
                          s_max=cfg["s_max"], tol=cfg["tol"])
     prof = compute_profile(req)
-    k = estimate_K(prof.far, prof.constants, p.n, p.m)
+    k = estimate_K(prof.far, p)
     r = np.geomspace(g["r_min"], g["r_max"], g["count"])
     gv, gr = prof.eval_g(r)
     fv, fr = prof.eval_f(r)
@@ -270,10 +270,8 @@ def _cmd_expansion(cfg, out: str) -> int:
     if cfg["s_max"] < 50.0:
         raise ConfigError(f"s_max must be >= 50 for the expansion check, got {cfg['s_max']!r}")
     p = _model(cfg)
-    c = derive_constants(p)
     eta = cfg["eta"]
-    coeffs = asymptotics.compute_K0(p, eta=eta, beta_tilde=c.beta_tilde,
-                                    s_max=cfg["k0_s_max"], tol=cfg["tol"])
+    coeffs = asymptotics.compute_K0(p, eta=eta, s_max=cfg["k0_s_max"], tol=cfg["tol"])
     req = ProfileRequest(params=p, eta=eta, s_max=cfg["s_max"], tol=cfg["tol"])
     prof = compute_profile(req)
     rep = asymptotics.expansion_residual_report(prof, coeffs)
@@ -284,7 +282,7 @@ def _cmd_expansion(cfg, out: str) -> int:
         cols += [rep["partial_sums"][o], rep["residuals"][o]]
     _write_csv(os.path.join(out, "expansion.csv"), header, cols)
     verdict = bool(rep["full_order_decreasing"]
-                   and (c.yamabe_case or rep["a3_rel_dev"] <= 0.05))
+                   and (prof.constants.yamabe_case or rep["a3_rel_dev"] <= 0.05))
     _write_report(os.path.join(out, "expansion_report.json"), {
         "K0": coeffs.K0, "K_11": coeffs.K_11, "K_error": coeffs.K_error,
         "a1": coeffs.a1, "a2_eta_beta": coeffs.a2_eta_beta, "a3": coeffs.a3,
@@ -345,19 +343,18 @@ def _cmd_evolve(cfg, out: str) -> int:
 
 
 def _weight_lam(wcfg):
-    """The lambda of the profile f_lam3 that the configured weight reads, or
-    None for power_mu, which reads no profile."""
+    """The lambda of the profile f_lam3 that the configured weight reads, 1.0
+    where lam3 is left out or null, or None for power_mu, which reads no profile."""
     if wcfg["kind"] == "power_mu":
         return None
     return 1.0 if wcfg.get("lam3") is None else wcfg["lam3"]
 
 
 def _make_weight(wcfg, prof):
-    """The configured weight; a key left out or null stays unset, for WeightSpec to reject."""
+    """The configured weight, lam3 from ``_weight_lam``; a key left out or null stays unset."""
     kw = {k: v for k, v in wcfg.items() if v is not None}
-    kw.setdefault("lam3", 1.0)
-    return measures.WeightSpec(params=prof.request.params,
-                               constants=prof.constants, profile=prof, **kw)
+    kw["lam3"] = _weight_lam(wcfg)
+    return measures.WeightSpec(params=prof.request.params, profile=prof, **kw)
 
 
 def _cmd_contract(cfg, out: str) -> int:
@@ -381,8 +378,8 @@ def _cmd_contract(cfg, out: str) -> int:
     if cfg["half_resolution"]:
         runs += pair(N // 2 + 1)
     trajs = [evolution.run(ecfg) for ecfg in runs]
-    half = (runs[2].grid, trajs[2], trajs[3]) if cfg["half_resolution"] else None
-    rep = measures.contraction_report(trajs[0], trajs[1], weight, runs[0].grid, half)
+    half = (trajs[2], trajs[3]) if cfg["half_resolution"] else None
+    rep = measures.contraction_report(trajs[0], trajs[1], weight, half)
     _write_csv(os.path.join(out, "contraction.csv"),
                ["t", "norm", "norm_positive_part", "slack"],
                [rep["times"], rep["series"], rep["series_positive_part"], rep["slack"]])
@@ -409,7 +406,7 @@ def _cmd_converge(cfg, out: str) -> int:
     ecfg = _build_evolution(cfg, "rescaled", init, bc, prof, (cfg["lam1"], cfg["lam2"]))
     traj = evolution.run(ecfg)
     rep = measures.convergence_report(
-        traj, prof, lam0, weight, ecfg.grid, K_compact=tuple(cfg["K_compact"]),
+        traj, lam0, weight, K_compact=tuple(cfg["K_compact"]),
         decrease_factor=cfg["decrease_factor"], e_inf_threshold=cfg["e_inf_threshold"])
     _write_csv(os.path.join(out, "convergence.csv"),
                ["t", "e1", "e_inf"], [rep["times"], rep["e1"], rep["e_inf"]])
@@ -511,6 +508,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv=None) -> int:
     parser = _build_parser()
+    # argparse reads "-1e-3" as an option, not a value, so each flag is joined to its value
+    argv, i = list(sys.argv[1:] if argv is None else argv), 0
+    while i < len(argv) - 1:
+        if argv[i][:2] == "--" and argv[i][2:] in _FLAGS:
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -522,7 +525,7 @@ def run_command(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return _EXIT_USAGE
     except (ParameterError, ProfileError, evolution.EvolutionError,
-            measures.MeasureError, ValueError) as e:
+            measures.MeasureError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -260,11 +260,11 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots plus monitor verdicts and solver statistics."""
+    """Snapshots plus monitor verdicts and solver statistics; ``config`` holds
+    the run's grid, form and profile."""
 
     times: np.ndarray
     fields: np.ndarray           # (n_snapshots, N)
-    form: str
     monitors: Optional[dict]     # {"aronson_benilan": ..., "ordering": ...}; None without
     newton_iters_total: int
     rejections: int
@@ -431,7 +431,6 @@ def run(cfg: EvolutionConfig, trunc: bool = False) -> Trajectory:
     return Trajectory(
         times=cfg.snapshot_times,
         fields=fields,
-        form=cfg.form,
         monitors=monitors,
         newton_iters_total=iters_total,
         rejections=rejections,

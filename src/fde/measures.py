@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .evolution import AnnulusGrid, Trajectory
-from .params import DerivedConstants, ModelParams, validate_regime
+from .params import ModelParams, derive_constants, validate_regime
 from .profile import Profile
 
 __all__ = [
@@ -58,15 +58,15 @@ def unit_sphere_area(n: int) -> float:
 class WeightSpec:
     """One weight family instance; evaluates to strictly positive node values.
 
-    profile weights need the eta=1 Profile for f_{lam3}; construction
-    enforces the validity regime of the corresponding contraction theorem
-    (power_mu: the mu range including the mu = mu1 edge condition;
-    profile_gamma2 / radial_gamma3: their (n, m) windows).
+    profile weights need the eta=1 Profile for f_{lam3} and take their
+    exponents from derive_constants(params); construction enforces the
+    validity regime of the corresponding contraction theorem (power_mu: the
+    mu range including the mu = mu1 edge condition; profile_gamma2 /
+    radial_gamma3: their (n, m) windows).
     """
 
     kind: str
     params: ModelParams
-    constants: DerivedConstants
     mu: Optional[float] = None
     lam3: Optional[float] = None
     profile: Optional[Profile] = None
@@ -104,7 +104,7 @@ class WeightSpec:
         if self.kind == "power_mu":
             return r ** (-self.mu)
         # each profile weight is |x|^power f_{lam3}^exponent
-        n, m, c = self.params.n, self.params.m, self.constants
+        n, m, c = self.params.n, self.params.m, derive_constants(self.params)
         power, exponent = {
             "profile_gamma2": (0.0, m * c.gamma2),
             "radial_gamma3": ((n - 2) / m + (n - 2) * c.gamma3 - 2.0 * n, m * c.gamma3),
@@ -137,15 +137,15 @@ def _verdict(series: np.ndarray, slack: np.ndarray) -> str:
 
 
 def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
-                       grid: AnnulusGrid, half: Optional[tuple] = None) -> dict:
+                       half: Optional[tuple] = None) -> dict:
     """Weighted-L1 distance series between two runs, with a verdict.
 
-    Requires shared grid, snapshot times and boundary data.  When ``half``
-    gives a half-resolution rerun as (grid, traj1, traj2), the per-snapshot
-    slack is 1e-8 + 10x the norm shift between resolutions; otherwise 1e-8
-    alone.
+    Requires shared grid, snapshot times and boundary data; the norms are
+    taken on traj1's grid.  When ``half`` gives a half-resolution rerun as
+    the pair (traj1, traj2), the per-snapshot slack is 1e-8 + 10x the norm
+    shift between resolutions; otherwise 1e-8 alone.
     """
-    if traj1.form != traj2.form:
+    if traj1.config.form != traj2.config.form:
         raise MeasureError("trajectories must share the form")
     if len(traj1.times) != len(traj2.times) or np.max(np.abs(traj1.times - traj2.times)) > 1e-12:
         raise MeasureError("trajectories must share snapshot times")
@@ -156,7 +156,7 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
             "note": "boundary data differ; contraction claim not applicable",
             "times": traj1.times,
         }
-    n = weight.params.n
+    n, grid = weight.params.n, traj1.config.grid
     w = weight.values(grid.r)
     diff = traj1.fields - traj2.fields
     series = _l1(diff, w, grid, n)
@@ -164,7 +164,8 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
 
     slack = np.full_like(series, 1e-8)
     if half is not None:
-        hgrid, h1, h2 = half
+        h1, h2 = half
+        hgrid = h1.config.grid
         series_half = _l1(h1.fields - h2.fields, weight.values(hgrid.r), hgrid, n)
         slack = slack + 10.0 * np.abs(series - series_half)
 
@@ -180,27 +181,29 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
     }
 
 
-def convergence_report(traj: Trajectory, profile: Profile, lam0: float,
-                       weight: WeightSpec, grid: AnnulusGrid,
+def convergence_report(traj: Trajectory, lam0: float, weight: WeightSpec,
                        K_compact: tuple = (0.5, 2.0),
                        decrease_factor: float = 10.0,
                        e_inf_threshold: Optional[float] = None) -> dict:
-    """Convergence of a rescaled run to f_{lam0}.
+    """Convergence of a rescaled run to f_{lam0} of its profile, on its grid.
 
     e1(t) is the weighted-L1 distance, e_inf(t) the sup distance on the
     compact window K.  PASS needs both to drop by decrease_factor from t=0
     and the final e_inf to sit below the threshold (default
     1e-3 * max_K f_{lam0}).
     """
-    if traj.form != "rescaled":
-        raise MeasureError("convergence is a statement about the rescaled flow")
     cfg = traj.config
+    if cfg.form != "rescaled":
+        raise MeasureError("convergence is a statement about the rescaled flow")
+    if cfg.profile is None:
+        raise MeasureError("convergence needs the run's eta=1 profile for f_{lam0}")
+    grid = cfg.grid
     lam1 = cfg.lam1 if cfg.lam1 is not None else lam0
     lam2 = cfg.lam2 if cfg.lam2 is not None else lam0
     if not (lam1 >= lam0 >= lam2):
         raise MeasureError(
             f"lam0={lam0!r} outside the ordering band [lam2, lam1]=[{lam2!r}, {lam1!r}]")
-    target = profile.eval_f_lambda(lam0, grid.r)
+    target = cfg.profile.eval_f_lambda(lam0, grid.r)
     if len(K_compact) != 2:
         raise MeasureError(f"K_compact must hold two radii, got {K_compact!r}")
     sel = (grid.r >= K_compact[0]) & (grid.r <= K_compact[1])

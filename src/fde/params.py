@@ -191,7 +191,7 @@ def validate_regime(p: ModelParams, mu: Optional[float] = None) -> RegimeReport:
     Purely advisory; nothing here blocks computation.
     """
     n, m = p.n, p.m
-    mu1 = n - 2.0 / (1.0 - m)
+    mu1 = derive_constants(p).mu1
 
     thm13: Optional[bool] = None
     thm13_reason = ""

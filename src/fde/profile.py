@@ -20,15 +20,15 @@ pipeline is:
    only up to a caller's ``reach`` on the same node lattice,
 4. ``compute_profile``      -- assemble the ``Profile``; check the handoff.
 
-``estimate_K`` extracts K(eta, beta~) from a far-field trace with the
-closed-form tail corrections; only the callers that report K run it, on the
-full far field.  A caller that reads the profile only on an annulus passes
-the largest s it reads as ``reach``.  The assembled ``Profile`` evaluates g,
-f, the lambda-scaling family f_lambda and the eternal solutions U_lambda
-anywhere in [0, e^{s_end}] (respectively [e^{-s_end}, 1/r0] for f), with
-s_end = far.s[-1] the end of its far field, using log-space arithmetic so
-that quantities like f(e^{-200}) ~ e^{500} never overflow; beyond s_end an
-evaluation raises ProfileError.
+Each stage derives the constants of ``req.params`` itself.  ``estimate_K``
+extracts K(eta, beta~) from a far-field trace with the closed-form tail
+corrections; only the callers that report K run it, on the full far field.
+A caller that reads the profile only on an annulus passes the largest s it
+reads as ``reach``.  The assembled ``Profile`` evaluates g, f, f_lambda and
+the eternal solutions U_lambda anywhere in [0, e^{s_end}] (respectively
+[e^{-s_end}, 1/r0] for f), with s_end = far.s[-1] the end of its far field,
+in log-space arithmetic so that quantities like f(e^{-200}) ~ e^{500} never
+overflow; beyond s_end an evaluation raises ProfileError.
 """
 
 from __future__ import annotations
@@ -154,17 +154,16 @@ def _c_loc(req: ProfileRequest, c: DerivedConstants) -> float:
     return c_loc
 
 
-def local_series_start(req: ProfileRequest, c: Optional[DerivedConstants] = None):
+def local_series_start(req: ProfileRequest):
     """Local solution at r0: g = eta + C_loc r^{1-delta1}/(1-delta1), g_r = C_loc r^{-delta1}.
 
     C_loc comes from freezing g at eta in the equation and integrating the
     flux (r^{n-1}(g^m)_r)_r once; the same formula covers both the bounded
     (delta1 < 0) and singular-derivative (delta1 in [0,1)) startup cases.
-    Returns (g(r0), g_r(r0)).  Raises ProfileError when the a-posteriori
-    estimate of the neglected second-order term exceeds tol.
+    Returns (g(r0), g_r(r0)) for req.params.  Raises ProfileError when the
+    a-posteriori estimate of the neglected second-order term exceeds tol.
     """
-    if c is None:
-        c = derive_constants(req.params)
+    c = derive_constants(req.params)
     m = req.params.m
     eta, r0 = req.eta, req.r0
     d1 = c.delta1
@@ -209,6 +208,9 @@ def _flux_residual_inner(req, c, r, g, g_r):
     # Simpson over [r_{2k}, r_{2k+2}] with the log-spaced grid treated in s; d r = r d s
     return _simpson_residual(np.log(r), flux, rhs * r)
 
+
+# the inner stage's samples on [r0, r_switch]; the far field's largest node spacing in s
+_INNER_NODES, _FAR_DS = 4097, 0.02
 
 # scipy's RK45 (Dormand & Prince 1980): tableau rows as rk_step slices them,
 # and the step-size policy of RungeKutta._step_impl
@@ -300,19 +302,17 @@ def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: 
     return y[0], y[1], nfev, len(ts) - 1
 
 
-def integrate_inner(req: ProfileRequest, c: Optional[DerivedConstants] = None,
-                    n_nodes: int = 4097) -> InnerProfile:
+def integrate_inner(req: ProfileRequest) -> InnerProfile:
     """Integrate the inverted ODE from r0 to r_switch with the Dormand-Prince
     5(4) pair, taking scipy RK45's steps (see ``_rk45``), and sample g, g_r on
-    ``n_nodes`` log-spaced radii."""
-    if c is None:
-        c = derive_constants(req.params)
+    _INNER_NODES log-spaced radii."""
+    c = derive_constants(req.params)
     n, m = req.params.n, req.params.m
-    g0, g0r = local_series_start(req, c)
+    g0, g0r = local_series_start(req)
     src_exp = (n - 2) / m - n - 2.0
     grr = _rhs_inner(float(n), m, c.alpha_tilde, c.beta_tilde, src_exp)
 
-    r = np.geomspace(req.r0, req.r_switch, n_nodes)
+    r = np.geomspace(req.r0, req.r_switch, _INNER_NODES)
     # g stays O(eta) but g_r sweeps many decades without changing sign, so it
     # gets pure relative control; an absolute floor there would cap the flux
     # accuracy near r0 and pollute the residual check.  rtol has RK45's floor.
@@ -345,18 +345,17 @@ def _rhs_far(n: int, m: float, c: DerivedConstants):
 
 
 def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
-                        c: Optional[DerivedConstants] = None,
-                        ds_out: float = 0.02, reach: Optional[float] = None) -> FarFieldTrace:
+                        reach: Optional[float] = None) -> FarFieldTrace:
     """Continue the profile in s = log r up to s_max via the w~ equation.
 
-    The trace is sampled on a fixed node lattice from log(r_switch) to s_max.
-    Given ``reach``, it keeps only the lattice's prefix up to one node past the
-    first node >= reach (at least 3 nodes) and integrates only that far.  The
-    kept nodes carry the full trace's values bit for bit, so an evaluation up
-    to reach does not move, at a fraction of the cost.
+    The trace is sampled on a fixed lattice of nodes at most _FAR_DS apart
+    from log(r_switch) to s_max.  Given ``reach``, it keeps only the lattice's
+    prefix up to one node past the first node >= reach (at least 3 nodes) and
+    integrates only that far.  The kept nodes carry the full trace's values
+    bit for bit, so an evaluation up to reach does not move, at a fraction of
+    the cost.
     """
-    if c is None:
-        c = derive_constants(req.params)
+    c = derive_constants(req.params)
     n, m = req.params.n, req.params.m
     at, bt = c.alpha_tilde, c.beta_tilde
     wexp = (1.0 - m) * at / bt  # == (n-2-nm)/m
@@ -368,7 +367,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     if ws0 <= 0.0:
         raise ProfileError(f"w_s(r_switch) = {float(ws0)!r} <= 0; inner profile invalid at handoff")
 
-    n_nodes = int(math.ceil((req.s_max - s0) / ds_out))
+    n_nodes = int(math.ceil((req.s_max - s0) / _FAR_DS))
     n_nodes += (n_nodes + 1) % 2  # odd count for Simpson triples
     s = np.linspace(s0, req.s_max, n_nodes)
     # LSODA's first step depends on t_bound, so a shorter trace keeps
@@ -441,8 +440,8 @@ def _fit_spread(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float) -> 
     return float(abs(k3 - k4))
 
 
-def estimate_K(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float) -> KEstimate:
-    """Extract K(eta, beta~) from the far-field trace.
+def estimate_K(trace: FarFieldTrace, params: ModelParams) -> KEstimate:
+    """Extract K(eta, beta~) from the far-field trace of a profile of ``params``.
 
     Uses the closed-form tail of the h1 expansion refined by the h2-level
     correction (which is linear in K and solved self-consistently); in the
@@ -455,6 +454,7 @@ def estimate_K(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float) -> K
     s_max = trace.s[-1]
     if s_max < 50.0:
         raise ProfileError(f"K extraction needs s_max >= 50, trace ends at {float(s_max)!r}")
+    c, n, m = derive_constants(params), params.n, params.m
     k_full = _k_hat(trace, c, n, m, s_max)
     k_half = _k_hat(trace, c, n, m, s_max / 2.0)
     err = max(abs(k_full - k_half), _fit_spread(trace, c, n, m))
@@ -466,7 +466,8 @@ def estimate_K(trace: FarFieldTrace, c: DerivedConstants, n: int, m: float) -> K
 
 
 class Profile:
-    """A computed profile with piecewise evaluation.
+    """A computed profile of ``request`` with piecewise evaluation; ``constants``
+    are those of request.params.
 
     Regions: local series on (0, r0], interpolated inner solution on
     [r0, r_switch], far-field reconstruction on [r_switch, e^{far.s[-1]}],
@@ -476,23 +477,17 @@ class Profile:
     be computed concurrently.
     """
 
-    def __init__(self, request: ProfileRequest, constants: DerivedConstants,
-                 inner: InnerProfile, far: FarFieldTrace):
+    def __init__(self, request: ProfileRequest, inner: InnerProfile, far: FarFieldTrace):
         self.request = request
-        self.constants = constants
+        self.constants = c = derive_constants(request.params)
         self.inner = inner
         self.far = far
-        c = constants
         self._wexp = (1.0 - request.params.m) * c.alpha_tilde / c.beta_tilde
         s_in = np.log(inner.r)
         self._ip_lng = PchipInterpolator(s_in, np.log(inner.g), extrapolate=False)
         self._ip_rat = PchipInterpolator(s_in, inner.r * inner.g_r / inner.g, extrapolate=False)
         self._ip_w = PchipInterpolator(far.s, far.w, extrapolate=False)
         self._ip_ws = PchipInterpolator(far.s, far.w_s, extrapolate=False)
-
-    @property
-    def eta(self) -> float:
-        return self.request.eta
 
     # -- g ----------------------------------------------------------------
 
@@ -592,10 +587,9 @@ class Profile:
 def compute_profile(req: ProfileRequest, reach: Optional[float] = None) -> Profile:
     """Run the full pipeline and verify handoff continuity; ``reach`` (see
     ``integrate_far_field``) ends the far field near s = reach."""
-    c = derive_constants(req.params)
-    inner = integrate_inner(req, c)
-    far = integrate_far_field(req, inner, c, reach=reach)
-    prof = Profile(req, c, inner, far)
+    inner = integrate_inner(req)
+    far = integrate_far_field(req, inner, reach=reach)
+    prof = Profile(req, inner, far)
     # continuity across the handoff: reconstruct g(r_switch) from the far field
     one_m = 1.0 - req.params.m
     g_far = (far.w[0] * math.exp(-prof._wexp * far.s[0])) ** (1.0 / one_m)

@@ -110,7 +110,7 @@ def eval_expansion_f(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
     beta_abs = -c.alpha * (1.0 - m) / 2.0  # |beta| recovered from alpha
     log_amp = log_A_over_g1 + m / q * math.log(beta_abs)
     L = np.log(1.0 / r)
-    series = expansion_series(L, coeffs, c, log_amp, A, beta_abs, order)
+    series = expansion_series(L, coeffs, log_amp, A, beta_abs, order)
     ln_pref = math.log(c.blowup_const) - 2.0 * np.log(r)
     return np.exp((ln_pref + np.log(series)) / (1.0 - m))
 
@@ -124,7 +124,7 @@ def eval_expansion_g(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
         raise ValueError("g expansion is an r -> infinity statement; need r > e")
     log_amp = math.log(eta) / c.gamma1 + m / q * math.log(beta_tilde)
     L = np.log(r)
-    series = expansion_series(L, coeffs, c, log_amp, eta, beta_tilde, order)
+    series = expansion_series(L, coeffs, log_amp, eta, beta_tilde, order)
     ln_pref = math.log(2.0 * (n - 1) * q / ((1.0 - m) * beta_tilde)) - q / m * np.log(r)
     return np.exp((ln_pref + np.log(series)) / (1.0 - m))
 
@@ -156,7 +156,7 @@ def integrate_inner_ivp(req: ProfileRequest, c: Optional[DerivedConstants] = Non
     n, m = float(req.params.n), req.params.m
     at, bt = c.alpha_tilde, c.beta_tilde
     src_exp = (n - 2) / m - n - 2.0
-    g0, g0r = local_series_start(req, c)
+    g0, g0r = local_series_start(req)
 
     def rhs(r, y):
         g, gr = y
@@ -284,9 +284,9 @@ def inversion_residual_check(traj: Trajectory, grid: AnnulusGrid,
     c0 = (n - 1) / m
     worst = 0.0
     for k in range(len(traj.times) - 1):
-        f0 = inversion_transform(RadialField(traj.fields[k], traj.times[k], traj.form),
+        f0 = inversion_transform(RadialField(traj.fields[k], traj.times[k], traj.config.form),
                                  grid, params)
-        f1 = inversion_transform(RadialField(traj.fields[k + 1], traj.times[k + 1], traj.form),
+        f1 = inversion_transform(RadialField(traj.fields[k + 1], traj.times[k + 1], traj.config.form),
                                  grid, params)
         dt = traj.times[k + 1] - traj.times[k]
         du = (f1.u - f0.u) / dt

@@ -119,7 +119,7 @@ def test_criterion_3_growth_limits(profile_set):
         # r^2 f^{1-m}/log(1/r) at r = e^{-200} equals w~(200)/200 in f-variables
         blow_dev = abs(prof.far.w[-1] / prof.far.s[-1] / c.blowup_const - 1.0)
         lng, _ = prof.eval_g_log(np.array([math.exp(-20.0)]))
-        amp_dev = abs(float(np.exp(lng[0])) / prof.eta - 1.0)
+        amp_dev = abs(float(np.exp(lng[0])) / prof.request.eta - 1.0)
         rows.append(f"({n},{m:.2f}): ws {ws_dev:.1e} blowup {blow_dev:.1e} amp {amp_dev:.1e}")
         ok = ok and ws_dev <= 0.01 and blow_dev <= 0.01 and amp_dev <= 0.01
     _report(3, ok, "; ".join(rows))
@@ -140,7 +140,7 @@ def test_criterion_5_K_stability(profile_set):
     worst = 0.0
     for key, prof in profs.items():
         p = prof.request.params
-        k = estimate_K(prof.far, prof.constants, p.n, p.m)
+        k = estimate_K(prof.far, p)
         thr = 1e-3 * (1.0 + abs(k.K))
         ok = ok and k.error_estimate <= thr
         worst = max(worst, k.error_estimate / thr)
@@ -153,8 +153,7 @@ def test_criterion_6_expansion_verification(profile_cache):
     ok = True
     details = []
     for n, m in ((3, 0.25), (3, 0.19)):
-        coeffs = asymptotics.compute_K0(ModelParams(n=n, m=m, beta=-1.0),
-                                        eta=2.0, beta_tilde=0.5)
+        coeffs = asymptotics.compute_K0(ModelParams(n=n, m=m, beta=-0.5), eta=2.0)
         prof = profile_cache(n, m, beta=-0.5, eta=2.0)
         rep = asymptotics.expansion_residual_report(prof, coeffs,
                                                     window=(100.0, 200.0))
@@ -166,9 +165,7 @@ def test_criterion_6_expansion_verification(profile_cache):
 
 def test_criterion_7_difference_law(profile_cache):
     prof = profile_cache(3, 0.2)
-    c = derive_constants(ModelParams(n=3, m=0.2, beta=-1.0))
-    rep = asymptotics.difference_constant_check(prof, 2.0, 1.0, c,
-                                                r_lo=1e-6, r_hi=1e-4)
+    rep = asymptotics.difference_constant_check(prof, 2.0, 1.0, r_lo=1e-6, r_hi=1e-4)
     _report(7, rep["all_positive"] and rep["max_rel_dev"] <= 0.10,
             f"max deviation from closed form {rep['max_rel_dev']:.2%}, "
             f"positive: {rep['all_positive']}")
@@ -240,28 +237,24 @@ def test_criterion_10_contraction_suites(contraction_bundle):
     ok = True
     details = []
     b = bundles[0.2]
-    c = derive_constants(b["params"])
     weights = [
         ("power_mu 0.25", measures.WeightSpec(kind="power_mu", params=b["params"],
-                                              constants=c, mu=0.25)),
+                                              mu=0.25)),
         ("power_mu mu1=0.5", measures.WeightSpec(kind="power_mu", params=b["params"],
-                                                 constants=c, mu=0.5)),
+                                                 mu=0.5)),
         ("profile_gamma2", measures.WeightSpec(kind="profile_gamma2",
-                                               params=b["params"], constants=c,
+                                               params=b["params"],
                                                lam3=1.0, profile=b["profile"])),
     ]
     for name, w in weights:
-        rep = measures.contraction_report(b["pair"][0], b["pair"][1], w, b["grid"],
-                                          half=(b["hgrid"], *b["half"]))
+        rep = measures.contraction_report(b["pair"][0], b["pair"][1], w, half=b["half"])
         ok = ok and rep["verdict"] == "PASS"
         details.append(f"{name}: {rep['verdict']}")
 
     b = bundles[0.19]
-    c19 = derive_constants(b["params"])
     w = measures.WeightSpec(kind="radial_gamma3", params=b["params"],
-                            constants=c19, lam3=1.0, profile=b["profile"])
-    rep = measures.contraction_report(b["pair"][0], b["pair"][1], w, b["grid"],
-                                      half=(b["hgrid"], *b["half"]))
+                            lam3=1.0, profile=b["profile"])
+    rep = measures.contraction_report(b["pair"][0], b["pair"][1], w, half=b["half"])
     ok = ok and rep["verdict"] == "PASS"
     details.append(f"radial_gamma3 (m=0.19): {rep['verdict']}")
     ok = ok and elapsed < 300.0
@@ -274,7 +267,6 @@ def test_criterion_11_convergence(profile_cache):
     details = []
     for m, wkind in ((0.2, "profile_gamma2"), (0.19, "radial_gamma3")):
         p = ModelParams(n=3, m=m, beta=-1.0)
-        c = derive_constants(p)
         prof = profile_cache(3, m)
         grid = evolution.build_grid(math.e ** 1.7, 3001)
         cfg = evolution.EvolutionConfig(
@@ -285,9 +277,8 @@ def test_criterion_11_convergence(profile_cache):
             dt=5e-3, snapshot_times=np.linspace(0.0, 5.0, 11),
             profile=prof, monitors=True, lam1=1.0, lam2=0.4)
         traj = evolution.run(cfg)
-        w = measures.WeightSpec(kind=wkind, params=p, constants=c, lam3=1.0,
-                                profile=prof)
-        rep = measures.convergence_report(traj, prof, 1.0, w, grid,
+        w = measures.WeightSpec(kind=wkind, params=p, lam3=1.0, profile=prof)
+        rep = measures.convergence_report(traj, 1.0, w,
                                           K_compact=(0.5, 2.0),
                                           decrease_factor=10.0)
         ok = ok and rep["verdict"] == "PASS"

@@ -108,26 +108,24 @@ def test_expansion_g_domain_guard(coeffs_325):
 
 def test_expansion_series_nested(coeffs_325):
     # adding a term never changes lower-order terms
-    c = derive_constants(ModelParams(n=3, m=0.25, beta=-1.0))
     L = np.array([20.0, 80.0, 150.0])
     prev = None
     for order in ORDERS:
-        cur = expansion_series(L, coeffs_325, c, 0.3, 2.0, 0.5, order)
+        cur = expansion_series(L, coeffs_325, 0.3, 2.0, 0.5, order)
         if prev is not None:
             diff = cur - prev
             assert np.all(np.abs(diff) > 0) or order == "constant"
         prev = cur
     # constant block at eta=1, beta~=1 reduces to K0 alone
-    lead = expansion_series(L, coeffs_325, c, 0.0, 1.0, 1.0, "loglog")
-    const = expansion_series(L, coeffs_325, c, 0.0, 1.0, 1.0, "constant")
+    lead = expansion_series(L, coeffs_325, 0.0, 1.0, 1.0, "loglog")
+    const = expansion_series(L, coeffs_325, 0.0, 1.0, 1.0, "constant")
     np.testing.assert_allclose(const - lead, coeffs_325.K0, rtol=1e-12)
 
 
 def test_expansion_g_matches_profile(profile_cache):
     # with K0 from the (1,1) run, the expansion tracks the independently
     # computed (eta, beta~) = (2, 0.5) profile
-    p = ModelParams(n=3, m=0.25, beta=-1.0)
-    coeffs = compute_K0(p, eta=2.0, beta_tilde=0.5)
+    coeffs = compute_K0(ModelParams(n=3, m=0.25, beta=-0.5), eta=2.0)
     c05 = derive_constants(ModelParams(n=3, m=0.25, beta=-0.5))
     prof = profile_cache(3, 0.25, beta=-0.5, eta=2.0)
     r = math.exp(150.0)
@@ -137,8 +135,7 @@ def test_expansion_g_matches_profile(profile_cache):
 
 
 def test_residual_report_full_order_trend(profile_cache):
-    p = ModelParams(n=3, m=0.25, beta=-1.0)
-    coeffs = compute_K0(p, eta=2.0, beta_tilde=0.5)
+    coeffs = compute_K0(ModelParams(n=3, m=0.25, beta=-0.5), eta=2.0)
     prof = profile_cache(3, 0.25, beta=-0.5, eta=2.0)
     rep = expansion_residual_report(prof, coeffs, window=(100.0, 200.0))
     assert rep["full_order_decreasing"]
@@ -180,8 +177,8 @@ def test_constant_block_shift_between_parameter_pairs(profile_cache):
     c2 = derive_constants(ModelParams(n=n, m=m, beta=-0.5))
     p1 = profile_cache(n, m, beta=-1.0, eta=1.0)
     p2 = profile_cache(n, m, beta=-0.5, eta=2.0)
-    k1 = estimate_K(p1.far, p1.constants, n, m)
-    k2 = estimate_K(p2.far, p2.constants, n, m)
+    k1 = estimate_K(p1.far, p1.request.params)
+    k2 = estimate_K(p2.far, p2.request.params)
     blk1 = k1.K / c1.a0
     blk2 = k2.K / c2.a0
     q = n - 2 - n * m
@@ -200,8 +197,8 @@ def test_K_error_bars_cover_the_closed_form_shift(n, m, beta, eta):
     # fell short of the gap.
     p = ModelParams(n=n, m=m, beta=beta)
     prof = compute_profile(ProfileRequest(params=p, eta=eta))
-    k = estimate_K(prof.far, prof.constants, n, m)
-    coeffs = compute_K0(p, eta=eta, beta_tilde=-beta)
+    k = estimate_K(prof.far, p)
+    coeffs = compute_K0(p, eta=eta)
     assert abs(k.K - coeffs.K_for(eta, -beta)) <= k.error_estimate + coeffs.K_error / -beta
 
 
@@ -210,7 +207,7 @@ def test_difference_law(profile_cache):
     # blowup^{m/(1-m)} * blowup/(1-m) * log 2, and positive
     prof = profile_cache(3, 0.2)
     c = derive_constants(ModelParams(n=3, m=0.2, beta=-1.0))
-    rep = difference_constant_check(prof, 2.0, 1.0, c, r_lo=1e-6, r_hi=1e-4)
+    rep = difference_constant_check(prof, 2.0, 1.0, r_lo=1e-6, r_hi=1e-4)
     target = c.blowup_const ** 0.25 * c.blowup_const / 0.8 * math.log(2.0)
     assert rep["target"] == pytest.approx(target, rel=1e-14)
     assert rep["all_positive"]
@@ -220,8 +217,7 @@ def test_difference_law(profile_cache):
 
 def test_difference_law_degenerate_and_errors(profile_cache):
     prof = profile_cache(3, 0.2)
-    c = derive_constants(ModelParams(n=3, m=0.2, beta=-1.0))
-    rep = difference_constant_check(prof, 1.0, 1.0, c)
+    rep = difference_constant_check(prof, 1.0, 1.0)
     assert rep["max_rel_dev"] == 0.0
     with pytest.raises(ValueError, match="lam1 >= lam2"):
-        difference_constant_check(prof, 1.0, 2.0, c)
+        difference_constant_check(prof, 1.0, 2.0)

@@ -32,6 +32,34 @@ def test_constants_stdout_and_exit(capsys, tmp_path):
     assert report["constants"]["mu1"] == 0.5
 
 
+def test_negative_flag_value_in_e_notation(tmp_path, capsys):
+    # argparse takes "-1e-6" after a flag for an option unless the two are joined
+    assert run_command(["constants", "--beta", "-1e-6", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["beta_tilde"] == 1e-06
+
+
+@pytest.mark.parametrize("case", ["missing-config", "out-is-a-file", "report-is-a-directory"])
+def test_unusable_path_is_one_error_line(tmp_path, capsys, case):
+    # a path that cannot be read or written ends in one line naming it, not a
+    # traceback, and no temp file is left behind
+    out = tmp_path / "out"
+    argv = ["constants", "--out", str(out)]
+    if case == "missing-config":
+        path = tmp_path / "missing.json"
+        argv += ["--config", str(path)]
+    elif case == "out-is-a-file":
+        path = out
+        out.write_text("")
+    else:
+        path = out / "constants.json"
+        path.mkdir(parents=True)
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(path) in err
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
 def test_unknown_flag_usage_error(capsys):
     assert run_command(["constants", "--does-not-exist", "1"]) == 1
 
@@ -645,9 +673,14 @@ _CONSTANT_RUN = {"initial": {"kind": "constant", "value": 1.0},
      "config error: newton_tol must be finite, got nan"),
     (["evolve"], dict(_CONSTANT_RUN, newton_tol=-1.0),
      "error: newton_tol must be positive and finite, got -1.0"),
+    (["evolve"], dict(_CONSTANT_RUN, dt=0),
+     "config error: dt must be positive and finite, got 0.0"),
+    (["evolve"], dict(_CONSTANT_RUN, horizon=-1),
+     "config error: horizon must be positive and finite, got -1.0"),
     (["contract", "--lambda3", "nan"], {}, "config error: weight.lam3 must be finite, got nan"),
 ], ids=["weight.power", "decrease_factor", "e_inf_threshold", "bump.amplitude", "grid.r_min",
-        "initial.theta", "newton_tol-nan", "newton_tol-negative", "flag-lambda3"])
+        "initial.theta", "newton_tol-nan", "newton_tol-negative", "dt-zero", "horizon-negative",
+        "flag-lambda3"])
 def test_non_finite_or_non_positive_value_rejected(tmp_path, capsys, no_solver, argv, config, err):
     # a NaN in a config file or a flag ends in one line naming its key, before
     # any solver runs; none reaches a verdict or a NaN in the report
@@ -749,8 +782,10 @@ def test_far_field_reaches_every_evaluation(tmp_path, monkeypatch, profile_cache
 @pytest.mark.parametrize("argv,err", [
     (["contract", "--lambda2", "1e-100"], "error: r beyond e^s_max = e^200.0; no extrapolation"),
     (["contract", "--lambda2", "-1"], "error: lambda must be positive, got -1.0"),
+    (["contract", "--lambda2", "-1e-3"], "error: lambda must be positive, got -0.001"),
     (["converge", "--lambda2", "-1"], "error: lambda must be positive, got -1.0"),
-], ids=["contract-tiny", "contract-negative", "converge-negative"])
+], ids=["contract-tiny", "contract-negative", "contract-negative-e-notation",
+        "converge-negative"])
 def test_lambda_out_of_the_profile_rejected(tmp_path, capsys, argv, err):
     # a lambda so small that its reach runs past the lattice's end reads g
     # beyond e^s_max; a nonpositive one is left out of the reach and rejected

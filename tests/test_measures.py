@@ -36,7 +36,7 @@ def test_unit_sphere_area():
 def test_weighted_l1_zero_for_equal_fields():
     g = build_grid(math.e, 64)
     a = np.exp(-g.s ** 2) + 1.0
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.25)
+    w = WeightSpec(kind="power_mu", params=P32, mu=0.25)
     assert weighted_l1(a, a, w, g) == 0.0
 
 
@@ -47,7 +47,7 @@ def test_weighted_l1_closed_form_power():
     g = build_grid(R, N)
     a = g.r ** (-p) + 1.0
     b = np.ones(g.N)
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=mu)
+    w = WeightSpec(kind="power_mu", params=P32, mu=mu)
     got = weighted_l1(a, b, w, g)
     q = n - p - mu
     exact = unit_sphere_area(n) * (R ** q - R ** (-q)) / q
@@ -62,7 +62,7 @@ def test_weighted_l1_exact_for_constant_in_s():
     p = n - mu  # net exponent zero
     a = g.r ** (-p) + 1.0
     b = np.ones(g.N)
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=mu)
+    w = WeightSpec(kind="power_mu", params=P32, mu=mu)
     got = weighted_l1(a, b, w, g)
     exact = unit_sphere_area(n) * 2.0 * math.log(R)
     assert got == pytest.approx(exact, rel=1e-13)
@@ -70,7 +70,7 @@ def test_weighted_l1_exact_for_constant_in_s():
 
 def test_weighted_l1_second_order_refinement():
     n, R = 3, math.e
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.3)
+    w = WeightSpec(kind="power_mu", params=P32, mu=0.3)
     errs = []
     q_exact = None
     for N in (101, 201, 401):
@@ -90,7 +90,7 @@ def test_weighted_l1_second_order_refinement():
 def test_weighted_l1_triangle_inequality():
     g = build_grid(math.e, 101)
     rng = np.random.default_rng(42)
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.4)
+    w = WeightSpec(kind="power_mu", params=P32, mu=0.4)
     for _ in range(20):
         a, b, c = (rng.uniform(0.1, 5.0, g.N) for _ in range(3))
         ac = weighted_l1(a, c, w, g)
@@ -101,7 +101,7 @@ def test_weighted_l1_triangle_inequality():
 
 def test_weighted_l1_grid_mismatch():
     g = build_grid(math.e, 64)
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.25)
+    w = WeightSpec(kind="power_mu", params=P32, mu=0.25)
     with pytest.raises(MeasureError, match="grid"):
         weighted_l1(np.ones(32), np.ones(64), w, g)
 
@@ -122,45 +122,43 @@ def test_l1_is_the_trapezoid_rule_bit_for_bit(shape):
 def test_weight_validation(profile_cache):
     prof = profile_cache(3, 0.2)
     # mu range, including the mu = mu1 edge condition
-    WeightSpec(kind="power_mu", params=P32, constants=C32, mu=C32.mu1)
+    WeightSpec(kind="power_mu", params=P32, mu=C32.mu1)
     with pytest.raises(MeasureError, match="mu"):
-        WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.6)
+        WeightSpec(kind="power_mu", params=P32, mu=0.6)
     with pytest.raises(MeasureError, match="mu"):
-        WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.0)
+        WeightSpec(kind="power_mu", params=P32, mu=0.0)
     with pytest.raises(MeasureError, match="mu"):
-        WeightSpec(kind="power_mu", params=P32, constants=C32, mu=float("nan"))
+        WeightSpec(kind="power_mu", params=P32, mu=float("nan"))
     # n = 5, m = 0.55 > 1/2: the mu = mu1 edge is excluded
     p5 = ModelParams(n=5, m=0.55, beta=-1.0)
     c5 = derive_constants(p5)
     with pytest.raises(MeasureError, match="mu = mu1"):
-        WeightSpec(kind="power_mu", params=p5, constants=c5, mu=c5.mu1)
+        WeightSpec(kind="power_mu", params=p5, mu=c5.mu1)
     # regime windows for the profile weights
-    WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0,
+    WeightSpec(kind="profile_gamma2", params=P32, lam3=1.0,
                profile=prof)
     with pytest.raises(MeasureError, match="profile_gamma2"):
         p19 = ModelParams(n=3, m=0.19, beta=-1.0)
-        WeightSpec(kind="profile_gamma2", params=p19,
-                   constants=derive_constants(p19), lam3=1.0, profile=prof)
+        WeightSpec(kind="profile_gamma2", params=p19, lam3=1.0, profile=prof)
     with pytest.raises(MeasureError, match="radial_gamma3"):
-        WeightSpec(kind="radial_gamma3", params=P32, constants=C32, lam3=1.0,
+        WeightSpec(kind="radial_gamma3", params=P32, lam3=1.0,
                    profile=prof)
     with pytest.raises(MeasureError, match="unknown"):
-        WeightSpec(kind="exotic", params=P32, constants=C32)
+        WeightSpec(kind="exotic", params=P32)
 
 
 def test_weight_positivity(profile_cache):
     prof = profile_cache(3, 0.2)
     prof19 = profile_cache(3, 0.19)
     p19 = ModelParams(n=3, m=0.19, beta=-1.0)
-    c19 = derive_constants(p19)
     g = build_grid(math.e ** 5, 257)
     specs = [
-        WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.25),
-        WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0,
+        WeightSpec(kind="power_mu", params=P32, mu=0.25),
+        WeightSpec(kind="profile_gamma2", params=P32, lam3=1.0,
                    profile=prof),
-        WeightSpec(kind="radial_gamma3", params=p19, constants=c19, lam3=1.0,
+        WeightSpec(kind="radial_gamma3", params=p19, lam3=1.0,
                    profile=prof19),
-        WeightSpec(kind="custom_power_times_profile", params=P32, constants=C32,
+        WeightSpec(kind="custom_power_times_profile", params=P32,
                    lam3=2.0, profile=prof, power=-1.0, exponent=0.3),
     ]
     for spec in specs:
@@ -178,7 +176,7 @@ def test_radial_gamma3_equals_inverted_g_weight(profile_cache):
     g = build_grid(math.e ** 2, 2001)
     u1 = prof.eval_f_lambda(1.0, g.r)
     u2 = prof.eval_f_lambda(1.5, g.r)
-    w = WeightSpec(kind="radial_gamma3", params=p, constants=c, lam3=1.2,
+    w = WeightSpec(kind="radial_gamma3", params=p, lam3=1.2,
                    profile=prof)
     lhs = weighted_l1(u1, u2, w, g)
     b1 = inversion_transform(RadialField(u=u1, t=0.0, form="physical"), g, p)
@@ -218,8 +216,8 @@ def test_verdict_triage():
 
 def test_contraction_identical_initial_data(profile_cache):
     prof, g, t1, t2 = _small_pair(profile_cache, lam_b=2.0)
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.25)
-    rep = contraction_report(t1, t2, w, g)
+    w = WeightSpec(kind="power_mu", params=P32, mu=0.25)
+    rep = contraction_report(t1, t2, w)
     assert np.all(rep["series"] == 0.0)
     assert rep["verdict"] == "PASS"
     assert rep["note"] == ANNULUS_NOTE
@@ -227,8 +225,8 @@ def test_contraction_identical_initial_data(profile_cache):
 
 def test_contraction_small_run(profile_cache):
     prof, g, t1, t2 = _small_pair(profile_cache)
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.25)
-    rep = contraction_report(t1, t2, w, g)
+    w = WeightSpec(kind="power_mu", params=P32, mu=0.25)
+    rep = contraction_report(t1, t2, w)
     assert rep["verdict"] == "PASS"
     assert rep["verdict_positive_part"] == "PASS"
     assert np.all(np.diff(rep["series"]) <= 1e-8)
@@ -238,8 +236,8 @@ def test_reports_equal_the_per_snapshot_norms(profile_cache):
     # a report integrates all its snapshots in one call; each entry is the
     # norm of its own snapshot, bit for bit
     prof, g, t1, t2 = _small_pair(profile_cache)
-    w = WeightSpec(kind="power_mu", params=P32, constants=C32, mu=0.25)
-    rep = contraction_report(t1, t2, w, g)
+    w = WeightSpec(kind="power_mu", params=P32, mu=0.25)
+    rep = contraction_report(t1, t2, w)
     for k, (a, b) in enumerate(zip(t1.fields, t2.fields)):
         assert rep["series"][k] == weighted_l1(a, b, w, g)
         assert rep["series_positive_part"][k] == weighted_l1(np.maximum(a - b, 0.0), 0.0 * a, w, g)
@@ -249,8 +247,8 @@ def test_reports_equal_the_per_snapshot_norms(profile_cache):
         initial=InitialSpec(kind="bump", lam0=1.0, amplitude=0.1, r_lo=0.5, r_hi=2.0),
         boundary=BoundarySpec(kind="f_lambda", lam=1.0),
         dt=5e-3, snapshot_times=np.linspace(0.0, 0.1, 5), profile=prof))
-    wg = WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0, profile=prof)
-    rep = convergence_report(traj, prof, 1.0, wg, g)
+    wg = WeightSpec(kind="profile_gamma2", params=P32, lam3=1.0, profile=prof)
+    rep = convergence_report(traj, 1.0, wg)
     target = prof.eval_f_lambda(1.0, g.r)
     sel = (g.r >= 0.5) & (g.r <= 2.0)
     for k, u in enumerate(traj.fields):
@@ -272,8 +270,7 @@ def test_contraction_refuses_different_boundaries(profile_cache):
         return run(cfg)
 
     rep = contraction_report(one(2.0), one(1.5),
-                             WeightSpec(kind="power_mu", params=P32,
-                                        constants=C32, mu=0.25), g)
+                             WeightSpec(kind="power_mu", params=P32, mu=0.25))
     assert rep["verdict"] == "NOT_APPLICABLE"
 
 
@@ -287,13 +284,23 @@ def test_convergence_steady_start_stays_at_noise(profile_cache):
         dt=5e-3, snapshot_times=np.linspace(0.0, 1.0, 5),
         profile=prof, monitors=True, lam1=1.0, lam2=1.0)
     traj = run(cfg)
-    w = WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0,
+    w = WeightSpec(kind="profile_gamma2", params=P32, lam3=1.0,
                    profile=prof)
-    rep = convergence_report(traj, prof, 1.0, w, g, decrease_factor=1.0,
-                             e_inf_threshold=1.0)
+    rep = convergence_report(traj, 1.0, w, decrease_factor=1.0, e_inf_threshold=1.0)
     # exact steady start: the error stays at the truncation floor,
     # ~ C ds^2 * f with C ~ 20 on this configuration
     assert rep["e_inf_final"] <= 1e-2
+
+
+def test_convergence_needs_the_run_profile():
+    # f_{lam0} comes from the run's profile; a run built without one is refused
+    traj = run(EvolutionConfig(
+        grid=build_grid(math.e, 33), params=P32, form="rescaled",
+        initial=InitialSpec(kind="constant", value=1.0),
+        boundary=BoundarySpec(kind="constant", value=1.0),
+        dt=5e-2, snapshot_times=np.array([0.0, 0.1])))
+    with pytest.raises(MeasureError, match="profile"):
+        convergence_report(traj, 1.0, WeightSpec(kind="power_mu", params=P32, mu=0.25))
 
 
 def test_convergence_band_validation(profile_cache):
@@ -308,10 +315,10 @@ def test_convergence_band_validation(profile_cache):
         dt=5e-2, snapshot_times=np.array([0.0, 0.1]),
         profile=prof, monitors=True, lam1=1.0, lam2=0.5)
     traj = run(cfg)
-    w = WeightSpec(kind="profile_gamma2", params=P32, constants=C32, lam3=1.0,
+    w = WeightSpec(kind="profile_gamma2", params=P32, lam3=1.0,
                    profile=prof)
     with pytest.raises(MeasureError, match="band"):
-        convergence_report(traj, prof, 2.0, w, g)
+        convergence_report(traj, 2.0, w)
     with pytest.raises(MeasureError, match="rescaled"):
-        convergence_report(dataclasses.replace(traj, form="physical"),
-                           prof, 1.0, w, g)
+        convergence_report(dataclasses.replace(
+            traj, config=dataclasses.replace(traj.config, form="physical")), 1.0, w)

@@ -190,7 +190,7 @@ def test_far_field_log_slope(profile_cache):
     assert c.h1_slope == pytest.approx(-2.0 / 3.0, rel=1e-14)
     s_max = prof.far.s[-1]
     h_end = prof.far.h[-1]
-    K = estimate_K(prof.far, c, 3, 0.25).K
+    K = estimate_K(prof.far, prof.request.params).K
     assert (h_end - K) / math.log(s_max) == pytest.approx(c.h1_slope, rel=0.02)
 
 
@@ -229,7 +229,7 @@ def test_f_lambda_matches_independent_profile(profile_cache):
 
 def test_k_estimate_stability(profile_cache):
     prof = profile_cache(3, 0.2)
-    k = estimate_K(prof.far, prof.constants, 3, 0.2)
+    k = estimate_K(prof.far, prof.request.params)
     assert k.converged
     assert k.error_estimate <= 1e-3 * (1.0 + abs(k.K))
     assert "yamabe" in k.method
@@ -239,12 +239,11 @@ def test_k_estimate_consistency_by_definition(profile_cache):
     # K at s_max=100 and s_max=200 agree within the reported error estimate
     prof = profile_cache(3, 0.25)
     trace = prof.far
-    c = prof.constants
-    full = estimate_K(trace, c, 3, 0.25)
+    full = estimate_K(trace, prof.request.params)
     short = integrate_far_field(
         ProfileRequest(params=ModelParams(n=3, m=0.25, beta=-1.0), eta=1.0, s_max=100.0),
-        prof.inner, c)
-    k_short = estimate_K(short, c, 3, 0.25)
+        prof.inner)
+    k_short = estimate_K(short, prof.request.params)
     assert abs(full.K - k_short.K) <= full.error_estimate * 1.5 + 1e-12
 
 
@@ -262,7 +261,7 @@ def test_k_needs_deep_trace(profile_cache):
     prof = profile_cache(3, 0.2)
     short = integrate_far_field(req_for(3, 0.2, s_max=20.0), prof.inner)
     with pytest.raises(ProfileError, match="s_max"):
-        estimate_K(short, prof.constants, 3, 0.2)
+        estimate_K(short, prof.request.params)
 
 
 # -- evaluation -----------------------------------------------------------

@@ -40,9 +40,28 @@ def test_surface_counts_lines_and_public_names(tmp_path):
     (pkg / "__init__.py").write_text('from .a import x\n__all__ = ["x"]\n')
     (pkg / "a.py").write_text('__all__ = ["x", "y"]\n\nx = y = 1\n')
     (pkg / "b.py").write_text("z = 2\n")
+    (pkg / "c.py").write_text(
+        "import dataclasses\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    size: int\n"
+        "    kind: str = 'a'\n"
+        "    LIMIT = 3\n"
+        "    def grow(self, by, *, times=1):\n"
+        "        return lambda k: k\n"
+        "class Plain:\n"
+        "    n: int\n"
+        "    @classmethod\n"
+        "    def make(cls, n, *args, **kw):\n"
+        "        def inner(x):\n"
+        "            return x\n"
+        "        return inner\n")
     (pkg / "notes.txt").write_text("not a module\n")
-    # 2 + 3 + 1 lines; __init__'s re-export is not counted again
-    assert diff_outputs._surface(str(tmp_path)) == (6, 2)
+    # 2 + 3 + 1 + 15 lines; __init__'s re-export is not counted again; the
+    # settable values are Box's 2 annotated fields, grow's by and times,
+    # make's n, args and kw, and inner's x, but not Plain's annotation, self,
+    # cls or the lambda's k
+    assert diff_outputs._surface(str(tmp_path)) == (21, 2, 8)
 
 
 def test_surface_of_the_package_matches_its_modules():

@@ -4,8 +4,10 @@
 
 BASE_SRC and CHANGE_SRC are directories that hold the ``fde`` package (a
 checkout's ``src``).  First each tree's size is printed: the line count of
-the package's modules and its number of public names, the sum of the
-modules' ``__all__`` lengths.  For each tree, one subprocess with
+the package's modules, its number of public names (the sum of the modules'
+``__all__`` lengths) and its number of settable values (the parameters of
+its functions other than self and cls, and the annotated fields of its
+dataclasses).  For each tree, one subprocess with
 PYTHONPATH set to that tree runs the fixed matrix below in-process, writing
 each case's artifacts, stdout, stderr and exit code to OUT/base/<case> or
 OUT/change/<case>.  A table lists each case's exit codes and verdict, and
@@ -108,24 +110,37 @@ def _run_side(out: str) -> None:
 
 
 def _surface(src: str) -> tuple:
-    """(lines, public names) of the ``fde`` package under src: the line count
-    of its modules and the sum of their ``__all__`` lengths, leaving out the
-    names ``__init__`` re-exports from them."""
+    """(lines, public names, settable values) of the ``fde`` package under
+    src: the line count of its modules; the sum of their ``__all__`` lengths,
+    leaving out the names ``__init__`` re-exports from them; and the number
+    of parameters of every function, method and nested function (not self,
+    cls or a lambda's) plus the annotated fields of every dataclass."""
     pkg = os.path.join(src, "fde")
-    lines = names = 0
+    lines = names = settable = 0
     for name in os.listdir(pkg):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(pkg, name)) as f:
             text = f.read()
         lines += text.count("\n")
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                settable += sum(p is not None and p.arg not in ("self", "cls")
+                                for p in a.posonlyargs + a.args + a.kwonlyargs
+                                + [a.vararg, a.kwarg])
+            elif isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0].endswith("dataclass")
+                    for d in node.decorator_list):
+                settable += sum(isinstance(s, ast.AnnAssign) for s in node.body)
         if name == "__init__.py":
             continue
-        for node in ast.parse(text).body:
+        for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
                                                     for t in node.targets):
                 names += len(ast.literal_eval(node.value))
-    return lines, names
+    return lines, names, settable
 
 
 def _verdict(d: str) -> str:
@@ -258,9 +273,9 @@ def main(argv=None) -> int:
     os.makedirs(out)
     sides = {"base": base_src, "change": change_src}
     size = {side: _surface(src) for side, src in sides.items()}
-    for i, what in enumerate(("src lines", "public names")):
+    for i, what in enumerate(("src lines", "public names", "settable values")):
         b, c = size["base"][i], size["change"][i]
-        print(f"{what:<14}base {b}  change {c}  ({c - b:+d})")
+        print(f"{what:<16}base {b}  change {c}  ({c - b:+d})")
     for side, src in sides.items():
         subprocess.run([sys.executable, os.path.abspath(__file__), "--side",
                         os.path.join(out, side)],
