@@ -260,6 +260,7 @@ def _cmd_profile(cfg, out: str) -> int:
         },
         "invariants": inv,
         "inner_solver": {"nfev": prof.inner.nfev, "steps": prof.inner.steps},
+        "far_solver": {"nfev": far.nfev, "steps": far.steps},
     })
     return _EXIT_OK if inv["ok"] and k.converged else _EXIT_FAIL
 
@@ -491,8 +492,15 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line, in a subcommand too, with one line and exit 1."""
+
+    def error(self, message):
+        self.exit(_EXIT_USAGE, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fde",
         description="Singular self-similar solutions of the fast diffusion "
                     "equation: profiles, expansions, evolution and weighted-L1 checks.")

@@ -147,6 +147,9 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
     """
     if traj1.config.form != traj2.config.form:
         raise MeasureError("trajectories must share the form")
+    for a, b in [(traj1, traj2)] + ([half] if half is not None else []):
+        if not np.array_equal(a.config.grid.r, b.config.grid.r):
+            raise MeasureError("trajectories must share the grid")
     if len(traj1.times) != len(traj2.times) or np.max(np.abs(traj1.times - traj2.times)) > 1e-12:
         raise MeasureError("trajectories must share snapshot times")
     b1, b2 = traj1.config.boundary, traj2.config.boundary

@@ -14,11 +14,11 @@ pipeline is:
 2. ``integrate_inner``      -- adaptive Dormand-Prince 5(4) on (g, g_r) up to
    r_switch: a scalar loop (``_rk45``) that takes scipy RK45's steps bit for
    bit and samples them on a fixed log-spaced grid,
-3. ``integrate_far_field``  -- switch to s = log r and integrate the
+3. ``integrate_far_field``  -- switch to s = log r, step LSODA on the
    autonomous equation for w~(s) = r^{(n-2-nm)/m} g^{1-m} up to s_max
    (default 200, i.e. radii up to e^200, representable only through s), or
-   only up to a caller's ``reach`` on the same node lattice,
-4. ``compute_profile``      -- assemble the ``Profile``; check the handoff.
+   to a caller's ``reach`` on the same node lattice; check the handoff,
+4. ``compute_profile``      -- chain the stages into a ``Profile``.
 
 Each stage derives the constants of ``req.params`` itself.  ``estimate_K``
 extracts K(eta, beta~) from a far-field trace with the closed-form tail
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import LSODA, RK45, OdeSolution
+from scipy.integrate import solve_ivp  # noqa: F401  (looked up here by perfbench's tracer)
 from scipy.interpolate import PchipInterpolator
 
 from .params import DerivedConstants, ModelParams, derive_constants
@@ -111,13 +112,15 @@ class InnerProfile:
 
 @dataclass(frozen=True)
 class FarFieldTrace:
-    """w~, w~_s and the subtracted quantities h, h1 on a fixed s grid."""
+    """w~, w~_s and the subtracted h, h1 on a fixed s grid; LSODA's nfev and steps."""
 
     s: np.ndarray
     w: np.ndarray
     w_s: np.ndarray
     h: np.ndarray
     h1: Optional[np.ndarray]   # None in the Yamabe case, where h1 == h
+    nfev: int
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -346,14 +349,16 @@ def _rhs_far(n: int, m: float, c: DerivedConstants):
 
 def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
                         reach: Optional[float] = None) -> FarFieldTrace:
-    """Continue the profile in s = log r up to s_max via the w~ equation.
+    """Continue the profile in s = log r up to s_max via the w~ equation;
+    ProfileError unless w~(log r_switch) gives back the inner g(r_switch).
 
     The trace is sampled on a fixed lattice of nodes at most _FAR_DS apart
     from log(r_switch) to s_max.  Given ``reach``, it keeps only the lattice's
-    prefix up to one node past the first node >= reach (at least 3 nodes) and
-    integrates only that far.  The kept nodes carry the full trace's values
-    bit for bit, so an evaluation up to reach does not move, at a fraction of
-    the cost.
+    prefix up to one node past the first node >= reach (at least 3 nodes).
+    scipy's LSODA is built as ``solve_ivp`` builds it, stepped past the last
+    kept node and sampled by ``solve_ivp``'s segment rule.  Its first step
+    depends on t_bound, so t_bound stays s_max: the kept nodes carry the full
+    trace's values bit for bit, at a fraction of the cost.
     """
     c = derive_constants(req.params)
     n, m = req.params.n, req.params.m
@@ -370,35 +375,28 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     n_nodes = int(math.ceil((req.s_max - s0) / _FAR_DS))
     n_nodes += (n_nodes + 1) % 2  # odd count for Simpson triples
     s = np.linspace(s0, req.s_max, n_nodes)
-    # LSODA's first step depends on t_bound, so a shorter trace keeps
-    # t_bound = s_max and stops at its last node with a terminal event: the
-    # steps, and so the values at the kept nodes, are the full trace's
-    events = None
-    k = n_nodes if reach is None else max(3, int(np.searchsorted(s, reach)) + 2)
-    if k < n_nodes:
-        s = s[:k]
-
-        def past_end(t, y):
-            return t - s[-1]
-
-        past_end.terminal = True
-        events = past_end
-    sol = solve_ivp(
-        _rhs_far(n, m, c), (s0, req.s_max), (w0, ws0),
-        method="LSODA", rtol=req.tol, atol=req.tol, dense_output=True, events=events,
-    )
-    if not sol.success:
-        raise ProfileError(f"far-field integration failed: {sol.message}")
-
-    y = sol.sol(s)
-    w, w_s = y[0], y[1]
+    if reach is not None:
+        s = s[:max(3, int(np.searchsorted(s, reach)) + 2)]
+    solver = LSODA(_rhs_far(n, m, c), s0, (w0, ws0), req.s_max, rtol=req.tol, atol=req.tol)
+    ts, segments = [s0], []
+    while solver.t < s[-1]:
+        message = solver.step()
+        if solver.status == "failed":
+            raise ProfileError(f"far-field integration failed: {message}")
+        ts.append(solver.t)
+        segments.append(solver.dense_output())
+    w, w_s = OdeSolution(ts, segments, alt_segment=True)(s)
     if np.any(w_s <= 0.0):
         bad = s[np.argmax(w_s <= 0.0)]
         raise ProfileError(f"eta={req.eta!r} gives w~_s <= 0 at s={bad:.3f}; trace invalid")
+    g_far = (w[0] * math.exp(-wexp * s0)) ** (1.0 / (1.0 - m))
+    if abs(g_far - g_sw) > 10.0 * req.tol * max(1.0, g_sw):
+        raise ProfileError(
+            f"handoff discontinuity at r_switch: inner g={float(g_sw)!r}, far g={float(g_far)!r}")
 
     h = w - c.farfield_slope * s
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
-    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1)
+    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=solver.nfev, steps=len(segments))
 
 
 def _a2_const_part(n: int, m: float) -> float:
@@ -585,19 +583,10 @@ class Profile:
 
 
 def compute_profile(req: ProfileRequest, reach: Optional[float] = None) -> Profile:
-    """Run the full pipeline and verify handoff continuity; ``reach`` (see
-    ``integrate_far_field``) ends the far field near s = reach."""
+    """Chain the stages into a Profile; ``reach`` (see ``integrate_far_field``)
+    ends the far field near s = reach."""
     inner = integrate_inner(req)
-    far = integrate_far_field(req, inner, reach=reach)
-    prof = Profile(req, inner, far)
-    # continuity across the handoff: reconstruct g(r_switch) from the far field
-    one_m = 1.0 - req.params.m
-    g_far = (far.w[0] * math.exp(-prof._wexp * far.s[0])) ** (1.0 / one_m)
-    if abs(g_far - inner.g[-1]) > 10.0 * req.tol * max(1.0, inner.g[-1]):
-        raise ProfileError(
-            f"handoff discontinuity at r_switch: inner g={float(inner.g[-1])!r}, "
-            f"far g={float(g_far)!r}")
-    return prof
+    return Profile(req, inner, integrate_far_field(req, inner, reach=reach))
 
 
 def check_profile_invariants(prof: Profile) -> dict:
@@ -662,18 +651,17 @@ def check_profile_invariants(prof: Profile) -> dict:
     }
 
 
-def check_scaling_identities(params: ModelParams, eta1: float, eta2: float,
-                             beta_tilde1: float, beta_tilde2: float,
+def check_scaling_identities(params: ModelParams, eta1: float, eta2: float, beta_tilde2: float,
                              n_samples: int = 50, tol: float = 1e-10) -> dict:
     """Verify the four profile transformation identities on independent runs.
 
-    Computes profiles independently at the parameter pairs and evaluates
-    each identity on a log-spaced sample spanning the inner and far-field
-    branches; reports the max relative deviation per identity.
+    Computes profiles independently at eta1, eta2 and beta~ = -params.beta,
+    beta_tilde2, and evaluates each identity on a log-spaced sample spanning
+    the inner and far-field branches; reports the max relative deviation per identity.
     """
     if n_samples < 2:
         raise ProfileError("need at least 2 sample radii")
-    n, m = params.n, params.m
+    n, m, beta_tilde1 = params.n, params.m, -params.beta
     one_m = 1.0 - m
 
     def prof_for(eta, bt):

@@ -11,6 +11,9 @@ independent re-derivations:
 * ``integrate_inner_ivp``: the inner profile stage through scipy's
   ``solve_ivp`` RK45 with a terminal g = 0 event, whose steps
   ``fde.profile.integrate_inner`` takes;
+* ``integrate_far_field_ivp``: the far-field stage through scipy's
+  ``solve_ivp`` LSODA, a prefix stopped by a terminal event, whose steps
+  and samples ``fde.profile.integrate_far_field`` takes;
 * ``weighted_l1``: the weighted-L1 distance of two fields, through the
   package's own quadrature ``fde.measures._l1``;
 * ``RadialField``, ``rescale_transform``, ``inversion_transform`` and
@@ -34,7 +37,16 @@ from fde.asymptotics import ExpansionCoefficients, _order_level, expansion_serie
 from fde.evolution import AnnulusGrid, EvolutionError, Trajectory
 from fde.measures import MeasureError, WeightSpec, _l1
 from fde.params import DerivedConstants, ModelParams, ParameterError, derive_constants
-from fde.profile import InnerProfile, Profile, ProfileError, ProfileRequest, local_series_start
+from fde.profile import (
+    _FAR_DS,
+    FarFieldTrace,
+    InnerProfile,
+    Profile,
+    ProfileError,
+    ProfileRequest,
+    _rhs_far,
+    local_series_start,
+)
 
 # -- params ----------------------------------------------------------------
 
@@ -182,6 +194,53 @@ def integrate_inner_ivp(req: ProfileRequest, c: Optional[DerivedConstants] = Non
     r = np.geomspace(req.r0, req.r_switch, n_nodes)
     y = sol.sol(r)
     return InnerProfile(r=r, g=y[0], g_r=y[1], nfev=int(sol.nfev), steps=len(sol.t) - 1)
+
+
+def integrate_far_field_ivp(req: ProfileRequest, inner: InnerProfile,
+                            reach: Optional[float] = None) -> FarFieldTrace:
+    """``integrate_far_field`` through ``solve_ivp(method="LSODA")`` with dense
+    output; a prefix keeps t_bound = s_max and stops at its last node with a
+    terminal event.  No handoff check."""
+    c = derive_constants(req.params)
+    n, m = req.params.n, req.params.m
+    at, bt = c.alpha_tilde, c.beta_tilde
+    wexp = (1.0 - m) * at / bt
+    rs = req.r_switch
+    g_sw, gr_sw = inner.g[-1], inner.g_r[-1]
+    s0 = math.log(rs)
+    w0 = rs ** wexp * g_sw ** (1.0 - m)
+    ws0 = (1.0 - m) * (at / bt) * rs ** wexp * g_sw ** (-m) * (g_sw + (bt / at) * rs * gr_sw)
+    if ws0 <= 0.0:
+        raise ProfileError(f"w_s(r_switch) = {float(ws0)!r} <= 0; inner profile invalid at handoff")
+
+    n_nodes = int(math.ceil((req.s_max - s0) / _FAR_DS))
+    n_nodes += (n_nodes + 1) % 2
+    s = np.linspace(s0, req.s_max, n_nodes)
+    events = None
+    k = n_nodes if reach is None else max(3, int(np.searchsorted(s, reach)) + 2)
+    if k < n_nodes:
+        s = s[:k]
+
+        def past_end(t, y):
+            return t - s[-1]
+
+        past_end.terminal = True
+        events = past_end
+    sol = solve_ivp(
+        _rhs_far(n, m, c), (s0, req.s_max), (w0, ws0),
+        method="LSODA", rtol=req.tol, atol=req.tol, dense_output=True, events=events,
+    )
+    if not sol.success:
+        raise ProfileError(f"far-field integration failed: {sol.message}")
+
+    w, w_s = sol.sol(s)
+    if np.any(w_s <= 0.0):
+        bad = s[np.argmax(w_s <= 0.0)]
+        raise ProfileError(f"eta={req.eta!r} gives w~_s <= 0 at s={bad:.3f}; trace invalid")
+    h = w - c.farfield_slope * s
+    h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
+    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=int(sol.nfev),
+                         steps=len(sol.t) - 1)
 
 
 # -- measures --------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_criterion_4_scaling_identities():
     worst = 0.0
     for n, m in ((3, 0.25), (4, 1.0 / 3.0)):
         rep = check_scaling_identities(ModelParams(n=n, m=m, beta=-1.0),
-                                       1.0, 2.0, 1.0, 2.0, n_samples=50)
+                                       1.0, 2.0, 2.0, n_samples=50)
         worst = max(worst, rep["max_deviation"])
     _report(4, worst <= 1e-6, f"max relative deviation {worst:.2e}")
 

@@ -64,6 +64,24 @@ def test_unknown_flag_usage_error(capsys):
     assert run_command(["constants", "--does-not-exist", "1"]) == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["profile", "--n", "3.5"], "--n"),
+    (["constants", "--bogus", "1"], "--bogus"),
+    (["bogus"], "'bogus'"),
+    ([], "command"),
+])
+def test_rejected_command_line_is_one_error_line(capsys, argv, named):
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and named in err
+
+
+def test_help_exits_zero(capsys):
+    assert run_command(["profile", "--help"]) == 0
+    assert "--eta" in capsys.readouterr().out
+
+
 def test_unknown_config_key_named(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"n": 3, "m": 0.2, "beta": -1.0,

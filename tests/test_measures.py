@@ -274,6 +274,25 @@ def test_contraction_refuses_different_boundaries(profile_cache):
     assert rep["verdict"] == "NOT_APPLICABLE"
 
 
+@pytest.mark.parametrize("order", ["traj2", "swapped", "half"])
+def test_contraction_refuses_runs_on_different_grids(order):
+    # two grids with the same N but different R: node by node the fields
+    # line up, yet they sample different radii
+    def one(R, value):
+        return run(EvolutionConfig(
+            grid=build_grid(R, 101), params=P32, form="physical",
+            initial=InitialSpec(kind="constant", value=value),
+            boundary=BoundarySpec(kind="constant", value=1.0),
+            dt=1e-2, snapshot_times=np.array([0.0, 0.01, 0.02])))
+
+    near, far = one(math.e, 1.5), one(math.e ** 3, 1.0)
+    w = WeightSpec(kind="power_mu", params=P32, mu=0.25)
+    traj1, traj2, half = {"traj2": (near, far, None), "swapped": (far, near, None),
+                          "half": (near, one(math.e, 1.0), (near, far))}[order]
+    with pytest.raises(MeasureError, match="must share the grid"):
+        contraction_report(traj1, traj2, w, half=half)
+
+
 def test_convergence_steady_start_stays_at_noise(profile_cache):
     prof = profile_cache(3, 0.2)
     g = build_grid(math.e ** 1.7, 801)

@@ -18,7 +18,12 @@ from fde.profile import (
     integrate_inner,
     local_series_start,
 )
-from reference import eval_g_lambda, eval_U_bar_lambda, integrate_inner_ivp
+from reference import (
+    eval_g_lambda,
+    eval_U_bar_lambda,
+    integrate_far_field_ivp,
+    integrate_inner_ivp,
+)
 
 
 def req_for(n, m, beta=-1.0, eta=1.0, **kw):
@@ -144,6 +149,29 @@ def test_inner_stepper_takes_rk45_steps(n, m, beta, eta):
     assert (new.nfev, new.steps) == (ref.nfev, ref.steps)
     for a, b in ((new.r, ref.r), (new.g, ref.g), (new.g_r, ref.g_r)):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, m, beta, eta, s_max", [
+    (3, 0.2, -1.0, 1.0, 200.0),          # Yamabe m = (n-2)/(n+2)
+    (4, 1.0 / 3.0, -1.0, 0.5, 200.0),    # Yamabe
+    (5, 0.367876, -1.18629, 1.4731, 200.0),
+    (5, 0.1228, -0.5, 2.0, 200.0),
+    (4, 0.0765, -1.0, 1.0, 200.0),
+    (3, 0.25, -1.3, 0.7, 400.0),
+])
+def test_far_field_stepper_takes_lsoda_steps(n, m, beta, eta, s_max):
+    # the same steps and samples as solve_ivp's LSODA, bit for bit, for the
+    # full trace and for a reach before the handoff at s = log 10, just past
+    # it, inside the lattice and beyond s_max
+    req = req_for(n, m, beta=beta, eta=eta, s_max=s_max)
+    inner = integrate_inner(req)
+    for reach in (None, -1.0, 2.31, 4.3, 500.0):
+        new = integrate_far_field(req, inner, reach=reach)
+        ref = integrate_far_field_ivp(req, inner, reach=reach)
+        assert (new.nfev, new.steps) == (ref.nfev, ref.steps), reach
+        for a, b in ((new.s, ref.s), (new.w, ref.w), (new.w_s, ref.w_s), (new.h, ref.h),
+                     (new.h1, ref.h1)):  # h1 is None in the Yamabe case
+            assert np.array_equal(a, b), reach
 
 
 def test_inner_stepper_stops_where_g_reaches_zero():
@@ -450,13 +478,13 @@ def test_uniqueness_proxy(profile_cache):
 
 def test_scaling_identities_trivial_case():
     rep = check_scaling_identities(ModelParams(n=3, m=0.25, beta=-1.0),
-                                   1.0, 1.0, 1.0, 1.0, n_samples=20)
+                                   1.0, 1.0, 1.0, n_samples=20)
     assert rep["max_deviation"] <= 1e-12
 
 
 def test_scaling_identities_cross_parameters():
     rep = check_scaling_identities(ModelParams(n=3, m=0.25, beta=-1.0),
-                                   1.0, 2.0, 1.0, 2.0)
+                                   1.0, 2.0, 2.0)
     assert rep["ok"], rep
     assert rep["max_deviation"] <= 1e-8
     # hand arithmetic of the amplitude factor in the beta~ identity at
