@@ -12,9 +12,9 @@ constant K(1,1) of the normalized (eta=1, beta~=1) profile:
 
 and the f-form is the same series in log(1/r).  ``compute_K0`` extracts
 K(1,1) numerically and assembles the coefficient record;
-``expansion_series`` gives the braces truncated at the requested order, as
-a function of |log r|; ``expansion_residual_report`` quantifies the
-residual trend against an independently computed profile.
+``expansion_series`` gives the braces truncated at every order, as the four
+nested partial sums in |log r|; ``expansion_residual_report`` quantifies
+the residual trend against an independently computed profile.
 """
 
 from __future__ import annotations
@@ -34,17 +34,9 @@ __all__ = [
     "compute_K0",
     "expansion_series",
     "expansion_residual_report",
-    "difference_constant_check",
 ]
 
 ORDERS = ("leading", "loglog", "constant", "one_over_log")
-
-
-def _order_level(order: str) -> int:
-    try:
-        return ORDERS.index(order)
-    except ValueError:
-        raise ValueError(f"unknown expansion order {order!r}; expected one of {ORDERS}") from None
 
 
 def _a2(n: int, m: float, K: float, beta_tilde: float) -> float:
@@ -117,51 +109,46 @@ def compute_K0(params: ModelParams, eta: float = 1.0, s_max: float = 400.0,
                    a3=coeffs.a3_for(eta, beta_tilde))
 
 
-def expansion_series(L, coeffs: ExpansionCoefficients,
-                     log_amp: float, A: float, beta_tilde: float, order: str):
-    """The braces content of the expansion as a function of L = |log r|.
+def expansion_series(L, coeffs: ExpansionCoefficients, A: float, beta_tilde: float) -> dict:
+    """The braces content of the expansion in L = |log r| at every order: the
+    nested partial sums keyed by ORDERS, each built on the one before.
 
-    log_amp is the constant block (1/gamma1) log A + (m/q) log beta~ already
-    combined; partial sums are nested by construction.  The log-log
-    coefficient, a function of (n, m) alone, is that of coeffs.constants.
+    The constant block is (1/gamma1) log A + (m/q) log beta~; llc, q and
+    gamma1, functions of (n, m) alone, are those of coeffs.constants.
     """
-    level = _order_level(order)
-    llc = coeffs.constants.loglog_coeff
+    c, m = coeffs.constants, coeffs.m
+    llc = c.loglog_coeff
+    log_amp = math.log(A) / c.gamma1 + m / c.q * math.log(beta_tilde)
     L = np.asarray(L, dtype=float)
-    series = L.copy()
-    if level >= 1:
-        series = series + llc * np.log(L)
-    if level >= 2:
-        series = series + coeffs.K0 + log_amp
-    if level >= 3:
-        a3 = coeffs.a3_for(A, beta_tilde)
-        series = series + a3 / L + llc ** 2 * np.log(L) / L
-    return series
+    log_L = np.log(L)
+    leading = L.copy()
+    loglog = leading + llc * log_L
+    constant = loglog + coeffs.K0 + log_amp
+    a3 = coeffs.a3_for(A, beta_tilde)
+    one_over_log = constant + a3 / L + llc ** 2 * log_L / L
+    return dict(zip(ORDERS, (leading, loglog, constant, one_over_log)))
 
 
-def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
-                              window: tuple = None) -> dict:
+def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients) -> dict:
     """Residuals of the normalized far-field series against partial sums.
 
-    N(s) = w~(s)/a0 is the numeric normalized series; the report gives, per
-    order, the residual arrays and the trend statistics the acceptance gate
-    uses: the least-squares slope of s*|residual at full order| over the
-    window (must be negative), and the fitted constant-order coefficient
-    a3_hat compared to the closed-form a3.  The a2 sign ambiguity flag is on
+    N(s) = w~(s)/a0 is the numeric normalized series on the far field's
+    nodes with s >= s_max/2, s_max = far.s[-1]; the report gives, per order,
+    the residual arrays and the trend statistics the acceptance gate uses:
+    the least-squares slope of s*|residual at full order| over those nodes
+    (must be negative), and the fitted constant-order coefficient a3_hat
+    compared to the closed-form a3.  The a2 sign ambiguity flag is on
     whenever a3_hat only matches a3 with the opposite-sign K term.
     """
     req, c = prof.request, prof.constants
     n, m, q = req.params.n, req.params.m, c.q
     eta, bt = req.eta, c.beta_tilde
     far = prof.far
-    if window is None:
-        window = (far.s[-1] / 2.0, far.s[-1])
-    sel = (far.s >= window[0]) & (far.s <= window[1])
+    sel = far.s >= far.s[-1] / 2.0
     s = far.s[sel]
     N = far.w[sel] / c.farfield_slope
-    log_amp = math.log(eta) / c.gamma1 + m / q * math.log(bt)
 
-    partial = {o: expansion_series(s, coeffs, log_amp, eta, bt, o) for o in ORDERS}
+    partial = expansion_series(s, coeffs, eta, bt)
     resid = {o: N - partial[o] for o in ORDERS}
 
     llc = c.loglog_coeff
@@ -188,35 +175,4 @@ def expansion_residual_report(prof: Profile, coeffs: ExpansionCoefficients,
         "a3_hat": a3_hat,
         "a3_rel_dev": float(a3_rel_dev),
         "a2_sign_flip_suspected": flip_flag,
-    }
-
-
-def difference_constant_check(prof1: Profile, lam1: float, lam2: float, r_lo: float = 1e-6,
-                              r_hi: float = 1e-3, n_samples: int = 16) -> dict:
-    """Profile-difference law near the origin.
-
-    D(r) = (f_{lam2} - f_{lam1}) r^{2/(1-m)} (log 1/r)^{-m/(1-m)} must approach
-    B^{m/(1-m)} (B/(1-m)) log(lam1/lam2), B = prof1.constants.blowup_const, and
-    stay positive.  lam1 >= lam2 required; equal lambdas give D == 0.
-    """
-    if lam1 < lam2:
-        raise ValueError(f"need lam1 >= lam2 > 0, got lam1={lam1!r}, lam2={lam2!r}")
-    c, m = prof1.constants, prof1.request.params.m
-    one_m = 1.0 - m
-    r = np.geomspace(r_lo, r_hi, n_samples)
-    f2 = prof1.eval_f_lambda(lam2, r)
-    f1 = prof1.eval_f_lambda(lam1, r)
-    D = (f2 - f1) * r ** (2.0 / one_m) * np.log(1.0 / r) ** (-m / one_m)
-    target = c.blowup_const ** (m / one_m) * c.blowup_const / one_m * math.log(lam1 / lam2)
-    if lam1 == lam2:
-        return {"r": r, "D": D, "target": 0.0, "max_rel_dev": float(np.max(np.abs(D))),
-                "all_positive": True, "ok": bool(np.all(D == 0.0))}
-    rel = np.abs(D / target - 1.0)
-    return {
-        "r": r,
-        "D": D,
-        "target": target,
-        "max_rel_dev": float(np.max(rel)),
-        "all_positive": bool(np.all(D > 0.0)),
-        "ok": bool(np.max(rel) <= 0.10 and np.all(D > 0.0)),
     }

@@ -394,6 +394,9 @@ def _cmd_contract(cfg, out: str) -> int:
 
 
 def _cmd_converge(cfg, out: str) -> int:
+    # below 1 the verdict would pass a run whose error grew
+    if cfg["decrease_factor"] < 1.0:
+        raise ConfigError(f"decrease_factor must be >= 1, got {cfg['decrease_factor']!r}")
     lam0 = cfg["lam0"]
     prof = _profile_for(cfg, cfg["grid"]["R"],
                         (lam0, cfg["lam1"], cfg["lam2"], _weight_lam(cfg["weight"])))

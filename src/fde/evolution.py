@@ -23,7 +23,7 @@ execute concurrently.
 The snapshot times are the run's clock: a step of dt (or of the sub-step
 left by a rejection) that ends within _LAND * dt of the next snapshot ends
 on it, and only one that overshoots by more is clipped.  So
-``Trajectory.times`` is ``snapshot_times`` bit for bit.
+``Trajectory.times`` is the config's ``snapshot_times`` itself.
 
 A run reads its boundary data from a table keyed by step end time, filled by
 one ``BoundarySpec.values`` call for the next ``_REPLAY`` steps as replayed
@@ -83,13 +83,23 @@ def _check_kind(spec, what: str, needs: dict):
 
 @dataclass(frozen=True)
 class AnnulusGrid:
-    """Log-uniform grid on [1/R, R], exactly mirror-symmetric under r <-> 1/r."""
+    """Log-uniform grid on [1/R, R], exactly mirror-symmetric under r <-> 1/r;
+    R, N and ds are read off the nodes, so they cannot disagree with them."""
 
-    R: float
-    N: int
     s: np.ndarray
     r: np.ndarray
-    ds: float
+
+    @property
+    def R(self) -> float:
+        return float(self.r[-1])
+
+    @property
+    def N(self) -> int:
+        return self.s.size
+
+    @property
+    def ds(self) -> float:
+        return float(self.s[1] - self.s[0])
 
     def coeffs(self, n: int):
         """Flux-form operator weights (einv, ap, am) for dimension n."""
@@ -114,7 +124,7 @@ def build_grid(R: float, N: int) -> AnnulusGrid:
     r[:half] = 1.0 / r[N - 1: N - 1 - half: -1]
     if N % 2 == 1:
         r[half] = 1.0
-    return AnnulusGrid(R=R, N=N, s=s, r=r, ds=float(s[1] - s[0]))
+    return AnnulusGrid(s=s, r=r)
 
 
 @dataclass(frozen=True)
@@ -208,7 +218,8 @@ class InitialSpec:
             return barenblatt_oracle(r, 0.0, self.k, self.T, params)
         if self.kind == "table":
             ip = PchipInterpolator(np.log(self.table_r), np.log(self.table_u))
-            return np.exp(ip(grid.s))
+            with np.errstate(over="ignore"):  # run rejects the inf an overflow gives
+                return np.exp(ip(grid.s))
         return np.full(r.shape, self.value, dtype=float)  # constant
 
 
@@ -225,6 +236,9 @@ def barenblatt_oracle(r, t: float, k: float, T: float, params: ModelParams):
     tau = T - t
     return (tau ** (params.n / c.q)
             * (c.cstar / (k + tau ** (2.0 / c.q) * r * r)) ** (1.0 / (1.0 - params.m)))
+
+
+_MAX_STEPS = 10 ** 6  # most steps a run may take: minutes at contract's ~0.1 ms a step
 
 
 @dataclass
@@ -255,15 +269,18 @@ class EvolutionConfig:
         if (st.ndim != 1 or st.size < 2 or not np.all(np.isfinite(st)) or st[0] != 0.0
                 or np.any(np.diff(st) <= 0.0)):
             raise EvolutionError("need >= 2 finite snapshot times that start at 0 and increase")
+        steps = float(st[-1]) / self.dt
+        if steps > _MAX_STEPS:
+            raise EvolutionError(f"dt={self.dt!r} takes {steps:.3g} steps to t={float(st[-1])!r}, "
+                                 f"over the limit of {_MAX_STEPS}")
         self.snapshot_times = st
 
 
 @dataclass
 class Trajectory:
     """Snapshots plus monitor verdicts and solver statistics; ``config`` holds
-    the run's grid, form and profile."""
+    the run's grid, form, profile and snapshot times."""
 
-    times: np.ndarray
     fields: np.ndarray           # (n_snapshots, N)
     monitors: Optional[dict]     # {"aronson_benilan": ..., "ordering": ...}; None without
     newton_iters_total: int
@@ -272,6 +289,11 @@ class Trajectory:
                                  # None unless run with trunc or monitors
     trunc_space: float           # max |second s-difference| over snapshots
     config: EvolutionConfig
+
+    @property
+    def times(self) -> np.ndarray:
+        """config.snapshot_times: the run ends a step on each of them."""
+        return self.config.snapshot_times
 
 
 def _ordering_bounds(cfg: EvolutionConfig, t: float):
@@ -327,8 +349,8 @@ def run(cfg: EvolutionConfig, trunc: bool = False) -> Trajectory:
     c = derive_constants(cfg.params)
     r_ends = np.array([cfg.grid.r[0], cfg.grid.r[-1]])
     u = cfg.initial.values(cfg.grid, cfg.profile, cfg.params)
-    if np.any(u <= 0.0):
-        raise EvolutionError("initial data must be positive")
+    if not np.all((u > 0.0) & (u < math.inf)):
+        raise EvolutionError("initial data must be finite and > 0")
     band = cfg.lam1 is not None and cfg.lam2 is not None
     if cfg.monitors and not band:
         raise EvolutionError("ordering monitors need lam1 and lam2")
@@ -429,7 +451,6 @@ def run(cfg: EvolutionConfig, trunc: bool = False) -> Trajectory:
         }
 
     return Trajectory(
-        times=cfg.snapshot_times,
         fields=fields,
         monitors=monitors,
         newton_iters_total=iters_total,

@@ -140,10 +140,11 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
                        half: Optional[tuple] = None) -> dict:
     """Weighted-L1 distance series between two runs, with a verdict.
 
-    Requires shared grid, snapshot times and boundary data; the norms are
-    taken on traj1's grid.  When ``half`` gives a half-resolution rerun as
-    the pair (traj1, traj2), the per-snapshot slack is 1e-8 + 10x the norm
-    shift between resolutions; otherwise 1e-8 alone.
+    Runs that differ in form, grid, snapshot times or boundary data raise
+    MeasureError; the norms are taken on traj1's grid.  When ``half`` gives
+    a half-resolution rerun as the pair (traj1, traj2), the per-snapshot
+    slack is 1e-8 + 10x the norm shift between resolutions; otherwise 1e-8
+    alone.
     """
     if traj1.config.form != traj2.config.form:
         raise MeasureError("trajectories must share the form")
@@ -152,13 +153,8 @@ def contraction_report(traj1: Trajectory, traj2: Trajectory, weight: WeightSpec,
             raise MeasureError("trajectories must share the grid")
     if len(traj1.times) != len(traj2.times) or np.max(np.abs(traj1.times - traj2.times)) > 1e-12:
         raise MeasureError("trajectories must share snapshot times")
-    b1, b2 = traj1.config.boundary, traj2.config.boundary
-    if b1 != b2:
-        return {
-            "verdict": "NOT_APPLICABLE",
-            "note": "boundary data differ; contraction claim not applicable",
-            "times": traj1.times,
-        }
+    if traj1.config.boundary != traj2.config.boundary:
+        raise MeasureError("trajectories must share the boundary data")
     n, grid = weight.params.n, traj1.config.grid
     w = weight.values(grid.r)
     diff = traj1.fields - traj2.fields

@@ -57,7 +57,6 @@ __all__ = [
     "integrate_far_field",
     "estimate_K",
     "compute_profile",
-    "check_scaling_identities",
     "check_profile_invariants",
 ]
 
@@ -649,61 +648,3 @@ def check_profile_invariants(prof: Profile) -> dict:
             and np.min(f_dec) > 0.0
         ),
     }
-
-
-def check_scaling_identities(params: ModelParams, eta1: float, eta2: float, beta_tilde2: float,
-                             n_samples: int = 50, tol: float = 1e-10) -> dict:
-    """Verify the four profile transformation identities on independent runs.
-
-    Computes profiles independently at eta1, eta2 and beta~ = -params.beta,
-    beta_tilde2, and evaluates each identity on a log-spaced sample spanning
-    the inner and far-field branches; reports the max relative deviation per identity.
-    """
-    if n_samples < 2:
-        raise ProfileError("need at least 2 sample radii")
-    n, m, beta_tilde1 = params.n, params.m, -params.beta
-    one_m = 1.0 - m
-
-    def prof_for(eta, bt):
-        p = ModelParams(n=n, m=m, beta=-bt)
-        return compute_profile(ProfileRequest(params=p, eta=eta, tol=tol))
-
-    p_11 = prof_for(eta1, beta_tilde1)
-    p_21 = prof_for(eta2, beta_tilde1)
-    p_12 = prof_for(eta1, beta_tilde2)
-    amp = (beta_tilde2 / beta_tilde1) ** (1.0 / one_m)
-    p_amp = prof_for(amp * eta1, beta_tilde1)
-
-    smax = p_11.request.s_max
-    r_g = np.geomspace(2.0 * p_11.request.r0, math.exp(0.45 * smax), n_samples)
-    r_f = 1.0 / r_g[::-1]
-    q, g1c = p_11.constants.q, p_11.constants.gamma1
-
-    out = {}
-
-    # g identity in eta: g_{bt1,eta1}(r) = (eta1/eta2) g_{bt1,eta2}((eta1/eta2)^{m(1-m)/q} r)
-    fac = (eta1 / eta2) ** (m * one_m / q)
-    lhs, _ = p_11.eval_g_log(r_g)
-    rhs, _ = p_21.eval_g_log(fac * r_g)
-    out["g_eta"] = float(np.max(np.abs(lhs - (math.log(eta1 / eta2) + rhs))))
-
-    # g identity in beta~: g_{bt1, amp*eta1}(r) = amp * g_{bt2, eta1}(r)
-    lhs, _ = p_amp.eval_g_log(r_g)
-    rhs, _ = p_12.eval_g_log(r_g)
-    out["g_beta"] = float(np.max(np.abs(lhs - (math.log(amp) + rhs))))
-
-    # f identity in A (A = eta): f_{b1,A1}(r) = (A2/A1)^{2/((1-m)g1)} f_{b1,A2}((A2/A1)^{1/g1} r)
-    ra = (eta2 / eta1) ** (1.0 / g1c)
-    lhs, _ = p_11.eval_f_log(r_f)
-    rhs, _ = p_21.eval_f_log(ra * r_f)
-    out["f_A"] = float(np.max(np.abs(lhs - (2.0 / (one_m * g1c) * math.log(eta2 / eta1) + rhs))))
-
-    # f identity in beta: f_{b1, amp*A1}(r) = amp * f_{b2, A1}(r)
-    lhs, _ = p_amp.eval_f_log(r_f)
-    rhs, _ = p_12.eval_f_log(r_f)
-    out["f_beta"] = float(np.max(np.abs(lhs - (math.log(amp) + rhs))))
-
-    out["max_deviation"] = max(out["g_eta"], out["g_beta"], out["f_A"], out["f_beta"])
-    out["threshold"] = 100.0 * tol
-    out["ok"] = out["max_deviation"] <= out["threshold"]
-    return out

@@ -19,7 +19,11 @@ independent re-derivations:
 * ``RadialField``, ``rescale_transform``, ``inversion_transform`` and
   ``inversion_residual_check``: the rescaling u~(y,t) = e^{alpha t}
   u(e^{beta t} y, t) and the inversion u_bar(r) = r^{-(n-2)/m} u(1/r)
-  applied to fields on an annulus grid.
+  applied to fields on an annulus grid;
+* the proof-device checks ``check_scaling_identities`` (the transformation
+  identities of g and f in eta and beta~, on independent profile runs) and
+  ``difference_constant_check`` (the law of f_{lam2} - f_{lam1} near the
+  origin).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from fde.asymptotics import ExpansionCoefficients, _order_level, expansion_series
+from fde.asymptotics import ExpansionCoefficients, expansion_series
 from fde.evolution import AnnulusGrid, EvolutionError, Trajectory
 from fde.measures import MeasureError, WeightSpec, _l1
 from fde.params import DerivedConstants, ModelParams, ParameterError, derive_constants
@@ -45,6 +49,7 @@ from fde.profile import (
     ProfileError,
     ProfileRequest,
     _rhs_far,
+    compute_profile,
     local_series_start,
 )
 
@@ -108,21 +113,17 @@ def eval_expansion_f(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
     """
     if (A is None) == (lam is None):
         raise ValueError("give exactly one of A and lam")
-    m, q, g1 = coeffs.m, c.q, c.gamma1
+    m, g1 = coeffs.m, c.gamma1
     if lam is not None:
         A = lam ** (-g1)
-        log_A_over_g1 = -math.log(lam)
-    else:
-        log_A_over_g1 = math.log(A) / g1
     r = np.asarray(r, dtype=float)
     if np.any(r >= 1.0):
         raise ValueError("f expansion is an r -> 0 statement; need r < 1")
-    if _order_level(order) >= 1 and np.any(r > math.exp(-math.e)):
+    if order != "leading" and np.any(r > math.exp(-math.e)):
         raise ValueError("orders with log(log r^{-1}) need r <= e^{-e}")
     beta_abs = -c.alpha * (1.0 - m) / 2.0  # |beta| recovered from alpha
-    log_amp = log_A_over_g1 + m / q * math.log(beta_abs)
     L = np.log(1.0 / r)
-    series = expansion_series(L, coeffs, log_amp, A, beta_abs, order)
+    series = expansion_series(L, coeffs, A, beta_abs)[order]
     ln_pref = math.log(c.blowup_const) - 2.0 * np.log(r)
     return np.exp((ln_pref + np.log(series)) / (1.0 - m))
 
@@ -134,9 +135,8 @@ def eval_expansion_g(r, coeffs: ExpansionCoefficients, c: DerivedConstants,
     r = np.asarray(r, dtype=float)
     if np.any(r <= math.e):
         raise ValueError("g expansion is an r -> infinity statement; need r > e")
-    log_amp = math.log(eta) / c.gamma1 + m / q * math.log(beta_tilde)
     L = np.log(r)
-    series = expansion_series(L, coeffs, log_amp, eta, beta_tilde, order)
+    series = expansion_series(L, coeffs, eta, beta_tilde)[order]
     ln_pref = math.log(2.0 * (n - 1) * q / ((1.0 - m) * beta_tilde)) - q / m * np.log(r)
     return np.exp((ln_pref + np.log(series)) / (1.0 - m))
 
@@ -355,3 +355,95 @@ def inversion_residual_check(traj: Trajectory, grid: AnnulusGrid,
         scale = np.maximum(np.abs(rhs), np.abs(du[1:-1])) + 1e-300
         worst = max(worst, float(np.max(np.abs(du[1:-1] - rhs) / scale)))
     return {"max_scaled_residual": worst}
+
+
+# -- proof-device checks ---------------------------------------------------
+
+
+def check_scaling_identities(params: ModelParams, eta1: float, eta2: float, beta_tilde2: float,
+                             n_samples: int = 50, tol: float = 1e-10) -> dict:
+    """Verify the four profile transformation identities on independent runs.
+
+    Computes profiles independently at eta1, eta2 and beta~ = -params.beta,
+    beta_tilde2, and evaluates each identity on a log-spaced sample spanning
+    the inner and far-field branches; reports the max relative deviation per identity.
+    """
+    if n_samples < 2:
+        raise ProfileError("need at least 2 sample radii")
+    n, m, beta_tilde1 = params.n, params.m, -params.beta
+    one_m = 1.0 - m
+
+    def prof_for(eta, bt):
+        p = ModelParams(n=n, m=m, beta=-bt)
+        return compute_profile(ProfileRequest(params=p, eta=eta, tol=tol))
+
+    p_11 = prof_for(eta1, beta_tilde1)
+    p_21 = prof_for(eta2, beta_tilde1)
+    p_12 = prof_for(eta1, beta_tilde2)
+    amp = (beta_tilde2 / beta_tilde1) ** (1.0 / one_m)
+    p_amp = prof_for(amp * eta1, beta_tilde1)
+
+    smax = p_11.request.s_max
+    r_g = np.geomspace(2.0 * p_11.request.r0, math.exp(0.45 * smax), n_samples)
+    r_f = 1.0 / r_g[::-1]
+    q, g1c = p_11.constants.q, p_11.constants.gamma1
+
+    out = {}
+
+    # g identity in eta: g_{bt1,eta1}(r) = (eta1/eta2) g_{bt1,eta2}((eta1/eta2)^{m(1-m)/q} r)
+    fac = (eta1 / eta2) ** (m * one_m / q)
+    lhs, _ = p_11.eval_g_log(r_g)
+    rhs, _ = p_21.eval_g_log(fac * r_g)
+    out["g_eta"] = float(np.max(np.abs(lhs - (math.log(eta1 / eta2) + rhs))))
+
+    # g identity in beta~: g_{bt1, amp*eta1}(r) = amp * g_{bt2, eta1}(r)
+    lhs, _ = p_amp.eval_g_log(r_g)
+    rhs, _ = p_12.eval_g_log(r_g)
+    out["g_beta"] = float(np.max(np.abs(lhs - (math.log(amp) + rhs))))
+
+    # f identity in A (A = eta): f_{b1,A1}(r) = (A2/A1)^{2/((1-m)g1)} f_{b1,A2}((A2/A1)^{1/g1} r)
+    ra = (eta2 / eta1) ** (1.0 / g1c)
+    lhs, _ = p_11.eval_f_log(r_f)
+    rhs, _ = p_21.eval_f_log(ra * r_f)
+    out["f_A"] = float(np.max(np.abs(lhs - (2.0 / (one_m * g1c) * math.log(eta2 / eta1) + rhs))))
+
+    # f identity in beta: f_{b1, amp*A1}(r) = amp * f_{b2, A1}(r)
+    lhs, _ = p_amp.eval_f_log(r_f)
+    rhs, _ = p_12.eval_f_log(r_f)
+    out["f_beta"] = float(np.max(np.abs(lhs - (math.log(amp) + rhs))))
+
+    out["max_deviation"] = max(out["g_eta"], out["g_beta"], out["f_A"], out["f_beta"])
+    out["threshold"] = 100.0 * tol
+    out["ok"] = out["max_deviation"] <= out["threshold"]
+    return out
+
+
+def difference_constant_check(prof1: Profile, lam1: float, lam2: float, r_lo: float = 1e-6,
+                              r_hi: float = 1e-3, n_samples: int = 16) -> dict:
+    """Profile-difference law near the origin.
+
+    D(r) = (f_{lam2} - f_{lam1}) r^{2/(1-m)} (log 1/r)^{-m/(1-m)} must approach
+    B^{m/(1-m)} (B/(1-m)) log(lam1/lam2), B = prof1.constants.blowup_const, and
+    stay positive.  lam1 >= lam2 required; equal lambdas give D == 0.
+    """
+    if lam1 < lam2:
+        raise ValueError(f"need lam1 >= lam2 > 0, got lam1={lam1!r}, lam2={lam2!r}")
+    c, m = prof1.constants, prof1.request.params.m
+    one_m = 1.0 - m
+    r = np.geomspace(r_lo, r_hi, n_samples)
+    f2 = prof1.eval_f_lambda(lam2, r)
+    f1 = prof1.eval_f_lambda(lam1, r)
+    D = (f2 - f1) * r ** (2.0 / one_m) * np.log(1.0 / r) ** (-m / one_m)
+    target = c.blowup_const ** (m / one_m) * c.blowup_const / one_m * math.log(lam1 / lam2)
+    if lam1 == lam2:
+        return {"r": r, "D": D, "target": 0.0, "max_rel_dev": float(np.max(np.abs(D))),
+                "all_positive": True, "ok": bool(np.all(D == 0.0))}
+    rel = np.abs(D / target - 1.0)
+    return {
+        "r": r,
+        "D": D,
+        "target": target,
+        "max_rel_dev": float(np.max(rel)),
+        "all_positive": bool(np.all(D > 0.0)),
+        "ok": bool(np.max(rel) <= 0.10 and np.all(D > 0.0)),
+    }

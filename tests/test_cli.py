@@ -653,6 +653,22 @@ def test_malformed_initial_block_rejected(tmp_path, capsys, no_solver, spec, key
     assert err.startswith(f"error: initial {key}")
 
 
+def test_overflowing_table_rejected(tmp_path, capsys):
+    # the pchip extrapolation of log u overflows to inf on the grid: the run
+    # rejects it as initial data, with no warning and before any step
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "initial": {"kind": "table", "table_r": [math.exp(-2.0), math.exp(-1.9)],
+                    "table_u": [1.0, 1e300]},
+        "boundary": {"kind": "constant", "value": 1.0}, "grid": {"N": 41}, "horizon": 0.01}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert not caught
+    assert capsys.readouterr().err == "error: initial data must be finite and > 0\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_constants_non_finite_mu_rejected(tmp_path, capsys, value):
     assert run_command(["constants", "--mu", value, "--out", str(tmp_path)]) == 1
@@ -679,6 +695,10 @@ _CONSTANT_RUN = {"initial": {"kind": "constant", "value": 1.0},
      "config error: weight.power must be finite, got nan"),
     (["converge"], {"decrease_factor": math.nan},
      "config error: decrease_factor must be finite, got nan"),
+    (["converge"], {"decrease_factor": 0.0},
+     "config error: decrease_factor must be >= 1, got 0.0"),
+    (["converge"], {"decrease_factor": 0.5},
+     "config error: decrease_factor must be >= 1, got 0.5"),
     (["converge"], {"e_inf_threshold": math.nan},
      "config error: e_inf_threshold must be finite, got nan"),
     (["converge"], {"bump": {"amplitude": math.nan}},
@@ -696,7 +716,8 @@ _CONSTANT_RUN = {"initial": {"kind": "constant", "value": 1.0},
     (["evolve"], dict(_CONSTANT_RUN, horizon=-1),
      "config error: horizon must be positive and finite, got -1.0"),
     (["contract", "--lambda3", "nan"], {}, "config error: weight.lam3 must be finite, got nan"),
-], ids=["weight.power", "decrease_factor", "e_inf_threshold", "bump.amplitude", "grid.r_min",
+], ids=["weight.power", "decrease_factor", "decrease_factor-zero", "decrease_factor-below-one",
+        "e_inf_threshold", "bump.amplitude", "grid.r_min",
         "initial.theta", "newton_tol-nan", "newton_tol-negative", "dt-zero", "horizon-negative",
         "flag-lambda3"])
 def test_non_finite_or_non_positive_value_rejected(tmp_path, capsys, no_solver, argv, config, err):
@@ -712,6 +733,19 @@ def test_non_finite_or_non_positive_value_rejected(tmp_path, capsys, no_solver, 
     assert not caught
     assert capsys.readouterr().err.strip() == err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", ["1e-9", "1e-300"])
+def test_over_budget_dt_rejected(tmp_path, capsys, no_solver, dt):
+    # the step count is checked when the run's config is built, before any step
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_CONSTANT_RUN))
+    code = run_command(["evolve", "--dt", dt, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dt={float(dt)!r} takes ")
+    assert err.endswith(" steps to t=0.1, over the limit of 1000000\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,config,err", [

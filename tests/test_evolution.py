@@ -575,7 +575,7 @@ def test_inversion_maps_U_to_U_bar(profile_cache):
 
 def test_inversion_rejects_asymmetric_grid():
     g = build_grid(math.e, 33)
-    bad = g.__class__(R=g.R, N=g.N, s=g.s, r=g.r + 1e-3, ds=g.ds)
+    bad = g.__class__(s=g.s, r=g.r + 1e-3)
     with pytest.raises(EvolutionError, match="symmetric"):
         inversion_transform(RadialField(u=np.ones(33), t=0.0, form="physical"),
                             bad, P32)
@@ -821,6 +821,24 @@ def test_step_underflow_message(monkeypatch):
     with pytest.raises(EvolutionError) as e:
         run(cfg)
     assert str(e.value) == "time step underflow at t=0.0; last good snapshot at t=0.0"
+
+
+@pytest.mark.parametrize("dt,horizon,err", [
+    (1e-9, 1.0, "dt=1e-09 takes 1e+09 steps to t=1.0"),
+    # t + dt == t here: a loop that ran would never advance
+    (1e-300, 0.1, "dt=1e-300 takes 1e+299 steps to t=0.1"),
+    # one step over the limit; dt and t are exact binary fractions
+    (2.0 ** -20, (10 ** 6 + 1) * 2.0 ** -20,
+     "dt=9.5367431640625e-07 takes 1e+06 steps to t=0.9536752700805664"),
+], ids=["1e-9", "1e-300", "one_over"])
+def test_config_rejects_more_steps_than_the_budget(dt, horizon, err):
+    # building the config is enough: no over-budget run is ever started
+    with pytest.raises(EvolutionError) as e:
+        EvolutionConfig(grid=build_grid(math.e, 33), params=P32, form="physical",
+                        initial=InitialSpec(kind="constant", value=1.0),
+                        boundary=BoundarySpec(kind="constant", value=1.0),
+                        dt=dt, snapshot_times=np.array([0.0, horizon]))
+    assert str(e.value) == err + ", over the limit of 1000000"
 
 
 def test_field_validation():

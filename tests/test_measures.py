@@ -269,9 +269,9 @@ def test_contraction_refuses_different_boundaries(profile_cache):
             profile=prof)
         return run(cfg)
 
-    rep = contraction_report(one(2.0), one(1.5),
-                             WeightSpec(kind="power_mu", params=P32, mu=0.25))
-    assert rep["verdict"] == "NOT_APPLICABLE"
+    with pytest.raises(MeasureError, match="boundary data"):
+        contraction_report(one(2.0), one(1.5),
+                           WeightSpec(kind="power_mu", params=P32, mu=0.25))
 
 
 @pytest.mark.parametrize("order", ["traj2", "swapped", "half"])

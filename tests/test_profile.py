@@ -10,7 +10,6 @@ from fde.profile import (
     ProfileError,
     ProfileRequest,
     check_profile_invariants,
-    check_scaling_identities,
     compute_profile,
     estimate_K,
     _rk45,
@@ -19,6 +18,7 @@ from fde.profile import (
     local_series_start,
 )
 from reference import (
+    check_scaling_identities,
     eval_g_lambda,
     eval_U_bar_lambda,
     integrate_far_field_ivp,

@@ -89,3 +89,35 @@ def test_perfbench_finds_every_layer_it_traces(monkeypatch):
     with tracing.Tracer() as tracer:
         pass
     assert tracer.missing == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # src/ holds what the commands, the tools and the benchmark run; a public
+    # name that only the tests use belongs in tests/reference.py
+    import importlib
+    import pkgutil
+    import re
+
+    import fde
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    lines = []
+    for top in ("src", "tools", "perfbench"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            if os.path.relpath(dirpath, root) == os.path.join("perfbench", "tests"):
+                dirnames[:] = []
+                continue
+            for name in filenames:
+                if name.endswith(".py"):
+                    with open(os.path.join(dirpath, name)) as f:
+                        lines += f.read().splitlines()
+    modules = [fde] + [importlib.import_module(f"fde.{info.name}")
+                       for info in pkgutil.iter_modules(fde.__path__)]
+    uncalled = []
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            own = re.compile(rf'\s*((def|class)\s+{name}\b|"{name}",?\s*$)')
+            used = re.compile(rf"\b{name}\b")
+            if not any(used.search(line) and not own.match(line) for line in lines):
+                uncalled.append(f"{mod.__name__}.{name}")
+    assert uncalled == []
