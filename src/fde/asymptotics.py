@@ -24,9 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import DerivedConstants, ModelParams
-from .params import derive_constants  # noqa: F401  (looked up here by perfbench's tracer)
-from .profile import Profile, ProfileRequest, _a2_const_part, compute_profile, estimate_K
+from . import profile
+from .params import DerivedConstants, ModelParams, derive_constants
+from .profile import Profile, ProfileRequest, _a2_const_part, estimate_K
+from .profile import compute_profile  # noqa: F401  (looked up here by perfbench's tracer)
 
 __all__ = [
     "ORDERS",
@@ -92,18 +93,19 @@ def compute_K0(params: ModelParams, eta: float = 1.0, s_max: float = 400.0,
 
     The K extraction error decays like 1/s_max, so the default horizon is
     deeper than the profile default; eta and beta~ = -params.beta pick the
-    pair for which a2 and a3 are reported.
+    pair for which a2 and a3 are reported.  K reads only the far trace, so
+    the stages run without assembling a ``Profile`` and its interpolants.
     """
     n, m, beta_tilde = params.n, params.m, -params.beta
     req = ProfileRequest(params=ModelParams(n=n, m=m, beta=-1.0), eta=1.0,
                          s_max=s_max, tol=tol)
-    prof = compute_profile(req)
-    k, q = estimate_K(prof.far, req.params), prof.constants.q
-    K0 = (1.0 - m) * k.K / (2.0 * (n - 1) * q)
+    far = profile.integrate_far_field(req, profile.integrate_inner(req))
+    k, c = estimate_K(far, req.params), derive_constants(req.params)
+    K0 = (1.0 - m) * k.K / (2.0 * (n - 1) * c.q)
     coeffs = ExpansionCoefficients(
-        n=n, m=m, K0=K0, K_11=k.K, a1=_a1(n, m, q, _a2(n, m, k.K, 1.0)),
+        n=n, m=m, K0=K0, K_11=k.K, a1=_a1(n, m, c.q, _a2(n, m, k.K, 1.0)),
         a2_eta_beta=0.0, a3=0.0,
-        K_error=k.error_estimate, converged=k.converged, constants=prof.constants,
+        K_error=k.error_estimate, converged=k.converged, constants=c,
     )
     return replace(coeffs, a2_eta_beta=_a2(n, m, coeffs.K_for(eta, beta_tilde), beta_tilde),
                    a3=coeffs.a3_for(eta, beta_tilde))

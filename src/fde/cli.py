@@ -25,8 +25,8 @@ import numpy as np
 
 from . import asymptotics, evolution, measures
 from .params import ModelParams, ParameterError, derive_constants, validate_regime
-from .profile import (ProfileError, ProfileRequest, check_profile_invariants, compute_profile,
-                      estimate_K)
+from .profile import (_FAR_DS, ProfileError, ProfileRequest, check_profile_invariants,
+                      compute_profile, estimate_K)
 
 SCHEMA_VERSION = 1
 
@@ -202,6 +202,21 @@ def _load_config(args, command: str) -> dict:
     return cfg
 
 
+# most far-field nodes a command may ask for: the lattice has one node per
+# _FAR_DS of s, and LSODA's step buffers grow with it (~11 steps per unit s)
+_MAX_FAR_NODES = 250_000
+
+
+def _check_far_nodes(cfg):
+    """Refuse a far-field horizon, s_max or expansion's k0_s_max, whose node
+    lattice would pass _MAX_FAR_NODES; called before any profile is built."""
+    for key, name in (("s_max", "s_max (--smax)"), ("k0_s_max", "k0_s_max")):
+        nodes = cfg.get(key, 0.0) / _FAR_DS
+        if nodes > _MAX_FAR_NODES:
+            raise ConfigError(f"{name} = {cfg[key]!r} needs {nodes:.3g} far-field nodes, "
+                              f"over the limit of {_MAX_FAR_NODES}")
+
+
 def _model(cfg) -> ModelParams:
     return ModelParams(n=cfg["n"], m=cfg["m"], beta=cfg["beta"])
 
@@ -236,6 +251,7 @@ def _cmd_profile(cfg, out: str) -> int:
     g = cfg["grid"]
     if g["count"] < 1:
         raise ConfigError(f"grid.count must be >= 1, got {g['count']!r}")
+    _check_far_nodes(cfg)
     req = ProfileRequest(params=p, eta=cfg["eta"], r0=cfg["r0"], r_switch=cfg["r_switch"],
                          s_max=cfg["s_max"], tol=cfg["tol"])
     prof = compute_profile(req)
@@ -270,6 +286,7 @@ def _cmd_expansion(cfg, out: str) -> int:
     # asymptotic regime, as the K extraction does
     if cfg["s_max"] < 50.0:
         raise ConfigError(f"s_max must be >= 50 for the expansion check, got {cfg['s_max']!r}")
+    _check_far_nodes(cfg)
     p = _model(cfg)
     eta = cfg["eta"]
     coeffs = asymptotics.compute_K0(p, eta=eta, s_max=cfg["k0_s_max"], tol=cfg["tol"])
@@ -296,25 +313,32 @@ def _cmd_expansion(cfg, out: str) -> int:
     return _EXIT_OK if verdict else _EXIT_FAIL
 
 
-def _build_evolution(cfg, form, initial, boundary, profile, band=(None, None), monitors=False):
-    """The run of cfg; ``band`` (lam1, lam2) checks the initial data, and
-    ``monitors`` reduces the ordering and Aronson-Benilan monitors over the steps."""
-    p = _model(cfg)
+def _clock(cfg) -> dict:
+    """dt, the snapshot times and newton_tol of cfg's runs, checked as each
+    run checks them (step budget included), so that a command refuses a run
+    before it builds a profile for it."""
     dt, horizon = cfg["dt"], cfg["horizon"]
     for key, val in (("dt", dt), ("horizon", horizon)):
         if not 0.0 < val < math.inf:
             raise ConfigError(f"{key} must be positive and finite, got {val!r}")
     if cfg["snapshots"] < 1:
         raise ConfigError(f"snapshots must be >= 1, got {cfg['snapshots']!r}")
-    grid = evolution.build_grid(cfg["grid"]["R"], cfg["grid"]["N"])
     # one snapshot gives the rows at t = 0 and at the horizon, as two do
     snaps = np.linspace(0.0, horizon, max(cfg["snapshots"], 2))
+    newton_tol = cfg.get("newton_tol", evolution.EvolutionConfig.newton_tol)
+    return {"dt": dt, "snapshot_times": evolution.check_clock(dt, snaps, newton_tol),
+            "newton_tol": newton_tol}
+
+
+def _build_evolution(cfg, clock, form, initial, boundary, profile, band=(None, None),
+                     monitors=False):
+    """The run of cfg on its ``clock`` (from ``_clock``); ``band`` (lam1, lam2)
+    checks the initial data, and ``monitors`` reduces the ordering and
+    Aronson-Benilan monitors over the steps."""
+    grid = evolution.build_grid(cfg["grid"]["R"], cfg["grid"]["N"])
     return evolution.EvolutionConfig(
-        grid=grid, params=p, form=form, initial=initial, boundary=boundary,
-        dt=dt, snapshot_times=snaps, profile=profile,
-        newton_tol=cfg.get("newton_tol", 1e-11),
-        monitors=monitors, lam1=band[0], lam2=band[1],
-    )
+        grid=grid, params=_model(cfg), form=form, initial=initial, boundary=boundary,
+        profile=profile, monitors=monitors, lam1=band[0], lam2=band[1], **clock)
 
 
 def _cmd_evolve(cfg, out: str) -> int:
@@ -325,8 +349,9 @@ def _cmd_evolve(cfg, out: str) -> int:
                      or bc.kind in ("f_lambda", "U_lambda") or mon["enabled"])
     band = (mon["lam1"], mon["lam2"]) if mon["enabled"] else (None, None)
     lams = (init.lam, init.lam1, init.lam2, init.lam0, bc.lam) + band
+    clock = _clock(cfg)
     profile = _profile_for(cfg, cfg["grid"]["R"], lams) if needs_profile else None
-    ecfg = _build_evolution(cfg, cfg["form"], init, bc, profile, band, mon["enabled"])
+    ecfg = _build_evolution(cfg, clock, cfg["form"], init, bc, profile, band, mon["enabled"])
     traj = evolution.run(ecfg, trunc=True)
     r = ecfg.grid.r
     _write_csv(os.path.join(out, "snapshots.csv"), ["t", "r", "u"],
@@ -363,6 +388,7 @@ def _cmd_contract(cfg, out: str) -> int:
     if cfg["half_resolution"] and N // 2 + 1 < 16:
         raise ConfigError(f"grid.N must be >= 30 with half_resolution, got {N!r}")
     lam1, lam2 = cfg["lam1"], cfg["lam2"]
+    clock = _clock(cfg)
     prof = _profile_for(cfg, cfg["grid"]["R"], (lam1, lam2, _weight_lam(cfg["weight"])))
     weight = _make_weight(cfg["weight"], prof)
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
@@ -371,7 +397,7 @@ def _cmd_contract(cfg, out: str) -> int:
         # the report reads snapshots only, so the runs keep no monitors
         sub = dict(cfg)
         sub["grid"] = dict(cfg["grid"], N=N)
-        return [_build_evolution(sub, "physical",
+        return [_build_evolution(sub, clock, "physical",
                                  evolution.InitialSpec(kind="f_lambda", lam=lam), bc, prof)
                 for lam in (lam1, lam2)]
 
@@ -397,17 +423,18 @@ def _cmd_converge(cfg, out: str) -> int:
     # below 1 the verdict would pass a run whose error grew
     if cfg["decrease_factor"] < 1.0:
         raise ConfigError(f"decrease_factor must be >= 1, got {cfg['decrease_factor']!r}")
+    if cfg["horizon"] is None:
+        cfg["horizon"] = 5.0 / abs(_model(cfg).beta)
+    clock = _clock(cfg)
     lam0 = cfg["lam0"]
     prof = _profile_for(cfg, cfg["grid"]["R"],
                         (lam0, cfg["lam1"], cfg["lam2"], _weight_lam(cfg["weight"])))
     weight = _make_weight(cfg["weight"], prof)
-    if cfg["horizon"] is None:
-        cfg["horizon"] = 5.0 / abs(prof.request.params.beta)
     init = evolution.InitialSpec(kind="bump", lam0=lam0, **cfg["bump"])
     bc = evolution.BoundarySpec(kind="f_lambda", lam=lam0)
     # the report reads the band's lambdas only: the run checks u0 against
     # the band and keeps no monitors
-    ecfg = _build_evolution(cfg, "rescaled", init, bc, prof, (cfg["lam1"], cfg["lam2"]))
+    ecfg = _build_evolution(cfg, clock, "rescaled", init, bc, prof, (cfg["lam1"], cfg["lam2"]))
     traj = evolution.run(ecfg)
     rep = measures.convergence_report(
         traj, lam0, weight, K_compact=tuple(cfg["K_compact"]),

@@ -61,6 +61,7 @@ __all__ = [
     "BoundarySpec",
     "InitialSpec",
     "EvolutionConfig",
+    "check_clock",
     "Trajectory",
     "build_grid",
     "barenblatt_oracle",
@@ -241,6 +242,25 @@ def barenblatt_oracle(r, t: float, k: float, T: float, params: ModelParams):
 _MAX_STEPS = 10 ** 6  # most steps a run may take: minutes at contract's ~0.1 ms a step
 
 
+def check_clock(dt: float, snapshot_times, newton_tol: float) -> np.ndarray:
+    """The snapshot times as a float array, once dt, the times and newton_tol
+    make a run of at most _MAX_STEPS steps of dt; EvolutionError otherwise.
+    A caller that builds costly inputs for a run checks its clock first."""
+    if not 0.0 < dt < math.inf:
+        raise EvolutionError(f"dt must be positive and finite, got {dt!r}")
+    if not 0.0 < newton_tol < math.inf:
+        raise EvolutionError(f"newton_tol must be positive and finite, got {newton_tol!r}")
+    st = np.asarray(snapshot_times, dtype=float)
+    if (st.ndim != 1 or st.size < 2 or not np.all(np.isfinite(st)) or st[0] != 0.0
+            or np.any(np.diff(st) <= 0.0)):
+        raise EvolutionError("need >= 2 finite snapshot times that start at 0 and increase")
+    steps = float(st[-1]) / dt
+    if steps > _MAX_STEPS:
+        raise EvolutionError(f"dt={dt!r} takes {steps:.3g} steps to t={float(st[-1])!r}, "
+                             f"over the limit of {_MAX_STEPS}")
+    return st
+
+
 @dataclass
 class EvolutionConfig:
     """Everything one run needs."""
@@ -261,19 +281,7 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.form not in ("physical", "rescaled"):
             raise EvolutionError(f"form must be physical|rescaled, got {self.form!r}")
-        if not 0.0 < self.dt < math.inf:
-            raise EvolutionError(f"dt must be positive and finite, got {self.dt!r}")
-        if not 0.0 < self.newton_tol < math.inf:
-            raise EvolutionError(f"newton_tol must be positive and finite, got {self.newton_tol!r}")
-        st = np.asarray(self.snapshot_times, dtype=float)
-        if (st.ndim != 1 or st.size < 2 or not np.all(np.isfinite(st)) or st[0] != 0.0
-                or np.any(np.diff(st) <= 0.0)):
-            raise EvolutionError("need >= 2 finite snapshot times that start at 0 and increase")
-        steps = float(st[-1]) / self.dt
-        if steps > _MAX_STEPS:
-            raise EvolutionError(f"dt={self.dt!r} takes {steps:.3g} steps to t={float(st[-1])!r}, "
-                                 f"over the limit of {_MAX_STEPS}")
-        self.snapshot_times = st
+        self.snapshot_times = check_clock(self.dt, self.snapshot_times, self.newton_tol)
 
 
 @dataclass

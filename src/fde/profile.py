@@ -12,15 +12,20 @@ pipeline is:
 1. ``local_series_start``   -- one-term local solution near r = 0 that
    absorbs the r^{-delta1} derivative singularity,
 2. ``integrate_inner``      -- adaptive Dormand-Prince 5(4) on (g, g_r) up to
-   r_switch: a scalar loop (``_rk45``) that takes scipy RK45's steps bit for
-   bit and samples them on a fixed log-spaced grid,
-3. ``integrate_far_field``  -- switch to s = log r, step LSODA on the
+   r_switch: a loop in Python floats (``_rk45``) with scipy RK45's tableau
+   and step control, its sums taken in a fixed order, sampled on a fixed
+   log-spaced grid in one vectorised pass,
+3. ``integrate_far_field``  -- switch to s = log r, step scipy's LSODA on the
    autonomous equation for w~(s) = r^{(n-2-nm)/m} g^{1-m} up to s_max
    (default 200, i.e. radii up to e^200, representable only through s), or
-   to a caller's ``reach`` on the same node lattice; check the handoff,
+   to a caller's ``reach`` on the same node lattice, keeping each step's
+   Nordsieck columns in flat buffers (``_lsoda_steps``) and sampling the
+   nodes from them by Horner's rule; check the handoff,
 4. ``compute_profile``      -- chain the stages into a ``Profile``.
 
-Each stage derives the constants of ``req.params`` itself.  ``estimate_K``
+Each stage derives the constants of ``req.params`` itself.  The stages take
+scipy's RK45 and LSODA steps (same steps and nfev as ``solve_ivp``), but
+round their samples in their own order, free of any BLAS call.  ``estimate_K``
 extracts K(eta, beta~) from a far-field trace with the closed-form tail
 corrections; only the callers that report K run it, on the full far field.
 A caller that reads the profile only on an annulus passes the largest s it
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import LSODA, RK45, OdeSolution
+from scipy.integrate import LSODA, RK45
 from scipy.integrate import solve_ivp  # noqa: F401  (looked up here by perfbench's tracer)
 from scipy.interpolate import PchipInterpolator
 
@@ -136,9 +141,11 @@ def _rhs_inner(n: float, m: float, at: float, bt: float, src_exp: float):
     """g_rr of the inverted ODE as a function of (r, g, g_r); the system in
     (g, g_r) is g' = g_r, g_r' = g_rr."""
 
+    one_m, n_1, pow_ = 1.0 - m, n - 1, math.pow
+
     def grr(r, g, gr):
-        src = math.pow(r, src_exp) * (at * g + bt * r * gr)
-        return (1.0 - m) * gr * gr / g - (n - 1) * gr / r - math.pow(g, 1.0 - m) * src / (n - 1)
+        src = pow_(r, src_exp) * (at * g + bt * r * gr)
+        return one_m * gr * gr / g - n_1 * gr / r - pow_(g, one_m) * src / n_1
 
     return grr
 
@@ -214,12 +221,25 @@ def _flux_residual_inner(req, c, r, g, g_r):
 # the inner stage's samples on [r0, r_switch]; the far field's largest node spacing in s
 _INNER_NODES, _FAR_DS = 4097, 0.02
 
-# scipy's RK45 (Dormand & Prince 1980): tableau rows as rk_step slices them,
-# and the step-size policy of RungeKutta._step_impl
-_RK_A = [row[:i] for i, row in enumerate(RK45.A)]
-_RK_C = RK45.C.tolist()
+# the most Nordsieck columns LSODA keeps: Adams orders go up to 12
+_LSODA_COLS = 13
+
+# scipy's RK45 (Dormand & Prince 1980): tableau, and the step-size policy
+# of RungeKutta._step_impl
+_RK_A, _RK_B, _RK_C, _RK_E = RK45.A.tolist(), RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
 _RK_ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
 _RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _horner(coef: np.ndarray, seg: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_p coef[seg, p] x^p by Horner's rule, one column p gathered at a
+    time; coef has shape (segments, columns, components), the result
+    (nodes, components)."""
+    acc = coef[seg, -1]
+    x = x[:, None]
+    for p in range(coef.shape[1] - 2, -1, -1):
+        acc = coef[seg, p] + x * acc
+    return acc
 
 
 def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: float,
@@ -227,24 +247,25 @@ def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: 
     """Integrate g' = g_r, g_r' = grr(t, g, g_r) from t0 to t_end and sample
     (g, g_r) at the ascending ``nodes``; return (g, g_r, nfev, accepted steps).
 
-    Takes the steps of scipy's RK45 with this first_step, rtol and atol =
-    (atol, 0) bit for bit: the same stages, error norm, step-size factors and
-    minimum step.  The right side and the step control run in Python floats,
-    but each sum over stages is the ``ndarray.dot`` call RK45 makes, because
-    BLAS may fuse its multiply-adds and the far field turns a last-bit change
-    of the handoff into a ~1e-7 change of K.  Each step's t, (g, g_r) and 7
-    stages go to flat buffers.  The nodes are then sampled as OdeSolution
-    samples them: on segment searchsorted(side="left") - 1, with Q = K^T P and
-    one product per segment on the operands RkDenseOutput builds.
+    The step control is scipy RK45's with this first_step, rtol and atol =
+    (atol, 0): the same stages, error norm, step-size factors and minimum
+    step, all in Python floats.  Each sum over stages runs left to right, so
+    a step's rounding does not depend on how a BLAS build orders or fuses
+    ``ndarray.dot``.  Each step's t, its starting g and its 7 stages (the
+    first holds the starting g_r) go to flat buffers.  The nodes are then
+    sampled on segment searchsorted(side="left") - 1, as OdeSolution samples
+    RK45, from Q = K^T P summed over stages in order, by Horner's rule in
+    (t - t_i)/h.
 
     ProfileError when an accepted step ends with g <= 1e-300 or the step size
     collapses.
     """
-    n_stages, A, B, C, E = RK45.n_stages, _RK_A, RK45.B, _RK_C, RK45.E
-    K = np.empty((n_stages + 1, 2))
-    KT = [K[:s].T for s in range(n_stages + 2)]
-    x = np.empty(2)
-    ts, ys, ks = array("d", [t0]), array("d", [g, gr]), array("d")
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
+        row[:i] for i, row in enumerate(_RK_A) if i)
+    b1, _, b3, b4, b5, b6 = _RK_B             # B[1] and E[1] are 0
+    e1, _, e3, e4, e5, e6, e7 = _RK_E
+    _, c2, c3, c4, c5, _ = _RK_C              # C[5] is 1
+    ts, ks = array("d", [t0]), array("d")
     t, f, h_abs = t0, grr(t0, g, gr), first_step
     nfev = 1
     while t < t_end:
@@ -258,23 +279,31 @@ def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: 
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = h
-            nfev += n_stages
-            K[0, 0], K[0, 1] = gr, f
+            nfev += 6  # stages 2 to 6 and f at the step's end
+            # stage s of (g, g_r) is (p_s, k_s): p_s is the stage's g_r, k_s its g_rr
+            p1, k1 = gr, f
             try:
-                for s in range(1, n_stages):
-                    dg, dr = KT[s].dot(A[s]).tolist()
-                    K[s, 0] = gr_s = gr + dr * h
-                    K[s, 1] = grr(t + C[s] * h, g + dg * h, gr_s)
-                dg, dr = KT[-2].dot(B).tolist()
-                g_new, gr_new = g + h * dg, gr + h * dr
+                p2 = gr + (a21 * k1) * h
+                k2 = grr(t + c2 * h, g + (a21 * p1) * h, p2)
+                p3 = gr + (a31 * k1 + a32 * k2) * h
+                k3 = grr(t + c3 * h, g + (a31 * p1 + a32 * p2) * h, p3)
+                p4 = gr + (a41 * k1 + a42 * k2 + a43 * k3) * h
+                k4 = grr(t + c4 * h, g + (a41 * p1 + a42 * p2 + a43 * p3) * h, p4)
+                p5 = gr + (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4) * h
+                k5 = grr(t + c5 * h, g + (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4) * h, p5)
+                p6 = gr + (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5) * h
+                k6 = grr(t + h, g + (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5) * h,
+                         p6)
+                g_new = g + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+                gr_new = gr + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
                 f_new = grr(t + h, g_new, gr_new)
-                K[-1, 0], K[-1, 1] = gr_new, f_new
-                eg, er = KT[-1].dot(E).tolist()
-                x[0] = eg * h / (atol + max(abs(g), abs(g_new)) * rtol)
-                x[1] = er * h / (max(abs(gr), abs(gr_new)) * rtol)
-                err = math.sqrt(x.dot(x)) / 2 ** 0.5
+                xg = ((e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * gr_new) * h
+                      / (atol + max(abs(g), abs(g_new)) * rtol))
+                xr = ((e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * f_new) * h
+                      / (max(abs(gr), abs(gr_new)) * rtol))
+                err = math.sqrt(xg * xg + xr * xr) / 2 ** 0.5
             except (ArithmeticError, ValueError):
-                err = math.inf  # a stage left the reals, where numpy gives inf or nan
+                err = math.inf  # a stage left the reals or the floats: inf or nan in RK45
             if err < 1.0:
                 factor = (_RK_MAX_FACTOR if err == 0.0
                           else min(_RK_MAX_FACTOR, _RK_SAFETY * err ** _RK_ERR_EXP))
@@ -285,23 +314,21 @@ def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: 
         if g_new <= 1e-300:
             raise ProfileError(f"inner integration failed at r={t_new:.6e}: g reached 0")
         ts.append(t_new)
-        ys.extend((g_new, gr_new))
-        ks.frombytes(K.tobytes())
+        ks.extend((g, p1, k1, p2, k2, p3, k3, p4, k4, p5, k5, p6, k6, gr_new, f_new))
         t, g, gr, f = t_new, g_new, gr_new, f_new
 
     ts = np.frombuffer(ts)
     seg = np.clip(np.searchsorted(ts, nodes, side="left") - 1, 0, len(ts) - 2)
     t_old = ts[seg]
     h = ts[seg + 1] - t_old
-    p = np.cumprod(np.tile((nodes - t_old) / h, (4, 1)), axis=0)  # x, x^2, x^3, x^4
-    K = np.frombuffer(ks).reshape(-1, n_stages + 1, 2)
-    qp = np.empty((2, len(nodes)))
-    start = 0
-    for end in np.append(np.flatnonzero(np.diff(seg)) + 1, len(nodes)):
-        qp[:, start:end] = K[seg[start]].T.dot(RK45.P).dot(p[:, start:end].copy())
-        start = end
-    y = h * qp + np.frombuffer(ys).reshape(-1, 2)[seg].T
-    return y[0], y[1], nfev, len(ts) - 1
+    rows = np.frombuffer(ks).reshape(-1, 15)
+    K = rows[:, 1:].reshape(-1, 7, 1, 2)
+    Q = K[:, 0] * RK45.P[0, :, None]      # (steps, 4, 2): Q^T of each step
+    for j in range(1, 7):
+        Q = Q + K[:, j] * RK45.P[j, :, None]
+    x = (nodes - t_old) / h
+    y = rows[seg, :2] + h[:, None] * (x[:, None] * _horner(Q, seg, x))
+    return y[:, 0], y[:, 1], nfev, len(ts) - 1
 
 
 def integrate_inner(req: ProfileRequest) -> InnerProfile:
@@ -334,16 +361,55 @@ def integrate_inner(req: ProfileRequest) -> InnerProfile:
 
 
 def _rhs_far(n: int, m: float, c: DerivedConstants):
-    """w~_ss as a function of (w~, w~_s); autonomous in s."""
+    """w~_ss as a function of (w~, w~_s), floats or arrays; the equation is
+    autonomous in s."""
     c_sq = (1.0 - 2.0 * m) / (1.0 - m)
     b0, b1 = c.b0, c.b1
     c_adv = c.beta_tilde / (n - 1.0)
 
-    def rhs(s, y):
-        w, ws = y
-        return (ws, c_sq * ws * ws / w - b0 * ws + b1 * w - c_adv * w * ws)
+    def wss(w, ws):
+        return c_sq * ws * ws / w - b0 * ws + b1 * w - c_adv * w * ws
 
-    return rhs
+    return wss
+
+
+def _lsoda_steps(solver: LSODA, s_end: float):
+    """Step scipy's LSODA ``solver`` until its t reaches s_end; return, per
+    step, its end t, the step size h that scales its interpolant and its
+    Nordsieck columns, as (t, h, coef) with coef of shape (steps, cols, n),
+    cols one more than the highest order taken and each step's columns zero
+    past its own order.
+
+    The columns are read after each step as ``LSODA._dense_output_impl``
+    reads them: the order from iwork[13], h from rwork[11], order + 1
+    columns from rwork[20:], the last rescaled by (h / rwork[10])^order when
+    iwork[14] lowers the next order.  So step i interpolates
+    sum_p coef[i, p] ((s - t[i]) / h[i])^p, and no per-step object is built.
+    ProfileError when a step fails.
+    """
+    integrator = solver._lsoda_solver._integrator
+    iwork, rwork, n = integrator.iwork, integrator.rwork, solver.n
+    cols = _LSODA_COLS * n
+    t, h, order = np.empty(512), np.empty(512), np.empty(512, dtype=iwork.dtype)
+    coef = np.empty((512, cols))
+    i = 0
+    while solver.t < s_end:
+        message = solver.step()
+        if solver.status == "failed":
+            raise ProfileError(f"far-field integration failed: {message}")
+        if i == len(t):  # double the buffers
+            t, h, order = np.resize(t, 2 * i), np.resize(h, 2 * i), np.resize(order, 2 * i)
+            coef = np.resize(coef, (2 * i, cols))
+        t[i], h[i] = solver.t, rwork[11]
+        o = order[i] = iwork[13]
+        coef[i] = rwork[20:20 + cols]
+        if iwork[14] < o:
+            coef[i, o * n:(o + 1) * n] *= (rwork[11] / rwork[10]) ** o
+        i += 1
+    order = order[:i]
+    coef = coef[:i].reshape(i, _LSODA_COLS, n)
+    coef[np.arange(_LSODA_COLS) > order[:, None]] = 0.0  # work space beyond the order
+    return t[:i], h[:i], coef[:, :int(order.max()) + 1]
 
 
 def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
@@ -354,10 +420,12 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     The trace is sampled on a fixed lattice of nodes at most _FAR_DS apart
     from log(r_switch) to s_max.  Given ``reach``, it keeps only the lattice's
     prefix up to one node past the first node >= reach (at least 3 nodes).
-    scipy's LSODA is built as ``solve_ivp`` builds it, stepped past the last
-    kept node and sampled by ``solve_ivp``'s segment rule.  Its first step
-    depends on t_bound, so t_bound stays s_max: the kept nodes carry the full
-    trace's values bit for bit, at a fraction of the cost.
+    scipy's LSODA is built as ``solve_ivp`` builds it and stepped past the
+    last kept node (``_lsoda_steps``); each node is sampled on the step
+    ``solve_ivp`` picks for it (searchsorted(side="right") - 1 over the step
+    starts), by Horner's rule in the step's Nordsieck columns.  The first
+    step depends on t_bound, so t_bound stays s_max: the kept nodes carry
+    the full trace's values bit for bit, at a fraction of the cost.
     """
     c = derive_constants(req.params)
     n, m = req.params.n, req.params.m
@@ -376,15 +444,17 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     s = np.linspace(s0, req.s_max, n_nodes)
     if reach is not None:
         s = s[:max(3, int(np.searchsorted(s, reach)) + 2)]
-    solver = LSODA(_rhs_far(n, m, c), s0, (w0, ws0), req.s_max, rtol=req.tol, atol=req.tol)
-    ts, segments = [s0], []
-    while solver.t < s[-1]:
-        message = solver.step()
-        if solver.status == "failed":
-            raise ProfileError(f"far-field integration failed: {message}")
-        ts.append(solver.t)
-        segments.append(solver.dense_output())
-    w, w_s = OdeSolution(ts, segments, alt_segment=True)(s)
+    wss = _rhs_far(n, m, c)
+
+    def rhs(s, y):
+        w, ws = y.tolist()  # floats round as numpy's scalars do, at a third of the cost
+        return ws, wss(w, ws)
+
+    solver = LSODA(rhs, s0, (w0, ws0), req.s_max, rtol=req.tol, atol=req.tol)
+    ts, hs, coef = _lsoda_steps(solver, s[-1])
+    # a node's step is the last to start at or before it: step 0 starts at s0, step i at ts[i-1]
+    seg = np.minimum(np.searchsorted(ts, s, side="right"), len(ts) - 1)
+    w, w_s = _horner(coef, seg, (s - ts[seg]) / hs[seg]).T
     if np.any(w_s <= 0.0):
         bad = s[np.argmax(w_s <= 0.0)]
         raise ProfileError(f"eta={req.eta!r} gives w~_s <= 0 at s={bad:.3f}; trace invalid")
@@ -395,7 +465,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
 
     h = w - c.farfield_slope * s
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
-    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=solver.nfev, steps=len(segments))
+    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=solver.nfev, steps=len(ts))
 
 
 def _a2_const_part(n: int, m: float) -> float:
@@ -625,7 +695,7 @@ def check_profile_invariants(prof: Profile) -> dict:
 
     # flux-form residuals: of the inner ODE, and of w_s against its
     # Simpson-integrated slope in the far field
-    wss = _rhs_far(n, m, c)(far.s, (far.w, far.w_s))[1]
+    wss = _rhs_far(n, m, c)(far.w, far.w_s)
 
     return {
         "g_min": float(np.min(g)),

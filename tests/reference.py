@@ -10,10 +10,10 @@ independent re-derivations:
   U~bar_lambda of a Profile;
 * ``integrate_inner_ivp``: the inner profile stage through scipy's
   ``solve_ivp`` RK45 with a terminal g = 0 event, whose steps
-  ``fde.profile.integrate_inner`` takes;
+  ``fde.profile.integrate_inner`` takes, rounding its samples otherwise;
 * ``integrate_far_field_ivp``: the far-field stage through scipy's
   ``solve_ivp`` LSODA, a prefix stopped by a terminal event, whose steps
-  and samples ``fde.profile.integrate_far_field`` takes;
+  ``fde.profile.integrate_far_field`` takes, rounding its samples otherwise;
 * ``weighted_l1``: the weighted-L1 distance of two fields, through the
   package's own quadrature ``fde.measures._l1``;
 * ``RadialField``, ``rescale_transform``, ``inversion_transform`` and
@@ -226,8 +226,9 @@ def integrate_far_field_ivp(req: ProfileRequest, inner: InnerProfile,
 
         past_end.terminal = True
         events = past_end
+    wss = _rhs_far(n, m, c)
     sol = solve_ivp(
-        _rhs_far(n, m, c), (s0, req.s_max), (w0, ws0),
+        lambda s, y: (y[1], wss(y[0], y[1])), (s0, req.s_max), (w0, ws0),
         method="LSODA", rtol=req.tol, atol=req.tol, dense_output=True, events=events,
     )
     if not sol.success:

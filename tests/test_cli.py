@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fde import cli, evolution
+from fde import asymptotics, cli, evolution
 from fde.cli import run_command
 from fde.profile import Profile, ProfileError
 
@@ -417,6 +417,7 @@ def no_solver(monkeypatch):
     def solver(*args, **kwargs):
         pytest.fail("a solver ran")
     monkeypatch.setattr(cli, "compute_profile", solver)
+    monkeypatch.setattr(asymptotics, "compute_K0", solver)
     monkeypatch.setattr(evolution, "run", solver)
 
 
@@ -683,6 +684,41 @@ def test_error_message_prints_plain_floats(tmp_path, capsys):
     assert run_command(["profile", "--smax", "40", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.strip()
     assert err == "error: K extraction needs s_max >= 50, trace ends at 40.0"
+
+
+@pytest.mark.parametrize("command", ["contract", "evolve", "converge"])
+def test_over_budget_dt_rejected_before_the_profile(tmp_path, capsys, no_solver, command):
+    # each command's default runs read a profile; their step budget is
+    # checked before it is built
+    assert run_command([command, "--dt", "1e-9", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: dt=1e-09 takes ")
+    assert err.endswith(", over the limit of 1000000\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,config,err", [
+    (["profile", "--smax", "1e6"], {},
+     "s_max (--smax) = 1000000.0 needs 5e+07 far-field nodes, over the limit of 250000"),
+    (["expansion", "--smax", "5000.02"], {},
+     "s_max (--smax) = 5000.02 needs 2.5e+05 far-field nodes, over the limit of 250000"),
+    (["expansion"], {"k0_s_max": 1e300},
+     "k0_s_max = 1e+300 needs 5e+301 far-field nodes, over the limit of 250000"),
+])
+def test_far_field_over_the_node_budget_rejected(tmp_path, capsys, no_solver, argv, config, err):
+    # the far field's lattice has s_max / 0.02 nodes; a horizon past the
+    # budget ends in one line that names it, before any profile is built
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_command(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {err}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_far_field_node_budget_admits_its_limit():
+    # s_max 5000 is exactly the budget; checked without running it
+    cli._check_far_nodes({"s_max": 5000.0, "k0_s_max": 5000.0})
 
 
 _CONSTANT_RUN = {"initial": {"kind": "constant", "value": 1.0},
