@@ -32,18 +32,59 @@ start a first update with d**2 <= 1e-3 * tol leaves an error of a few
 1e-3 * tol, and the step is accepted without a second iteration that would
 only confirm it.  From the old state u the first update is too large for
 that estimate, and only d <= tol converges.
+
+Runs that share dt and the coefficients' form can be solved as one system:
+their node arrays stacked end to end (see Blocks), each block keeping its
+own two Dirichlet ends.  The two interior rows at each junction between
+blocks become identity rows with right side 0 and no couplings, so gtsv
+never pivots across a junction and returns each block's solution bit for
+bit as a solve of that block alone would.  Convergence, the positivity
+halving, first-iteration acceptance and the iteration count are kept per
+block; later iterations cover only the contiguous span of blocks not yet
+converged, and a converged block inside it keeps its state.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-__all__ = ["newton_step"]
+__all__ = ["Blocks", "newton_step"]
+
+
+_ROWS, _LINKS = np.array([-2, -1]), np.array([-3, -2, -1])  # offsets from a block's end
+
+
+class Blocks:
+    """Runs stacked end to end for newton_step, built once per batch.
+
+    Block k holds nodes starts[k]:ends[k] of the stacked arrays, its two
+    Dirichlet ends included.  Before each call the caller sets the list
+    from_pred, true where a block starts from a predicted U0; the call sets
+    iters to the list of each block's iteration count.  The face weights of
+    the last dt are kept, so a Blocks serves one set of coefficients
+    (c0, einv, ap, am).
+    """
+
+    def __init__(self, sizes):
+        self.ends = list(itertools.accumulate(sizes))
+        self.starts = [e - n for e, n in zip(self.ends, sizes)]
+        # at each junction, after node a = e - 1 that ends a block: the
+        # interior rows (node - 1) of nodes a and a + 1, and the off-diagonal
+        # entries that couple them to any neighbour (a lone block has none)
+        self.rows = self.links = None
+        if len(sizes) > 1:
+            e = np.array(self.ends[:-1])[:, None]
+            self.rows, self.links = e + _ROWS, e + _LINKS
+        self.from_pred = [False] * len(sizes)
+        self.iters = [0] * len(sizes)
+        self.dt = self.faces = None
 
 
 def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
-                tol, max_iter, U0=None):
+                tol, max_iter, U0=None, blocks=None):
     """Solve one step from u over dt; returns (U, iterations, converged).
 
     The first iterate is U0 (u when None) with its ends set to the boundary
@@ -54,14 +95,28 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
     size d = max |delta| / (1 + U) has d <= tol, or, at the first iteration
     from a given U0, d**2 <= 1e-3 * tol.  A singular Jacobian raises
     numpy.linalg.LinAlgError.  The inputs are never written to.
+
+    With ``blocks`` the arrays hold stacked runs (see Blocks): every block's
+    ends take bc_lo and bc_hi, and the halving and the tests above hold per
+    block, the first-iteration one for the blocks marked in
+    blocks.from_pred.  The call returns its own iteration count, and
+    whether every block converged.
     """
+    N = u.shape[0]
+    if blocks is None:
+        blocks = Blocks([N])
+        blocks.from_pred[0] = U0 is not None
+    starts, ends, from_pred = blocks.starts, blocks.ends, blocks.from_pred
     U = (u if U0 is None else U0).copy()
-    U[0] = bc_lo
-    U[-1] = bc_hi
-    ce = (dt * c0) * einv[1:-1]
-    wp = ce * ap[1:-1]
-    wm = ce * am[1:-1]
-    wd = wp + wm
+    for s, e in zip(starts, ends):
+        U[s] = bc_lo
+        U[e - 1] = bc_hi
+    if blocks.dt != dt:
+        ce = (dt * c0) * einv[1:-1]
+        wp = ce * ap[1:-1]
+        wm = ce * am[1:-1]
+        blocks.dt, blocks.faces = dt, (wp, wm, wp + wm)
+    wp, wm, wd = blocks.faces
     diag0 = 1.0
 
     # central (1) vs upwind (0): central is admissible when the outflow
@@ -76,44 +131,79 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
         ku = (0.5 * bt) * th
         kl = bt - ku
         adt = dt * alpha
-        diag0 = 1.0 - (adt + kl - ku)
 
-    converged = False
+    iters = [None] * len(starts)  # per block: the iteration it converged at
+    left = list(range(len(starts)))  # the blocks not yet converged
+    span = None
     it = 0
-    delta = np.zeros(u.shape[0])  # the update; its end entries stay 0
+    delta = np.zeros(N)  # the update; its block end entries stay 0
     for it in range(1, max_iter + 1):
-        Ui = U[1:-1]
-        Um = U ** m
+        if span != (left[0], left[-1]):
+            # the span of the blocks left: nodes lo:hi, interior rows lo:hi - 2
+            span = b0, b1 = left[0], left[-1]
+            lo, hi = starts[b0], ends[b1]
+            r = slice(lo, hi - 2)
+            wp_r, wm_r, wd_r, u_r, d = wp[r], wm[r], wd[r], u[lo + 1:hi - 1], delta[lo:hi]
+            if rescaled:
+                ku_r, kl_r = ku[r], kl[r]
+                diag0 = 1.0 - (adt + kl_r - ku_r)
+            if b1 > b0:
+                rows, links = blocks.rows[b0:b1] - lo, blocks.links[b0:b1] - lo
+                firsts = [starts[k] - lo for k in range(b0, b1 + 1)]
+        Us = U[lo:hi]
+        Ui = Us[1:-1]
+        Um = Us ** m
         h = Um[1:] - Um[:-1]
-        rhs = wp * h[1:]  # -F
-        rhs -= wm * h[:-1]
-        rhs -= Ui - u[1:-1]
+        rhs = wp_r * h[1:]  # -F
+        rhs -= wm_r * h[:-1]
+        rhs -= Ui - u_r
         if rescaled:
-            g = U[1:] - U[:-1]
+            g = Us[1:] - Us[:-1]
             rhs += adt * Ui
-            rhs += ku * g[1:]
-            rhs += kl * g[:-1]
+            rhs += ku_r * g[1:]
+            rhs += kl_r * g[:-1]
         nd = (-m * Um[1:-1]) / Ui  # -d(U^m)/dU at the interior nodes
-        diag = diag0 - wd * nd
-        du = wp[:-1] * nd[1:]
-        dl = wm[1:] * nd[:-1]
+        diag = diag0 - wd_r * nd
+        du = wp_r[:-1] * nd[1:]
+        dl = wm_r[1:] * nd[:-1]
         if rescaled:
-            du -= ku[:-1]
-            dl += kl[1:]
+            du -= ku_r[:-1]
+            dl += kl_r[1:]
+        if b1 > b0:  # the junctions become identity rows: no block sees another
+            rhs[rows] = 0.0
+            diag[rows] = 1.0
+            du[links] = 0.0
+            dl[links] = 0.0
         x, info = dgtsv(dl, diag, du, rhs, overwrite_dl=1, overwrite_d=1,
                         overwrite_du=1, overwrite_b=1)[3:]
         if info != 0:
             raise np.linalg.LinAlgError(f"Newton Jacobian solve failed (gtsv info={info})")
-        delta[1:-1] = x
-        theta_ls = 1.0
-        new = U + delta
-        while new.min() <= 0.0 and theta_ls > 1e-18:
-            theta_ls *= 0.5
-            new = U + theta_ls * delta
-        U = new
-        scaled = float((np.abs(delta) / (1.0 + U)).max())
-        first_ok = it == 1 and U0 is not None and scaled * scaled <= 1e-3 * tol
-        if theta_ls == 1.0 and (scaled <= tol or first_ok):
-            converged = True
+        d[1:-1] = x
+        if b1 > b0:  # a converged block keeps its state
+            for k in range(b0, b1 + 1):
+                if iters[k] is not None:
+                    d[starts[k] - lo:ends[k] - lo] = 0.0
+        new = Us + d
+        lows = np.minimum.reduceat(new, firsts) if b1 > b0 else (new.min(),)
+        damped = [b0 + j for j, low in enumerate(lows) if low <= 0.0]
+        for k in damped:  # halve the update of a block until it stays positive
+            s, e = starts[k] - lo, ends[k] - lo
+            theta_ls, block = 1.0, new[s:e]
+            while block.min() <= 0.0 and theta_ls > 1e-18:
+                theta_ls *= 0.5
+                block[:] = Us[s:e] + theta_ls * d[s:e]
+        if hi - lo == N:
+            U = new
+        else:
+            Us[:] = new
+        q = np.abs(d) / (1.0 + new)
+        scaled = np.maximum.reduceat(q, firsts).tolist() if b1 > b0 else (float(q.max()),)
+        for k, sc in enumerate(scaled, b0):
+            if (iters[k] is None and k not in damped
+                    and (sc <= tol or it == 1 and from_pred[k] and sc * sc <= 1e-3 * tol)):
+                iters[k] = it
+        left = [k for k in left if iters[k] is None]
+        if not left:
             break
-    return U, it, converged
+    blocks.iters = [it if i is None else i for i in iters]
+    return U, it, not left

@@ -14,6 +14,7 @@ are meaningful; an identical config gives byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -330,6 +331,22 @@ def _clock(cfg) -> dict:
             "newton_tol": newton_tol}
 
 
+# most bytes a command's snapshots may take, summed over the runs it steps;
+# a run keeps one float64 per node and snapshot
+_MAX_SNAPSHOT_BYTES = 2 ** 26
+
+
+def _check_snapshot_bytes(snapshots: int, nodes: int, keys: str):
+    """Refuse runs that keep ``snapshots`` rows over ``nodes`` nodes in all,
+    if those float64s pass _MAX_SNAPSHOT_BYTES; ``keys`` names the config
+    keys and flags that set the nodes.  Called before any profile or grid
+    is built."""
+    size = 8 * snapshots * nodes
+    if size > _MAX_SNAPSHOT_BYTES:
+        raise ConfigError(f"{keys}: {snapshots} snapshots of {nodes} nodes need {size:.3g} B, "
+                          f"over the limit of {_MAX_SNAPSHOT_BYTES} B")
+
+
 def _build_evolution(cfg, clock, form, initial, boundary, profile, band=(None, None),
                      monitors=False):
     """The run of cfg on its ``clock`` (from ``_clock``); ``band`` (lam1, lam2)
@@ -350,6 +367,8 @@ def _cmd_evolve(cfg, out: str) -> int:
     band = (mon["lam1"], mon["lam2"]) if mon["enabled"] else (None, None)
     lams = (init.lam, init.lam1, init.lam2, init.lam0, bc.lam) + band
     clock = _clock(cfg)
+    N = cfg["grid"]["N"]
+    _check_snapshot_bytes(len(clock["snapshot_times"]), N, f"grid.N (--N) = {N!r}")
     profile = _profile_for(cfg, cfg["grid"]["R"], lams) if needs_profile else None
     ecfg = _build_evolution(cfg, clock, cfg["form"], init, bc, profile, band, mon["enabled"])
     traj = evolution.run(ecfg, trunc=True)
@@ -389,24 +408,24 @@ def _cmd_contract(cfg, out: str) -> int:
         raise ConfigError(f"grid.N must be >= 30 with half_resolution, got {N!r}")
     lam1, lam2 = cfg["lam1"], cfg["lam2"]
     clock = _clock(cfg)
+    half = N // 2 + 1 if cfg["half_resolution"] else 0  # the second pair's N, if any
+    _check_snapshot_bytes(len(clock["snapshot_times"]), 2 * (N + half),
+                          f"grid.N (--N) = {N!r}" + (" with half_resolution" if half else ""))
     prof = _profile_for(cfg, cfg["grid"]["R"], (lam1, lam2, _weight_lam(cfg["weight"])))
     weight = _make_weight(cfg["weight"], prof)
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
 
-    def pair(N):
-        # the report reads snapshots only, so the runs keep no monitors
-        sub = dict(cfg)
-        sub["grid"] = dict(cfg["grid"], N=N)
-        return [_build_evolution(sub, clock, "physical",
-                                 evolution.InitialSpec(kind="f_lambda", lam=lam), bc, prof)
-                for lam in (lam1, lam2)]
-
-    runs = pair(N)
-    if cfg["half_resolution"]:
-        runs += pair(N // 2 + 1)
-    trajs = [evolution.run(ecfg) for ecfg in runs]
-    half = (trajs[2], trajs[3]) if cfg["half_resolution"] else None
-    rep = measures.contraction_report(trajs[0], trajs[1], weight, half)
+    # the report reads snapshots only, so the runs keep no monitors.  They
+    # step as one stacked batch, f_lam1 runs first: those start on the
+    # boundary data's orbit and mostly converge at once, which leaves the
+    # Newton iterations after the first to the f_lam2 runs, one block span
+    sizes = (N, half) if half else (N,)
+    runs = [_build_evolution(dict(cfg, grid=dict(cfg["grid"], N=size)), clock, "physical",
+                             evolution.InitialSpec(kind="f_lambda", lam=lam), bc, prof)
+            for lam in (lam1, lam2) for size in sizes]
+    trajs = evolution.run_batch(runs)
+    rep = measures.contraction_report(trajs[0], trajs[len(sizes)], weight,
+                                      (trajs[1], trajs[3]) if half else None)
     _write_csv(os.path.join(out, "contraction.csv"),
                ["t", "norm", "norm_positive_part", "slack"],
                [rep["times"], rep["series"], rep["series_positive_part"], rep["slack"]])
@@ -426,6 +445,8 @@ def _cmd_converge(cfg, out: str) -> int:
     if cfg["horizon"] is None:
         cfg["horizon"] = 5.0 / abs(_model(cfg).beta)
     clock = _clock(cfg)
+    N = cfg["grid"]["N"]
+    _check_snapshot_bytes(len(clock["snapshot_times"]), N, f"grid.N (--N) = {N!r}")
     lam0 = cfg["lam0"]
     prof = _profile_for(cfg, cfg["grid"]["R"],
                         (lam0, cfg["lam1"], cfg["lam2"], _weight_lam(cfg["weight"])))
@@ -459,6 +480,9 @@ def _cmd_validate_barenblatt(cfg, out: str) -> int:
         if len(cfg[key]) < least:
             raise ConfigError(f"{key} needs >= {least} entries to measure an order, "
                               f"got {len(cfg[key])}")
+    # each run keeps its snapshots at 0 and at its horizon
+    _check_snapshot_bytes(2, sum(cfg["N_list"]) + cfg["temporal_N"] * len(cfg["temporal_dt_list"])
+                          + cfg["track_N"], "N_list, temporal_N and track_N")
     k, T, horizon, R = cfg["k"], cfg["T"], cfg["horizon"], cfg["R"]
     init = evolution.InitialSpec(kind="barenblatt", k=k, T=T)
     bc = evolution.BoundarySpec(kind="barenblatt", k=k, T=T)
@@ -529,7 +553,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it unchanged."""
     ap = _Parser(
         prog="fde",
         description="Singular self-similar solutions of the fast diffusion "

@@ -40,6 +40,16 @@ quadratic start most steps need one Newton iteration (see _kernels).  The
 linear extrapolation's error, ``Trajectory.trunc_time``, is reduced over the
 steps only by a run that reads it: one with monitors, whose slacks it
 scales, or one asked for it with ``run(cfg, trunc=True)``.
+
+There is one stepping loop, and ``run`` is its batch of one.  ``run_batch``
+steps runs that share the clock (dt, snapshot times, newton_tol), the form,
+params, profile, boundary data and R through it together: their states are
+stacked end to end as blocks of one Newton system (see _kernels.Blocks), so
+each step forms one predictor, reads one boundary table and makes one
+``newton_step`` call.  The blocks take exactly the iterates of separate
+runs.  A rejected step or an error in a batch of more than one abandons it,
+and its runs go again one at a time, so a batch gives ``run``'s states and
+``run``'s exceptions bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._kernels import newton_step
+from ._kernels import Blocks, newton_step
 from .params import ModelParams, derive_constants
 from .profile import Profile
 
@@ -66,6 +76,7 @@ __all__ = [
     "build_grid",
     "barenblatt_oracle",
     "run",
+    "run_batch",
 ]
 
 
@@ -349,43 +360,95 @@ def _boundary_data(cfg: EvolutionConfig, times, r_ends: np.ndarray) -> np.ndarra
     return vals
 
 
+class _Rejected(Exception):
+    """A run of a stacked batch rejected a step."""
+
+
+def _stack_key(cfg: EvolutionConfig) -> tuple:
+    """What the runs of one stack share: all that the loop and the kernel
+    read but each run's N, initial data, ordering band and monitors."""
+    b_ds = cfg.params.beta / cfg.grid.ds if cfg.form == "rescaled" else 0.0
+    return (cfg.dt, cfg.snapshot_times.tobytes(), cfg.newton_tol, cfg.form, cfg.params,
+            id(cfg.profile), cfg.boundary, cfg.grid.R, b_ds)
+
+
 def run(cfg: EvolutionConfig, trunc: bool = False) -> Trajectory:
     """Advance a configured run, recording snapshots and, with cfg.monitors,
     the worst AB excess and ordering gaps over the accepted steps.  With
     trunc or cfg.monitors it also reduces trunc_time over the steps;
-    otherwise trunc_time is None."""
+    otherwise trunc_time is None.  It is the batch of one of ``run_batch``."""
+    return _advance([cfg], trunc)[0]
+
+
+def run_batch(cfgs, trunc: bool = False) -> list:
+    """[run(cfg, trunc) for cfg in cfgs], bit for bit.
+
+    Runs that share dt, snapshot times, newton_tol, form, params, profile,
+    boundary data and R (and, in the rescaled form, N) go through the one
+    stepping loop together, stacked end to end: each step forms one
+    predictor, reads one boundary table and makes one ``newton_step`` call.
+    If any of them rejects a step or raises, the batch is abandoned and each
+    run goes again alone, so every state, and every exception, is run's.
+    """
+    cfgs = list(cfgs)
+    if len(cfgs) > 1 and len({_stack_key(cfg) for cfg in cfgs}) == 1:
+        try:
+            return _advance(cfgs, trunc)
+        except Exception:  # any failure: the runs go again alone, and run raises its own
+            pass
+    return [run(cfg, trunc) for cfg in cfgs]
+
+
+def _advance(cfgs: list, trunc: bool) -> list:
+    """The stepping loop of ``run_batch``'s runs cfgs, which share its stack
+    key; a stack of more than one raises _Rejected at a rejected step."""
+    cfg = cfgs[0]  # the clock, form, params, profile, boundary and R of all
     c = derive_constants(cfg.params)
     r_ends = np.array([cfg.grid.r[0], cfg.grid.r[-1]])
-    u = cfg.initial.values(cfg.grid, cfg.profile, cfg.params)
-    if not np.all((u > 0.0) & (u < math.inf)):
-        raise EvolutionError("initial data must be finite and > 0")
-    band = cfg.lam1 is not None and cfg.lam2 is not None
-    if cfg.monitors and not band:
-        raise EvolutionError("ordering monitors need lam1 and lam2")
-    if band:
-        lo, hi = _ordering_bounds(cfg, 0.0)
-        slack0 = 1e-9 * float(np.max(hi))
-        if np.any(u < lo - slack0) or np.any(u > hi + slack0):
-            raise EvolutionError("initial data violates the ordering band f_lam1 <= u0 <= f_lam2")
+    u0, bands = [], []
+    for each in cfgs:
+        u = each.initial.values(each.grid, each.profile, each.params)
+        if not np.all((u > 0.0) & (u < math.inf)):
+            raise EvolutionError("initial data must be finite and > 0")
+        band = each.lam1 is not None and each.lam2 is not None
+        if each.monitors and not band:
+            raise EvolutionError("ordering monitors need lam1 and lam2")
+        if band:
+            lo, hi = _ordering_bounds(each, 0.0)
+            slack0 = 1e-9 * float(np.max(hi))
+            if np.any(u < lo - slack0) or np.any(u > hi + slack0):
+                raise EvolutionError("initial data violates the ordering band f_lam1 <= u0 <= f_lam2")
+        u0.append(u)
+        bands.append((lo, hi) if band else None)
 
     n, m = cfg.params.n, cfg.params.m
-    einv, ap, am = cfg.grid.coeffs(n)
+    einv, ap, am = (np.concatenate(w) for w in zip(*(each.grid.coeffs(n) for each in cfgs)))
     c0 = (n - 1) / m
     rescaled = cfg.form == "rescaled"
     alpha = c.alpha if rescaled else 0.0
     b_ds = (cfg.params.beta / cfg.grid.ds) if rescaled else 0.0
 
+    # one block of nodes per run, stacked end to end
+    sizes = [each.grid.N for each in cfgs]
+    blocks = Blocks(sizes)
+    starts, ends = blocks.starts, blocks.ends
+
     # clamp initial endpoints to the boundary data so step 1 is consistent
-    u = u.copy()
-    u[0], u[-1] = _boundary_data(cfg, [0.0], r_ends)[0]
+    u = np.concatenate(u0)
+    bc = _boundary_data(cfg, [0.0], r_ends)[0]
+    for s, e in zip(starts, ends):
+        u[s], u[e - 1] = bc
 
-    fields = np.empty((len(cfg.snapshot_times), cfg.grid.N))
-    fields[0] = u
+    fields = [np.empty((len(cfg.snapshot_times), N)) for N in sizes]
+    for f, s, e in zip(fields, starts, ends):
+        f[0] = u[s:e]
 
-    ab_max, lo_min, hi_min = -math.inf, math.inf, math.inf  # monitor extrema
-    iters_total = rejections = 0
-    trunc = trunc or cfg.monitors
-    trunc_time = 0.0 if trunc else None
+    K = len(cfgs)
+    ab_max, lo_min, hi_min = [-math.inf] * K, [math.inf] * K, [math.inf] * K  # monitor extrema
+    iters_total, rejections = [0] * K, 0
+    watched = [(k, each) for k, each in enumerate(cfgs) if each.monitors]
+    trunc_any = trunc or bool(watched)
+    trunc_time = [0.0] * K
     u_prev = u_prev2 = None
     dt_prev = dt_prev2 = None
 
@@ -394,25 +457,32 @@ def run(cfg: EvolutionConfig, trunc: bool = False) -> Trajectory:
     while (step := _next_step(cfg, t, sub, next_snap)) is not None:
         dt_try, t_new, sub_next, snap_next = step
         if t_new not in table:
-            ends = _step_ends(cfg, t, sub, next_snap)
-            table = dict(zip(ends, _boundary_data(cfg, ends, r_ends)))
+            ends_t = _step_ends(cfg, t, sub, next_snap)
+            table = dict(zip(ends_t, _boundary_data(cfg, ends_t, r_ends)))
         bc = table[t_new]
         # predictor: the linear extrapolation when dt repeats the last
         # accepted step's, the quadratic one when it repeats the last two;
-        # the linear one is formed there too only where trunc_time reads it
+        # the linear one is formed there too only where trunc_time reads it.
+        # A block whose predictor is not positive starts from u.
         pred = lin = None
         if dt_prev == dt_try:
-            if trunc or dt_prev2 != dt_try:
+            if trunc_any or dt_prev2 != dt_try:
                 pred = lin = 2.0 * u - u_prev
             if dt_prev2 == dt_try:
                 pred = u - u_prev
                 pred *= 3.0
                 pred += u_prev2
+        good = [False] * K if pred is None else (np.minimum.reduceat(pred, starts) > 0.0).tolist()
+        blocks.from_pred = good
+        U0 = (pred if all(good) else None if not any(good)
+              else np.where(np.repeat(good, sizes), pred, u))
         U, iters, ok = newton_step(u, dt_try, bc[0], bc[1], m, c0, einv, ap, am,
-                                   alpha, b_ds, cfg.newton_tol, 50,
-                                   pred if pred is not None and pred.min() > 0.0 else None)
-        iters_total += iters
+                                   alpha, b_ds, cfg.newton_tol, 50, U0, blocks=blocks)
+        for k, i in enumerate(blocks.iters if K > 1 else (iters,)):
+            iters_total[k] += i
         if not ok:
+            if K > 1:
+                raise _Rejected
             rejections += 1
             sub = dt_try * 0.5
             if sub < 1e-12 * cfg.dt:
@@ -421,49 +491,51 @@ def run(cfg: EvolutionConfig, trunc: bool = False) -> Trajectory:
                     f"t={float(cfg.snapshot_times[next_snap - 1])!r}"
                 )
             continue
-        if cfg.monitors:
+        for k, kcfg in watched:
+            Uk, uk = U[starts[k]:ends[k]], u[starts[k]:ends[k]]
             # short snapshot-clipped steps amplify Newton-tolerance noise in
             # the difference quotient by 1/dt; skip the AB excess there
             if dt_try >= 0.1 * cfg.dt:
-                excess = (U[1:-1] - u[1:-1]) / dt_try - U[1:-1] / ((1.0 - m) * t_new)
-                ab_max = max(ab_max, float(np.max(excess)))
+                excess = (Uk[1:-1] - uk[1:-1]) / dt_try - Uk[1:-1] / ((1.0 - m) * t_new)
+                ab_max[k] = max(ab_max[k], float(np.max(excess)))
             if not rescaled:  # the rescaled band does not depend on t
-                lo, hi = _ordering_bounds(cfg, t_new)
-            lo_min = min(lo_min, float(np.min(U - lo)))
-            hi_min = min(hi_min, float(np.min(hi - U)))
-        if trunc and lin is not None:
+                bands[k] = _ordering_bounds(kcfg, t_new)
+            lo, hi = bands[k]
+            lo_min[k] = min(lo_min[k], float(np.min(Uk - lo)))
+            hi_min[k] = min(hi_min[k], float(np.min(hi - Uk)))
+        if trunc_any and lin is not None:
             err = U - lin
-            trunc_time = max(trunc_time, float(np.abs(err, out=err).max()) / dt_try)
+            worst = np.maximum.reduceat(np.abs(err, out=err), starts).tolist()
+            trunc_time = [max(tt, w / dt_try) for tt, w in zip(trunc_time, worst)]
         u_prev2, dt_prev2 = u_prev, dt_prev
         u_prev, dt_prev, u = u, dt_try, U
         if snap_next > next_snap:  # the step ended on a snapshot time
-            fields[next_snap] = u
+            for f, s, e in zip(fields, starts, ends):
+                f[next_snap] = u[s:e]
         t, sub, next_snap = t_new, sub_next, snap_next
 
-    d2 = np.abs(fields[:, 2:] - 2.0 * fields[:, 1:-1] + fields[:, :-2])
-    trunc_space = float(np.max(d2)) if fields.shape[1] > 2 else 0.0
-
-    monitors = None
-    if cfg.monitors:
-        if ab_max == -math.inf:
-            spacing = float(np.max(np.diff(cfg.snapshot_times)))
-            raise EvolutionError(f"the Aronson-Benilan monitor needs a step >= 0.1*dt and no "
-                                 f"step was: dt={cfg.dt!r}, snapshot spacing {spacing!r}")
-        # the AB inequality is a property of the physical flow, so scheme
-        # noise up to 10x the truncation estimates is expected, not a failure
-        ab_slack, ord_slack = 10.0 * trunc_time, 10.0 * (trunc_time * cfg.dt + trunc_space)
-        monitors = {
-            "aronson_benilan": {"max_excess": ab_max, "slack": ab_slack, "ok": ab_max <= ab_slack},
-            "ordering": {"gap_lo_min": lo_min, "gap_hi_min": hi_min, "slack": ord_slack,
-                         "ok": lo_min >= -ord_slack and hi_min >= -ord_slack},
-        }
-
-    return Trajectory(
-        fields=fields,
-        monitors=monitors,
-        newton_iters_total=iters_total,
-        rejections=rejections,
-        trunc_time=trunc_time,
-        trunc_space=trunc_space,
-        config=cfg,
-    )
+    trajs = []
+    for k, kcfg in enumerate(cfgs):
+        f = fields[k]
+        d2 = np.abs(f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2])
+        trunc_space = float(np.max(d2)) if f.shape[1] > 2 else 0.0
+        tt = trunc_time[k] if trunc or kcfg.monitors else None
+        monitors = None
+        if kcfg.monitors:
+            if ab_max[k] == -math.inf:
+                spacing = float(np.max(np.diff(cfg.snapshot_times)))
+                raise EvolutionError(f"the Aronson-Benilan monitor needs a step >= 0.1*dt and "
+                                     f"no step was: dt={cfg.dt!r}, snapshot spacing {spacing!r}")
+            # the AB inequality is a property of the physical flow, so scheme
+            # noise up to 10x the truncation estimates is expected, not a failure
+            ab_slack, ord_slack = 10.0 * tt, 10.0 * (tt * cfg.dt + trunc_space)
+            monitors = {
+                "aronson_benilan": {"max_excess": ab_max[k], "slack": ab_slack,
+                                    "ok": ab_max[k] <= ab_slack},
+                "ordering": {"gap_lo_min": lo_min[k], "gap_hi_min": hi_min[k], "slack": ord_slack,
+                             "ok": lo_min[k] >= -ord_slack and hi_min[k] >= -ord_slack},
+            }
+        trajs.append(Trajectory(fields=f, monitors=monitors, newton_iters_total=iters_total[k],
+                                rejections=rejections, trunc_time=tt, trunc_space=trunc_space,
+                                config=kcfg))
+    return trajs

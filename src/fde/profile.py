@@ -220,6 +220,7 @@ def _flux_residual_inner(req, c, r, g, g_r):
 
 # the inner stage's samples on [r0, r_switch]; the far field's largest node spacing in s
 _INNER_NODES, _FAR_DS = 4097, 0.02
+_LOG_R_MAX = 700.0  # eval_g_log evaluates g up to r = e^700, short of float overflow
 
 # the most Nordsieck columns LSODA keeps: Adams orders go up to 12
 _LSODA_COLS = 13
@@ -568,7 +569,7 @@ class Profile:
         if np.any(r <= 0.0):
             raise ProfileError("g evaluation needs r > 0")
         s_end = float(self.far.s[-1])
-        if np.max(r) > math.exp(min(s_end, 700.0)) * (1.0 + 1e-12):
+        if np.max(r) > math.exp(min(s_end, _LOG_R_MAX)) * (1.0 + 1e-12):
             raise ProfileError(f"r beyond e^s_max = e^{s_end}; no extrapolation")
         req, c = self.request, self.constants
         one_m = 1.0 - req.params.m
@@ -688,8 +689,9 @@ def check_profile_invariants(prof: Profile) -> dict:
     lng20, _ = prof.eval_g_log(np.array([math.exp(-20.0)]))
     g_at_small = float(np.exp(lng20[0]))
 
-    # f-decay inequality alpha f + beta r f_r > 0 on sampled radii
-    rs = np.geomspace(math.exp(-0.9 * req.s_max), 0.5 / req.r0, 200)
+    # f-decay inequality alpha f + beta r f_r > 0 on sampled radii, down to
+    # the smallest r whose g(1/r) eval_g_log evaluates (s_max > 777 reaches it)
+    rs = np.geomspace(math.exp(-min(0.9 * req.s_max, _LOG_R_MAX)), 0.5 / req.r0, 200)
     _, rff = prof.eval_f_log(rs)
     f_dec = c.alpha - c.beta_tilde * rff  # = (alpha f + beta r f_r)/f
 

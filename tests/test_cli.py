@@ -419,6 +419,7 @@ def no_solver(monkeypatch):
     monkeypatch.setattr(cli, "compute_profile", solver)
     monkeypatch.setattr(asymptotics, "compute_K0", solver)
     monkeypatch.setattr(evolution, "run", solver)
+    monkeypatch.setattr(evolution, "run_batch", solver)
 
 
 def _merge(base, override):
@@ -535,6 +536,7 @@ def test_weight_built_before_stepping(tmp_path, capsys, monkeypatch, command):
     def solver(*args, **kwargs):
         pytest.fail("runs were stepped")
     monkeypatch.setattr(evolution, "run", solver)
+    monkeypatch.setattr(evolution, "run_batch", solver)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"weight": {"kind": "power_mu", "mu": 5.0}}))
     assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
@@ -549,6 +551,7 @@ def test_snapshots_below_one_rejected(tmp_path, capsys, monkeypatch, command, sn
     def solver(*args, **kwargs):
         pytest.fail("runs were stepped")
     monkeypatch.setattr(evolution, "run", solver)
+    monkeypatch.setattr(evolution, "run_batch", solver)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"snapshots": snapshots}))
     with warnings.catch_warnings(record=True) as caught:
@@ -721,6 +724,54 @@ def test_far_field_node_budget_admits_its_limit():
     cli._check_far_nodes({"s_max": 5000.0, "k0_s_max": 5000.0})
 
 
+@pytest.mark.parametrize("argv,config,err", [
+    (["evolve", "--N", "800000"], {},
+     "grid.N (--N) = 800000: 11 snapshots of 800000 nodes need 7.04e+07 B"),
+    (["contract", "--N", "150000"], {},
+     "grid.N (--N) = 150000 with half_resolution: 21 snapshots of 450002 nodes need 7.56e+07 B"),
+    (["contract", "--N", "200000"], {"half_resolution": False},
+     "grid.N (--N) = 200000: 21 snapshots of 400000 nodes need 6.72e+07 B"),
+    (["converge", "--N", "10000000"], {"snapshots": 1},
+     "grid.N (--N) = 10000000: 2 snapshots of 10000000 nodes need 1.6e+08 B"),
+    (["validate-barenblatt"], {"temporal_N": 1500000},
+     "N_list, temporal_N and track_N: 2 snapshots of 4500904 nodes need 7.2e+07 B"),
+], ids=["evolve", "contract", "contract-full", "converge", "validate-barenblatt"])
+def test_snapshots_over_the_memory_budget_rejected(tmp_path, capsys, no_solver, monkeypatch,
+                                                   argv, config, err):
+    # a command's runs keep snapshots x N float64s in all; a total past
+    # 2^26 B ends in one line naming the key and flag, before any profile
+    # or grid is built
+    def solver(*args, **kwargs):
+        pytest.fail("a grid was built")
+    monkeypatch.setattr(evolution, "build_grid", solver)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert run_command(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {err}, over the limit of 67108864 B\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_snapshot_budget_admits_its_limit():
+    # 2^26 B is 2^23 float64s; checked without running anything
+    cli._check_snapshot_bytes(2 ** 3, 2 ** 20, "grid.N (--N)")
+    with pytest.raises(cli.ConfigError):
+        cli._check_snapshot_bytes(2 ** 3, 2 ** 20 + 1, "grid.N (--N)")
+
+
+def test_profile_past_the_g_evaluation_range(tmp_path):
+    # s_max 800 samples the f-decay check down to r = e^-700, the smallest r
+    # whose g(1/r) is evaluated, and not to e^-720; the summary has the
+    # default run's keys
+    keys = {}
+    for name, argv in (("default", []), ("far", ["--smax", "800"])):
+        code = run_command(["profile", *argv, "--out", str(tmp_path / name)])
+        assert code in (0, 2)
+        rep = json.loads(_read(tmp_path / name / "profile_summary.json"))
+        assert rep["schema"] == 1
+        keys[name] = {k: sorted(v) if isinstance(v, dict) else None for k, v in rep.items()}
+    assert keys["far"] == keys["default"]
+
+
 _CONSTANT_RUN = {"initial": {"kind": "constant", "value": 1.0},
                  "boundary": {"kind": "constant", "value": 1.0}}
 
@@ -887,15 +938,21 @@ def test_lambda_out_of_the_profile_rejected(tmp_path, capsys, argv, err):
 
 @pytest.mark.parametrize("command", ["contract", "converge"])
 def test_runs_keep_no_trunc_time(tmp_path, monkeypatch, command):
-    # contract and converge read snapshots only, so no run reduces trunc_time
+    # contract and converge read snapshots only, so no run reduces trunc_time;
+    # contract steps its runs as one batch, converge its one run alone
     runs = []
-    run = evolution.run
+    run, run_batch = evolution.run, evolution.run_batch
 
     def recorded_run(*args, **kwargs):
         runs.append(run(*args, **kwargs))
         return runs[-1]
 
+    def recorded_batch(*args, **kwargs):
+        runs.extend(run_batch(*args, **kwargs))
+        return runs[-len(args[0]):]
+
     monkeypatch.setattr(evolution, "run", recorded_run)
+    monkeypatch.setattr(evolution, "run_batch", recorded_batch)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"grid": {"N": 101}, "horizon": 0.05, "snapshots": 2}))
     assert run_command([command, "--config", str(cfg), "--out", str(tmp_path)]) in (0, 2, 3)

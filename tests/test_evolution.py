@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fde import evolution
-from fde._kernels import newton_step
+from fde._kernels import Blocks, newton_step
 from fde.evolution import (
     BoundarySpec,
     EvolutionConfig,
@@ -17,6 +17,7 @@ from fde.evolution import (
     barenblatt_oracle,
     build_grid,
     run,
+    run_batch,
 )
 from fde.params import ModelParams, derive_constants
 from fde.profile import Profile
@@ -316,6 +317,39 @@ def test_newton_step_one_iteration_acceptance(form):
     assert ok and iters >= 2
 
 
+def test_newton_step_stacked_blocks_equal_separate_solves():
+    # four runs stacked end to end solve as four separate calls, bit for
+    # bit.  The first and third take the damped golden step, from u and from
+    # a predictor; the second starts from its own solution and converges at
+    # once, so it is frozen inside the span of those still iterating.  The
+    # last starts from u a hair off the steady state: its first update is
+    # small enough for the first-iteration test, which it may pass only
+    # from a predictor, so it takes a second iteration.
+    u, args = _kernel_cases()["damped"]
+    dt, bc_lo, bc_hi, m, c0, einv, ap, am = args[:8]
+    step = (dt, bc_lo, bc_hi, m, c0, einv, ap, am, 0.0, 0.0, 1e-12, 50)
+    steady = u
+    for _ in range(400):
+        steady = newton_step(steady, *step)[0]
+    olds = [u, u, u, steady * (1.0 + 1e-9 * np.sin(np.arange(u.size)))]
+    starts = [None, newton_step(u, *step)[0], 1.001 * u, None]
+    ref = [newton_step(old, *step, U0) for old, U0 in zip(olds, starts)]
+    assert all(ok for _, _, ok in ref)
+    stack = Blocks([u.size] * 4)
+    stack.from_pred = [U0 is not None for U0 in starts]
+    U, iters, ok = newton_step(
+        np.concatenate(olds), *step[:5], *(np.tile(w, 4) for w in (einv, ap, am)), *step[8:],
+        np.concatenate([old if U0 is None else U0 for old, U0 in zip(olds, starts)]),
+        blocks=stack)
+    assert ok
+    assert stack.iters == [i for _, i, _ in ref]
+    assert stack.iters[1] < min(stack.iters[0], stack.iters[2])
+    assert stack.iters[3] == 2
+    assert iters == max(stack.iters)
+    for (U_ref, _, _), s, e in zip(ref, stack.starts, stack.ends):
+        assert U[s:e].tobytes() == U_ref.tobytes()
+
+
 def test_predictor_start_only_after_a_repeated_step(monkeypatch):
     # a step starts from 3u - 3u_prev + u_prev2 when it repeats the dt of
     # the last two accepted steps, from 2u - u_prev when it repeats only the
@@ -338,13 +372,13 @@ def test_predictor_start_only_after_a_repeated_step(monkeypatch):
         assert np.allclose(U0, quad, rtol=1e-13, atol=0.0)
         return "quadratic"
 
-    def recorded(u, dt_try, *args):
+    def recorded(u, dt_try, *args, **kwargs):
         if not states or u is not states[-1]:
             states.append(u)
         log.append((dt_try, start(args[-1])))
         if len(log) == 3:  # the third solve reports non-convergence
             return u, 0, False
-        return kernel(u, dt_try, *args)
+        return kernel(u, dt_try, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "newton_step", recorded)
     traj = run(EvolutionConfig(
@@ -375,8 +409,8 @@ def test_trunc_time_is_the_linear_extrapolation_error(monkeypatch):
     kernel = evolution.newton_step
     accepted = []  # (u, dt, U) of each accepted step
 
-    def recorded(u, dt_try, *args):
-        U, iters, ok = kernel(u, dt_try, *args)
+    def recorded(u, dt_try, *args, **kwargs):
+        U, iters, ok = kernel(u, dt_try, *args, **kwargs)
         if len(accepted) == 8:
             U = U * (1.0 + 1e-4)
         accepted.append((u, dt_try, U))
@@ -605,9 +639,9 @@ def test_run_steps_on_its_snapshot_grid(profile_cache, monkeypatch):
     kernel = evolution.newton_step
     dts = []
 
-    def recorded(u, dt_try, *args):
+    def recorded(u, dt_try, *args, **kwargs):
         dts.append(dt_try)
-        return kernel(u, dt_try, *args)
+        return kernel(u, dt_try, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "newton_step", recorded)
     snaps = np.linspace(0.0, 5.0, 11)
@@ -699,12 +733,12 @@ def test_boundary_table_equals_per_step_lookup(profile_cache, monkeypatch, kind,
     kernel = evolution.newton_step
     solves = []
 
-    def flaky_step(u, *args):
+    def flaky_step(u, *args, **kwargs):
         # the third solve reports non-convergence
         solves.append(args[0])
         if flaky and len(solves) == 3:
             return u, 0, False
-        return kernel(u, *args)
+        return kernel(u, *args, **kwargs)
 
     values = BoundarySpec.values
     calls = []
@@ -729,6 +763,105 @@ def test_boundary_table_equals_per_step_lookup(profile_cache, monkeypatch, kind,
     if not flaky:
         assert n_solves >= steps
         assert n_calls <= 1 + math.ceil(n_solves / limit)
+
+
+def _same_runs(batch, separate):
+    """The trajectories agree bit for bit in every field but config."""
+    assert len(batch) == len(separate)
+    for a, b in zip(batch, separate):
+        for f in dataclasses.fields(Trajectory):
+            if f.name != "config":
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(x, np.ndarray):
+                    x, y = x.tobytes(), y.tobytes()
+                assert x == y, f.name
+        assert a.config is b.config
+
+
+def _contract_runs(prof, sizes=(201, 101), steps=40):
+    """Contract's four runs: f_lam1 and f_lam2 under U_lam1 data, at each size."""
+    boundary = BoundarySpec(kind="U_lambda", lam=2.0)
+    return [EvolutionConfig(grid=build_grid(math.e ** 5, N), params=P32, form="physical",
+                            initial=InitialSpec(kind="f_lambda", lam=lam), boundary=boundary,
+                            dt=2e-3, snapshot_times=np.linspace(0.0, steps * 2e-3, 5),
+                            profile=prof)
+            for N in sizes for lam in (2.0, 1.0)]
+
+
+def _counted_kernel(monkeypatch):
+    """The number of blocks of each newton_step call the runs make."""
+    kernel, calls = evolution.newton_step, []
+
+    def counted(*args, **kwargs):
+        calls.append(len(kwargs["blocks"].starts))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "newton_step", counted)
+    return calls
+
+
+def test_batch_equals_separate_runs(profile_cache, monkeypatch):
+    # contract's runs stacked in one system give each run's Trajectory bit
+    # for bit, with one kernel call per step; the f_lam2 runs start off the
+    # boundary data's orbit and take more Newton iterations than the others
+    cfgs = _contract_runs(profile_cache(3, 0.2))
+    calls = _counted_kernel(monkeypatch)
+    batch = run_batch(cfgs)
+    assert calls == [4] * 40
+    calls.clear()
+    separate = [run(cfg) for cfg in cfgs]
+    assert calls == [1] * 160
+    _same_runs(batch, separate)
+    iters = [traj.newton_iters_total for traj in batch]
+    assert iters[0] < iters[1] and iters[2] < iters[3]
+    # evolve asks for trunc_time; runs with monitors keep theirs in a batch too
+    cfgs[1] = dataclasses.replace(cfgs[1], monitors=True, lam1=2.0, lam2=1.0)
+    _same_runs(run_batch(cfgs, trunc=True), [run(cfg, trunc=True) for cfg in cfgs])
+    _same_runs(run_batch(cfgs), [run(cfg) for cfg in cfgs])
+
+
+def test_batch_with_a_rejecting_run_equals_separate_runs(monkeypatch):
+    # the run from 1 towards boundary data 1e-30 rejects steps; the batch is
+    # abandoned and each run goes again alone, rejections and all
+    boundary = BoundarySpec(kind="constant", value=1e-30)
+    cfgs = [EvolutionConfig(grid=build_grid(math.e, N), params=P32, form="physical",
+                            initial=InitialSpec(kind="constant", value=value),
+                            boundary=boundary, dt=0.1, snapshot_times=np.array([0.0, 0.4]))
+            for N, value in ((51, 1e-30), (33, 1.0), (51, 2e-30))]
+    calls = _counted_kernel(monkeypatch)
+    batch = run_batch(cfgs)
+    stacked = calls.index(1)
+    assert stacked > 0 and set(calls[:stacked]) == {3} and set(calls[stacked:]) == {1}
+    separate = [run(cfg) for cfg in cfgs]
+    _same_runs(batch, separate)
+    assert [traj.rejections for traj in batch] == [0, 3, 0]
+
+
+def test_batch_error_equals_the_separate_runs_error(profile_cache):
+    # a boundary value that is not positive raises in the batch; the runs
+    # then go one at a time and raise run's own error, at the same run
+    boundary = BoundarySpec(kind="barenblatt", k=1.0, T=0.05)
+    cfgs = [EvolutionConfig(grid=build_grid(math.e, N), params=P32, form="physical",
+                            initial=InitialSpec(kind="barenblatt", k=1.0, T=0.05),
+                            boundary=boundary, dt=1e-2, snapshot_times=np.array([0.0, 0.1]))
+            for N in (51, 33)]
+    with pytest.raises(EvolutionError) as separate:
+        for cfg in cfgs:
+            run(cfg)
+    with pytest.raises(EvolutionError) as batch:
+        run_batch(cfgs)
+    assert "boundary data must be finite and > 0" in str(separate.value)
+    assert str(batch.value) == str(separate.value)
+
+
+def test_batch_runs_that_share_no_clock_step_alone(profile_cache, monkeypatch):
+    # runs with different dt, or rescaled runs on different grids, cannot
+    # share a stacked system: each is stepped alone
+    cfgs = _contract_runs(profile_cache(3, 0.2), sizes=(101,), steps=10)
+    cfgs[1] = dataclasses.replace(cfgs[1], dt=1e-3)
+    calls = _counted_kernel(monkeypatch)
+    _same_runs(run_batch(cfgs), [run(cfg) for cfg in cfgs])
+    assert set(calls) == {1}
 
 
 def test_blend_run_ordering(profile_cache):
@@ -813,7 +946,7 @@ def test_config_validation(profile_cache):
 def test_step_underflow_message(monkeypatch):
     # a step that never converges is halved down to underflow; the message
     # prints plain floats, also for the snapshot time read from an array
-    monkeypatch.setattr(evolution, "newton_step", lambda u, *args: (u, 1, False))
+    monkeypatch.setattr(evolution, "newton_step", lambda u, *args, **kwargs: (u, 1, False))
     cfg = EvolutionConfig(grid=build_grid(math.e, 33), params=P32, form="physical",
                           initial=InitialSpec(kind="constant", value=1.0),
                           boundary=BoundarySpec(kind="constant", value=1.0),
