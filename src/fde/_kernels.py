@@ -22,7 +22,12 @@ back to the backward upwind difference elsewhere.  beta < 0 drives the
 rescaled characteristics toward larger s, so upwind leans on the smaller-s
 neighbor.  The blend weights are frozen at the start-of-step state, so
 dt * (alpha U_i + adv_i) = dt alpha U_i + ku g_i + kl g_{i-1} with
-g = diff(U) and per-step weights ku, kl.
+g = diff(U) and per-step weights ku, kl.  As m < 1, row i is central exactly
+where the outflow node has u_{i+1} <= u_crit_i = (-b_ds / (2 c0 einv_i ap_i
+m))^{1/(m-1)}, so the run's record (Blocks) keeps u_crit and each step
+compares u with it.  Within 1e-12/(1 - m) relative of u_crit, where the two
+forms may round apart, the step evaluates the switch's defining expression,
+so the pattern is that expression's bit for bit.
 
 Newton's error after an update d is about kappa * d**2, with kappa the
 affine-covariant contraction rate (Deuflhard, Newton Methods for Nonlinear
@@ -56,16 +61,33 @@ __all__ = ["Blocks", "newton_step"]
 
 _ROWS, _LINKS = np.array([-2, -1]), np.array([-3, -2, -1])  # offsets from a block's end
 
+# relative half-width of the band around u_crit inside which the switch is
+# evaluated as its defining expression; divided by 1 - m, as u_crit's
+# exponent 1/(m - 1) scales the rounding of both forms by up to that
+_BAND = 1e-12
+_TINY = np.finfo(float).tiny
+
 
 class Blocks:
-    """Runs stacked end to end for newton_step, built once per batch.
+    """The kernel record of one run or of runs stacked end to end, built once
+    per run (or batch) and passed to every newton_step call.
 
     Block k holds nodes starts[k]:ends[k] of the stacked arrays, its two
     Dirichlet ends included.  Before each call the caller sets the list
     from_pred, true where a block starts from a predicted U0; the call sets
-    iters to the list of each block's iteration count.  The face weights of
-    the last dt are kept, so a Blocks serves one set of coefficients
-    (c0, einv, ap, am).
+    iters to the list of each block's iteration count.
+
+    A Blocks serves one set of coefficients (m, c0, einv, ap, am, alpha,
+    b_ds), those of its first call, and keeps what is fixed for them:
+
+    * in the rescaled form, the central/upwind switch threshold: per row
+      the band lo <= u[i+1] <= hi around u_crit, built on the first call;
+    * the face weights wp, wm and wp + wm, rebuilt when dt changes;
+    * the rows' central/upwind pattern of the last call, and the advection
+      weights ku, kl and diagonal start 1 - (dt alpha + kl - ku) built from
+      it, rebuilt when dt or the pattern changes;
+    * for each span of blocks that iterates, the slices of all of these and
+      its junction indices, built at the span's first use after a rebuild.
     """
 
     def __init__(self, sizes):
@@ -80,7 +102,81 @@ class Blocks:
             self.rows, self.links = e + _ROWS, e + _LINKS
         self.from_pred = [False] * len(sizes)
         self.iters = [0] * len(sizes)
-        self.dt = self.faces = None
+        self.dt = self.faces = self.adv = self.crit = self.pattern = None
+        self.spans = {}
+
+    def switch(self, u):
+        """The rows' pattern (True where central) at the start state u, bit
+        for bit that of a (m u[2:]^(m-1)) >= t (see _update): rows below the
+        threshold's band are central and rows above it upwind, and if any
+        row is inside the band, the whole pattern comes from the expression."""
+        a, t, m, lo, hi = self.crit
+        u2 = u[2:]
+        central = u2 < lo
+        if (np.count_nonzero(central) < central.size
+                and np.count_nonzero(central | (u2 > hi)) < central.size):
+            central = a * (m * u2 ** (m - 1.0)) >= t
+        return central
+
+    def _update(self, u, dt, m, c0, einv, ap, am, alpha, b_ds):
+        """Bring the weights up to date for a step from u over dt."""
+        rescaled = alpha != 0.0 or b_ds != 0.0
+        pattern = None
+        if rescaled:
+            if self.crit is None:
+                # central where a (m u^(m-1)) >= t at the outflow node u =
+                # u[i+1], with a = c0 einv ap and t = -b_ds/2; as m < 1 that
+                # is u <= u_crit = (t / (a m))^(1/(m-1)).  Rows whose terms
+                # are not all normal floats get the band (0, inf), which
+                # holds every u
+                a = c0 * einv[1:-1] * ap[1:-1]
+                t = -0.5 * b_ds
+                lo, hi = np.zeros(a.size), np.full(a.size, np.inf)
+                if 0.0 < m < 1.0 and _TINY <= t < np.inf:
+                    with np.errstate(all="ignore"):
+                        crit = (t / (a * m)) ** (1.0 / (m - 1.0))
+                        terms = np.stack([a, t / a, t / (a * m), crit])
+                    ok = np.all((terms >= _TINY) & (terms < np.inf), axis=0)
+                    band = _BAND / (1.0 - m)
+                    lo[ok], hi[ok] = crit[ok] * (1.0 - band), crit[ok] * (1.0 + band)
+                self.crit = a, t, m, lo, hi
+            central = self.switch(u)
+            pattern = central.tobytes()
+        if self.dt == dt and self.pattern == pattern:
+            return
+        if self.dt != dt:
+            ce = (dt * c0) * einv[1:-1]
+            wp = ce * ap[1:-1]
+            wm = ce * am[1:-1]
+            self.faces = wp, wm, wp + wm
+        self.dt, self.pattern, self.adv = dt, pattern, None
+        if rescaled:
+            # adv_i is b_ds (g_i + g_{i-1}) / 2 if central, b_ds g_{i-1} if upwind
+            bt = dt * b_ds
+            ku = (0.5 * bt) * central.astype(float)
+            kl = bt - ku
+            self.adv = ku, kl, 1.0 - (dt * alpha + kl - ku)
+        self.spans = {}
+
+    def _span(self, b0, b1):
+        """The slices of the weights over the span of blocks b0..b1: nodes
+        lo:hi, interior rows lo:hi - 2; and its junction rows and links, and
+        the first node of each of its blocks, relative to lo."""
+        lo, hi = self.starts[b0], self.ends[b1]
+        r = slice(lo, hi - 2)
+        wp, wm, wd = (w[r] for w in self.faces)
+        adv = None
+        if self.adv is not None:
+            ku, kl, diag0 = (w[r] for w in self.adv)
+            adv = ku, kl, ku[:-1], kl[1:]
+        else:
+            diag0 = 1.0
+        junctions = None
+        if b1 > b0:
+            junctions = (self.rows[b0:b1] - lo, self.links[b0:b1] - lo,
+                         [self.starts[k] - lo for k in range(b0, b1 + 1)])
+        self.spans[b0, b1] = sp = lo, hi, wp, wm, wd, wp[:-1], wm[1:], diag0, adv, junctions
+        return sp
 
 
 def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
@@ -96,11 +192,12 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
     from a given U0, d**2 <= 1e-3 * tol.  A singular Jacobian raises
     numpy.linalg.LinAlgError.  The inputs are never written to.
 
-    With ``blocks`` the arrays hold stacked runs (see Blocks): every block's
-    ends take bc_lo and bc_hi, and the halving and the tests above hold per
-    block, the first-iteration one for the blocks marked in
-    blocks.from_pred.  The call returns its own iteration count, and
-    whether every block converged.
+    ``blocks`` is the run's kernel record (see Blocks); a call without one
+    builds a fresh record of one block.  With it the arrays may hold
+    stacked runs: every block's ends take bc_lo and bc_hi, and the halving
+    and the tests above hold per block, the first-iteration one for the
+    blocks marked in blocks.from_pred.  The call returns its own iteration
+    count, and whether every block converged.
     """
     N = u.shape[0]
     if blocks is None:
@@ -111,26 +208,11 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
     for s, e in zip(starts, ends):
         U[s] = bc_lo
         U[e - 1] = bc_hi
-    if blocks.dt != dt:
-        ce = (dt * c0) * einv[1:-1]
-        wp = ce * ap[1:-1]
-        wm = ce * am[1:-1]
-        blocks.dt, blocks.faces = dt, (wp, wm, wp + wm)
-    wp, wm, wd = blocks.faces
-    diag0 = 1.0
-
-    # central (1) vs upwind (0): central is admissible when the outflow
-    # diffusion face dominates |b_ds|/2; the physical form has no alpha or
-    # advection terms and skips them
-    rescaled = alpha != 0.0 or b_ds != 0.0
-    if rescaled:
-        th = (c0 * einv[1:-1] * ap[1:-1] * (m * u[2:] ** (m - 1.0))
-              >= -0.5 * b_ds).astype(float)
-        bt = dt * b_ds
-        # adv_i is b_ds (g_i + g_{i-1}) / 2 if central, b_ds g_{i-1} if upwind
-        ku = (0.5 * bt) * th
-        kl = bt - ku
-        adt = dt * alpha
+    blocks._update(u, dt, m, c0, einv, ap, am, alpha, b_ds)
+    # the physical form has no alpha or advection terms and skips them
+    rescaled = blocks.adv is not None
+    spans = blocks.spans
+    adt = dt * alpha
 
     iters = [None] * len(starts)  # per block: the iteration it converged at
     left = list(range(len(starts)))  # the blocks not yet converged
@@ -139,17 +221,14 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
     delta = np.zeros(N)  # the update; its block end entries stay 0
     for it in range(1, max_iter + 1):
         if span != (left[0], left[-1]):
-            # the span of the blocks left: nodes lo:hi, interior rows lo:hi - 2
             span = b0, b1 = left[0], left[-1]
-            lo, hi = starts[b0], ends[b1]
-            r = slice(lo, hi - 2)
-            wp_r, wm_r, wd_r, u_r, d = wp[r], wm[r], wd[r], u[lo + 1:hi - 1], delta[lo:hi]
+            lo, hi, wp_r, wm_r, wd_r, wp_u, wm_l, diag0, adv, junctions = (
+                spans.get(span) or blocks._span(b0, b1))
             if rescaled:
-                ku_r, kl_r = ku[r], kl[r]
-                diag0 = 1.0 - (adt + kl_r - ku_r)
-            if b1 > b0:
-                rows, links = blocks.rows[b0:b1] - lo, blocks.links[b0:b1] - lo
-                firsts = [starts[k] - lo for k in range(b0, b1 + 1)]
+                ku_r, kl_r, ku_u, kl_l = adv
+            if junctions is not None:
+                rows, links, firsts = junctions
+            u_r, d = u[lo + 1:hi - 1], delta[lo:hi]
         Us = U[lo:hi]
         Ui = Us[1:-1]
         Um = Us ** m
@@ -164,11 +243,11 @@ def newton_step(u, dt, bc_lo, bc_hi, m, c0, einv, ap, am, alpha, b_ds,
             rhs += kl_r * g[:-1]
         nd = (-m * Um[1:-1]) / Ui  # -d(U^m)/dU at the interior nodes
         diag = diag0 - wd_r * nd
-        du = wp_r[:-1] * nd[1:]
-        dl = wm_r[1:] * nd[:-1]
+        du = wp_u * nd[1:]
+        dl = wm_l * nd[:-1]
         if rescaled:
-            du -= ku_r[:-1]
-            dl += kl_r[1:]
+            du -= ku_u
+            dl += kl_l
         if b1 > b0:  # the junctions become identity rows: no block sees another
             rhs[rows] = 0.0
             diag[rows] = 1.0

@@ -395,6 +395,12 @@ def _weight_lam(wcfg):
     return 1.0 if wcfg.get("lam3") is None else wcfg["lam3"]
 
 
+def _check_weight(cfg):
+    """The configured weight's checks that need no profile (``measures.check_weight``)."""
+    w = cfg["weight"]
+    measures.check_weight(_model(cfg), w["kind"], w.get("mu"), w.get("power"), w.get("exponent"))
+
+
 def _make_weight(wcfg, prof):
     """The configured weight, lam3 from ``_weight_lam``; a key left out or null stays unset."""
     kw = {k: v for k, v in wcfg.items() if v is not None}
@@ -411,6 +417,7 @@ def _cmd_contract(cfg, out: str) -> int:
     half = N // 2 + 1 if cfg["half_resolution"] else 0  # the second pair's N, if any
     _check_snapshot_bytes(len(clock["snapshot_times"]), 2 * (N + half),
                           f"grid.N (--N) = {N!r}" + (" with half_resolution" if half else ""))
+    _check_weight(cfg)
     prof = _profile_for(cfg, cfg["grid"]["R"], (lam1, lam2, _weight_lam(cfg["weight"])))
     weight = _make_weight(cfg["weight"], prof)
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
@@ -447,6 +454,7 @@ def _cmd_converge(cfg, out: str) -> int:
     clock = _clock(cfg)
     N = cfg["grid"]["N"]
     _check_snapshot_bytes(len(clock["snapshot_times"]), N, f"grid.N (--N) = {N!r}")
+    _check_weight(cfg)
     lam0 = cfg["lam0"]
     prof = _profile_for(cfg, cfg["grid"]["R"],
                         (lam0, cfg["lam1"], cfg["lam2"], _weight_lam(cfg["weight"])))

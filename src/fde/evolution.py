@@ -47,7 +47,9 @@ params, profile, boundary data and R through it together: their states are
 stacked end to end as blocks of one Newton system (see _kernels.Blocks), so
 each step forms one predictor, reads one boundary table and makes one
 ``newton_step`` call.  The blocks take exactly the iterates of separate
-runs.  A rejected step or an error in a batch of more than one abandons it,
+runs.  The Blocks is also the kernel record of the batch (or of a lone
+run): built once, it keeps the step's coefficients that stay fixed over
+it.  A rejected step or an error in a batch of more than one abandons it,
 and its runs go again one at a time, so a batch gives ``run``'s states and
 ``run``'s exceptions bit for bit.
 """
@@ -428,7 +430,7 @@ def _advance(cfgs: list, trunc: bool) -> list:
     alpha = c.alpha if rescaled else 0.0
     b_ds = (cfg.params.beta / cfg.grid.ds) if rescaled else 0.0
 
-    # one block of nodes per run, stacked end to end
+    # the kernel record: one block of nodes per run, stacked end to end
     sizes = [each.grid.N for each in cfgs]
     blocks = Blocks(sizes)
     starts, ends = blocks.starts, blocks.ends

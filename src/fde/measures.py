@@ -35,6 +35,7 @@ from .profile import Profile
 __all__ = [
     "MeasureError",
     "WeightSpec",
+    "check_weight",
     "unit_sphere_area",
     "contraction_report",
     "convergence_report",
@@ -54,6 +55,29 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
 
 
+# kind -> the RegimeReport fields (flag, reason) of its contraction theorem
+_REGIME = {"power_mu": ("thm13_mu_range", "thm13_reason"),
+           "profile_gamma2": ("thm15_16", "thm15_16_reason"),
+           "radial_gamma3": ("thm17", "thm17_reason"),
+           "custom_power_times_profile": None}
+
+
+def check_weight(params: ModelParams, kind: str, mu=None, power=None, exponent=None):
+    """The checks of a WeightSpec that need no profile: a known kind, its
+    keys, and (n, m, mu) inside the validity regime of the kind's
+    contraction theorem; MeasureError otherwise."""
+    if kind not in _REGIME:
+        raise MeasureError(f"unknown weight kind {kind!r}")
+    if kind == "power_mu" and mu is None:
+        raise MeasureError("power_mu weight needs mu")
+    if kind == "custom_power_times_profile" and (power is None or exponent is None):
+        raise MeasureError(f"{kind} weight: needs power and exponent")
+    if _REGIME[kind] is not None:
+        ok, reason = (getattr(validate_regime(params, mu), f) for f in _REGIME[kind])
+        if not ok:
+            raise MeasureError(f"{kind} weight: {reason}")
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """One weight family instance; evaluates to strictly positive node values.
@@ -62,7 +86,7 @@ class WeightSpec:
     exponents from derive_constants(params); construction enforces the
     validity regime of the corresponding contraction theorem (power_mu: the
     mu range including the mu = mu1 edge condition; profile_gamma2 /
-    radial_gamma3: their (n, m) windows).
+    radial_gamma3: their (n, m) windows) through ``check_weight``.
     """
 
     kind: str
@@ -74,28 +98,9 @@ class WeightSpec:
     exponent: Optional[float] = None   # custom: f_{lam3}^exponent
 
     def __post_init__(self):
-        reg = validate_regime(self.params, self.mu)
-        if self.kind == "power_mu":
-            if self.mu is None:
-                raise MeasureError("power_mu weight needs mu")
-            ok, reason = reg.thm13_mu_range, reg.thm13_reason
-        elif self.kind == "profile_gamma2":
-            self._need_profile()
-            ok, reason = reg.thm15_16, reg.thm15_16_reason
-        elif self.kind == "radial_gamma3":
-            self._need_profile()
-            ok, reason = reg.thm17, reg.thm17_reason
-        elif self.kind == "custom_power_times_profile":
-            self._need_profile()
-            ok = self.power is not None and self.exponent is not None
-            reason = "needs power and exponent"
-        else:
-            raise MeasureError(f"unknown weight kind {self.kind!r}")
-        if not ok:
-            raise MeasureError(f"{self.kind} weight: {reason}")
-
-    def _need_profile(self):
-        if self.profile is None or self.lam3 is None or not self.lam3 > 0.0:
+        check_weight(self.params, self.kind, self.mu, self.power, self.exponent)
+        if self.kind != "power_mu" and (self.profile is None or self.lam3 is None
+                                        or not self.lam3 > 0.0):
             raise MeasureError(f"{self.kind} weight needs the eta=1 profile and lam3 > 0")
 
     def values(self, r) -> np.ndarray:

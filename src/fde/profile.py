@@ -193,11 +193,15 @@ def local_series_start(req: ProfileRequest):
 
 def _simpson_residual(s, y, y_s) -> float:
     """Max over node triples of |y(s_{2k+2}) - y(s_{2k}) - Simpson(y_s)|, each
-    scaled by its largest term."""
+    scaled by its largest term.  A triple whose terms are all 0 or subnormal
+    (samples underflowed near r0, as at n = 8, m = 0.1) carries no relative
+    precision and counts as 0."""
     k = np.arange(0, len(s) - 2, 2)
     quad = (s[k + 1] - s[k]) / 3.0 * (y_s[k] + 4.0 * y_s[k + 1] + y_s[k + 2])
     scale = np.maximum(np.abs(y[k + 2]) + np.abs(y[k]), np.abs(quad))
-    return float(np.max(np.abs(y[k + 2] - y[k] - quad) / scale))
+    err = np.abs(y[k + 2] - y[k] - quad)
+    measured = ~(scale < np.finfo(float).tiny)
+    return float(np.max(np.divide(err, scale, out=np.zeros_like(err), where=measured)))
 
 
 def _flux_residual_inner(req, c, r, g, g_r):
@@ -221,6 +225,7 @@ def _flux_residual_inner(req, c, r, g, g_r):
 # the inner stage's samples on [r0, r_switch]; the far field's largest node spacing in s
 _INNER_NODES, _FAR_DS = 4097, 0.02
 _LOG_R_MAX = 700.0  # eval_g_log evaluates g up to r = e^700, short of float overflow
+_LN_MAX = math.log(np.finfo(float).max)  # the largest x whose e^x is a float
 
 # the most Nordsieck columns LSODA keeps: Adams orders go up to 12
 _LSODA_COLS = 13
@@ -553,7 +558,12 @@ class Profile:
         self._wexp = (1.0 - request.params.m) * c.alpha_tilde / c.beta_tilde
         s_in = np.log(inner.r)
         self._ip_lng = PchipInterpolator(s_in, np.log(inner.g), extrapolate=False)
-        self._ip_rat = PchipInterpolator(s_in, inner.r * inner.g_r / inner.g, extrapolate=False)
+        # where r g_r / g underflows near r0 (n = 8, m = 0.1), pchip's harmonic
+        # mean of the slopes overflows to inf, and its derivative 1/inf = 0
+        # is the flat data's
+        with np.errstate(over="ignore"):
+            self._ip_rat = PchipInterpolator(s_in, inner.r * inner.g_r / inner.g,
+                                             extrapolate=False)
         self._ip_w = PchipInterpolator(far.s, far.w, extrapolate=False)
         self._ip_ws = PchipInterpolator(far.s, far.w_s, extrapolate=False)
 
@@ -647,7 +657,13 @@ class Profile:
         beta = self.request.params.beta
         r = np.asarray(r, dtype=float)
         t = np.reshape(np.asarray(t, dtype=float), np.shape(t) + (1,) * r.ndim)
-        shrink = np.vectorize(math.exp, otypes=[float])(-beta * t)
+        x = -beta * t
+        try:
+            shrink = np.vectorize(math.exp, otypes=[float])(x)
+        except OverflowError:  # math.exp overflows exactly where x > log(float max)
+            first = float(t.flat[np.argmax(x.ravel() > _LN_MAX)])
+            raise ProfileError(f"U_lambda's time shift e^(-beta t) overflows at "
+                               f"beta={beta!r}, t={first!r}") from None
         lnf, _ = self.eval_f_lambda_log(lam, shrink * r, with_rat=False)
         return np.exp(-c.alpha * t + lnf)
 

@@ -14,6 +14,9 @@ independent re-derivations:
 * ``integrate_far_field_ivp``: the far-field stage through scipy's
   ``solve_ivp`` LSODA, a prefix stopped by a terminal event, whose steps
   ``fde.profile.integrate_far_field`` takes, rounding its samples otherwise;
+* ``hybrid_switch``: the central/upwind choice of ``fde._kernels``'s
+  rescaled step in its defining form, which the kernel's record answers
+  by a threshold compare;
 * ``weighted_l1``: the weighted-L1 distance of two fields, through the
   package's own quadrature ``fde.measures._l1``;
 * ``RadialField``, ``rescale_transform``, ``inversion_transform`` and
@@ -242,6 +245,16 @@ def integrate_far_field_ivp(req: ProfileRequest, inner: InnerProfile,
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
     return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=int(sol.nfev),
                          steps=len(sol.t) - 1)
+
+
+# -- evolution -------------------------------------------------------------
+
+
+def hybrid_switch(u, m: float, c0: float, einv, ap, b_ds: float) -> np.ndarray:
+    """Each interior row's advection choice at the start state u, True where
+    central: the outflow diffusion face c0 einv ap m u^(m-1), at node i + 1,
+    dominates the central advection half |b_ds|/2."""
+    return c0 * einv[1:-1] * ap[1:-1] * (m * u[2:] ** (m - 1.0)) >= -0.5 * b_ds
 
 
 # -- measures --------------------------------------------------------------

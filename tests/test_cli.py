@@ -701,6 +701,46 @@ def test_over_budget_dt_rejected_before_the_profile(tmp_path, capsys, no_solver,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["contract", "converge"])
+def test_weight_regime_checked_before_the_profile(tmp_path, capsys, no_solver, command):
+    # profile_gamma2, converge's default weight, needs n in {3, 4}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"weight": {"kind": "profile_gamma2", "lam3": 1.0}}))
+    code = run_command([command, "--n", "8", "--m", "0.1", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: profile_gamma2 weight: violated n in {3,4}: n=8\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_U_lambda_time_shift_overflow_is_one_line(tmp_path, capsys):
+    # e^(-beta t) passes the float range once -beta t > 709.78, here at t > 0.071
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["contract", "--beta", "-1e4", "--horizon", "0.1", "--N", "101",
+                            "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: U_lambda's time shift e^(-beta t) overflows at "
+                          "beta=-10000.0, t=0.07")
+
+
+@pytest.mark.parametrize("argv", [["profile"], ["evolve", "--N", "41", "--horizon", "0.01"]])
+def test_profile_with_underflowed_inner_samples(tmp_path, argv):
+    # at n = 8, m = 0.1 the inner samples underflow near r0 (r g_r / g is
+    # subnormal): the reports stay finite and no RuntimeWarning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(argv + ["--n", "8", "--m", "0.1", "--out", str(tmp_path)]) == 0
+    for name in os.listdir(tmp_path):
+        if name.endswith(".json"):
+            json.loads(_read(tmp_path / name), parse_constant=pytest.fail)
+    if argv == ["profile"]:
+        summary = json.loads(_read(tmp_path / "profile_summary.json"))
+        assert 0.0 < summary["invariants"]["residual_inner"] < 1e-5
+
+
 @pytest.mark.parametrize("argv,config,err", [
     (["profile", "--smax", "1e6"], {},
      "s_max (--smax) = 1000000.0 needs 5e+07 far-field nodes, over the limit of 250000"),

@@ -24,6 +24,7 @@ from fde.profile import Profile
 from reference import (
     RadialField,
     eval_U_bar_lambda,
+    hybrid_switch,
     inversion_residual_check,
     inversion_transform,
     rescale_transform,
@@ -348,6 +349,51 @@ def test_newton_step_stacked_blocks_equal_separate_solves():
     assert iters == max(stack.iters)
     for (U_ref, _, _), s, e in zip(ref, stack.starts, stack.ends):
         assert U[s:e].tobytes() == U_ref.tobytes()
+
+
+@pytest.mark.parametrize("n,m,R,N", [(3, 0.2, math.e ** 2, 41), (4, 0.3, math.e, 101),
+                                     (5, 0.4, math.e ** 3, 61)])
+def test_record_switch_is_the_defining_expression(n, m, R, N):
+    # the record answers the central/upwind choice by comparing u[2:] with a
+    # threshold u_crit built once; at and around u_crit, where the two forms
+    # round differently, it must still pick what the expression picks
+    g = build_grid(R, N)
+    einv, ap, am = g.coeffs(n)
+    c0, b_ds = (n - 1) / m, -1.0 / g.ds
+    a, t = c0 * einv[1:-1] * ap[1:-1], -0.5 * b_ds
+    crit = (t / (a * m)) ** (1.0 / (m - 1.0))
+    record = Blocks([N])
+    u = np.exp(-g.s)
+    newton_step(u, 1e-3, u[0], u[-1], m, c0, einv, ap, am, -2.5, b_ds, 1e-12, 50,
+                blocks=record)
+    sign = np.where(np.arange(N - 2) % 2, 1.0, -1.0)  # rows alternate below and above
+    # 0 to 8 ulps, then 1e-15 to 1e-11 relative (the last outside the band)
+    offsets = ([k * np.spacing(crit) for k in range(9)]
+               + [rel * crit for rel in 10.0 ** -np.arange(15, 10, -1)])
+    for off in offsets:
+        for flip in (1.0, -1.0):
+            u = np.concatenate([[1.0, 1.0], crit + flip * sign * off])
+            want = hybrid_switch(u, m, c0, einv, ap, b_ds)
+            assert np.array_equal(record.switch(u), want), (off[0] / crit[0], flip)
+    assert 0 < np.count_nonzero(want) < want.size  # both choices
+
+
+def test_record_reused_across_dt_and_pattern_changes():
+    # one record carried through steps that change dt, then the switch
+    # pattern, then both, gives every step as a fresh record does
+    g = build_grid(math.e ** 2, 41)
+    einv, ap, am = g.coeffs(3)
+    m, c0, b_ds = 0.2, 10.0, -1.0 / g.ds
+    steep, mild = np.exp(-6.0 * g.s), np.exp(-1.0 * g.s)
+    patterns = {hybrid_switch(u, m, c0, einv, ap, b_ds).tobytes() for u in (steep, mild)}
+    assert len(patterns) == 2
+    record = Blocks([g.N])
+    for u, dt in [(steep, 0.01), (steep, 0.005), (mild, 0.005), (steep, 0.005), (mild, 0.01),
+                  (steep, 0.01)]:
+        args = (u, dt, u[0], u[-1], m, c0, einv, ap, am, -2.5, b_ds, 1e-12, 50)
+        U, iters, ok = newton_step(*args, blocks=record)
+        U_fresh, iters_fresh, ok_fresh = newton_step(*args)
+        assert (U.tobytes(), iters, ok) == (U_fresh.tobytes(), iters_fresh, ok_fresh)
 
 
 def test_predictor_start_only_after_a_repeated_step(monkeypatch):

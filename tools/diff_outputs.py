@@ -66,6 +66,12 @@ MATRIX = {
                           "--beta", "-2", "--eta", "1.5"], None),
     "evolve_rescaled": (["evolve"], dict(_EVOLVE, form="rescaled",
                                          boundary={"kind": "f_lambda", "lam": 1.5})),
+    # steep rescaled data on a coarse grid: the kernel's switch picks upwind
+    # rows, and the pattern changes as the run relaxes
+    "evolve_rescaled_upwind": (["evolve"], dict(
+        _EVOLVE, form="rescaled", grid={"R": 7.38905609893065, "N": 41}, horizon=0.5,
+        initial={"kind": "constant", "value": 100.0}, boundary={"kind": "constant", "value": 1.0},
+        monitors={"enabled": False})),
     "evolve_physical": (["evolve"], dict(_EVOLVE, form="physical",
                                          boundary={"kind": "U_lambda", "lam": 1.5})),
     # 1500 steps of time-varying boundary data, more than one boundary table holds
