@@ -14,6 +14,7 @@ are meaningful; an identical config gives byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -57,13 +58,183 @@ def _write_atomic(path: str, chunks):
 
 
 def _write_csv(path: str, header: list, columns: list):
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    """Write the equal-length ``columns`` under ``header`` as CSV rows of
+    '%.17g' numbers, formatted in numpy by ``_csv_rows`` a block of 512 rows
+    at a time, so memory stays small."""
     cols = [np.asarray(c, dtype=float) for c in columns]
-
-    # formatted and written a block of rows at a time, so memory stays small
-    blocks = ("".join([row % v for v in zip(*[c[i:i + 512].tolist() for c in cols])])
+    blocks = (_csv_rows(np.stack([c[i:i + 512] for c in cols], axis=1))
               for i in range(0, len(cols[0]), 512))
     _write_atomic(path, itertools.chain([",".join(header) + "\n"], blocks))
+
+
+# -- CSV numbers -----------------------------------------------------------
+#
+# '%.17g' rounds |x| to 17 significant digits D 10^(k-16), D in [10^16, 10^17),
+# correctly (ties to even), then prints D in fixed notation where -4 <= k < 17
+# and as d.ddde+XX otherwise, without trailing zeros after the point.
+# _csv_rows finds D in numpy: prod = fl(|x| hi) is an integer-valued double
+# below 10^17, and frac, the exact error of that product plus |x| lo, is within
+# ~1e-14 of |x| 10^(16-k) - prod, so rint(frac) rounds as Python does unless
+# frac lies near a half-integer, where the value takes '%' itself.
+
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |x| spelt in numpy; past them only 0, inf and nan are
+_P_MIN, _P_MAX = -266, 298  # the range of 16 - k over those |x|, k one off included
+_K_MIN = 16 - _P_MAX  # the least k, where the table of exponents starts
+
+# the bytes a value's text is picked from, in output order: the sign, the
+# "0.000" of fixed notation below 1, 17 digits with a point after each but
+# the last, the exponent and the separator.  Digit j sits in column 6 + 2j,
+# its point in 7 + 2j; a text spelt otherwise (inf, nan, '%') overwrites the
+# digits from column 6 on
+_COLUMNS = b"-0.000" + b"0." * 16 + b"0" + b"e+000" + b","
+_EXP, _SEP = 39, 44
+# layout classes: fixed notation (k + 4) * 17 + digits shown - 1, exponent
+# notation _EXPONENT + 17 (if three exponent digits) + digits - 1, 0, texts
+# of each length, and all of them again with a minus sign
+_EXPONENT, _ZERO_CLS, _TEXT_CLS, _NEG_CLS = 357, 391, 392, 416
+
+
+@functools.cache
+def _pow10():
+    """10^p for p in [_P_MIN, _P_MAX] as double-doubles (hi, lo): hi is 10^p
+    rounded to a double and lo the rest, rounded, both from exact integers
+    (CPython rounds an int / int quotient correctly)."""
+    hi, lo = [], []
+    for p in range(_P_MIN, _P_MAX + 1):
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    return np.array(hi), np.array(lo)
+
+
+@functools.cache
+def _layouts():
+    """(masks, spelt, trailing, exponents): row c of masks marks the columns
+    of _COLUMNS that layout class c shows; spelt holds "0000" to "9999" as
+    uint32s and trailing the count of their trailing zeros; exponents holds
+    the exponent's sign and three digits of k = _K_MIN, _K_MIN + 1, ... as uint32s."""
+    def digits(count, point=None):  # the first count digits, a point after digit `point`
+        return [6 + 2 * j for j in range(count)] + ([7 + 2 * point] if point is not None else [])
+
+    rows = []
+    for k in range(-4, 17):
+        for shown in range(1, 18):
+            rows.append(digits(shown, k if shown > k + 1 else None) if k >= 0
+                        else list(range(1, 2 - k)) + digits(shown))
+    for exp_cols in ([_EXP, _EXP + 1, _EXP + 3, _EXP + 4], list(range(_EXP, _EXP + 5))):
+        rows += [digits(nd, 0 if nd > 1 else None) + exp_cols for nd in range(1, 18)]
+    rows.append([1])
+    rows += [list(range(6, 6 + size)) for size in range(1, 25)]
+    masks = np.zeros((2 * len(rows), len(_COLUMNS)), dtype=bool)
+    for c, cols in enumerate(rows):
+        masks[c, cols + [_SEP]] = masks[_NEG_CLS + c, cols + [0, _SEP]] = True
+    spelt = np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), dtype=np.uint32)
+    trailing = sum(np.arange(10000) % 10 ** j == 0 for j in range(1, 5))
+    exponents = np.frombuffer(b"".join(b"%+04d" % k for k in range(_K_MIN, -_K_MIN + 1)),
+                              dtype=np.uint32)
+    return masks, spelt, trailing, exponents
+
+
+def _scaled(ax, k):
+    """ax 10^(16 - k) as prod + frac: prod = fl(ax hi) and frac the product's
+    exact error (Dekker's, as numpy has no fused multiply-add) plus ax lo."""
+    hi, lo = _pow10()
+    p = 16 - _P_MIN - k
+    b = hi[p]
+    prod = ax * b
+    t = _SPLIT * ax
+    ah = t - (t - ax)
+    al = ax - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return prod, (((ah * bh - prod) + ah * bl + al * bh) + al * bl) + ax * lo[p]
+
+
+def _digits17(ax):
+    """(k, D, tie) of the floats ax in [_FAST_MIN, _FAST_MAX]: ax rounds to
+    D 10^(k-16) with D in [10^16, 10^17), unless tie marks a rounding within
+    1e-6 of a half-integer."""
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    prod, frac = _scaled(ax, k)
+    # log10 can miss the decade by one: move k where the scaled value leaves [10^16, 10^17)
+    step = (((prod > 1e17) | ((prod == 1e17) & (frac >= 0.0))).astype(np.int64)
+            - ((prod < 1e16) | ((prod == 1e16) & (frac < 0.0))))
+    moved = np.flatnonzero(step)
+    if moved.size:
+        k[moved] += step[moved]
+        prod[moved], frac[moved] = _scaled(ax[moved], k[moved])
+    rounded = np.rint(frac)
+    D = prod.astype(np.int64) + rounded.astype(np.int64)
+    up = D == 10 ** 17  # rounded up into the next decade
+    D[up] = 10 ** 16
+    return k + up, D, np.abs(np.abs(frac - rounded) - 0.5) < 1e-6
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """The rows of the 2-d float array ``block``: each value as '%.17g' formats
+    it, byte for byte, comma separated, each row ended by a newline.
+
+    Values with |x| in [_FAST_MIN, _FAST_MAX] are rounded by ``_digits17``
+    and spelt from a table of 4-digit groups (one gather per group, where
+    pairs would take twice the divisions and gathers).  Each value's bytes
+    are then picked from its row of _COLUMNS by the mask of its layout
+    class, so the rows come out left-aligned and compacted in one pass.  0,
+    -0, inf and nan have layouts of their own; subnormals, values outside
+    that range and possible ties take '%' one at a time.  Those values enter
+    the arithmetic as 1, so no nan or inf reaches it and it raises no
+    warning.
+    """
+    x = block.ravel()
+    n = x.size
+    masks, spelt, trailing, exponents = _layouts()
+    ax = np.abs(x)
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    k, D, tie = _digits17(np.where(fast, ax, 1.0))
+
+    # D's 17 digits: the first, then 4 groups of 4.  Below 10^9 the quotients
+    # are exact in floats, which divide faster than int64s
+    hi, lo = np.divmod(D, 10 ** 8)
+    halves = np.stack([hi, lo]).astype(float)
+    d0 = np.floor(halves[0] / 1e8)
+    halves[0] -= d0 * 1e8
+    quarter = np.floor(halves / 1e4)
+    quads = np.stack([quarter, halves - quarter * 1e4], axis=1).reshape(4, n).astype(np.intp)
+    # digits shown: up to the last nonzero one
+    last = ((quads != 0).view(np.uint8) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+    last = last.astype(np.intp)
+    nd = np.maximum(4 * last + 1 - trailing.take(quads[last - 1, np.arange(n)]), 1)
+
+    buf = np.empty((n, len(_COLUMNS)), dtype=np.uint8)
+    buf[:] = np.frombuffer(_COLUMNS, dtype=np.uint8)
+    buf[:, 6] = d0 + 48.0
+    # digits 1 to 16 sit in the even columns of 8 to 39
+    buf[:, 8:40].reshape(n, 4, 4, 2)[..., 0] = (
+        spelt.take(quads).view(np.uint8).reshape(4, n, 4).transpose(1, 0, 2))
+    buf[:, _EXP + 1:_EXP + 5] = exponents.take(k - _K_MIN)[:, None].view(np.uint8)
+    buf[:, _SEP] = np.tile(np.frombuffer(b"," * (block.shape[1] - 1) + b"\n", dtype=np.uint8),
+                           block.shape[0])
+
+    cls = np.where((k >= -4) & (k < 17), (k + 4) * 17 + np.maximum(nd, k + 1) - 1,
+                   _EXPONENT + 17 * (np.abs(k) >= 100) + nd - 1)
+    signed = np.signbit(x)
+    if not fast.all() or tie.any():
+        inf, nan = np.isinf(x), np.isnan(x)
+        buf[inf, 6:9] = np.frombuffer(b"inf", dtype=np.uint8)
+        buf[nan, 6:9] = np.frombuffer(b"nan", dtype=np.uint8)
+        cls[inf | nan] = _TEXT_CLS + 2
+        cls[x == 0.0] = _ZERO_CLS
+        printed = (~fast & np.isfinite(x) & (x != 0.0)) | (fast & tie)
+        for i in np.flatnonzero(printed):
+            text = b"%.17g" % float(x[i])
+            buf[i, 6:6 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+            cls[i] = _TEXT_CLS + len(text) - 1
+        signed &= ~(nan | printed)  # '%' prints nan without a sign, and its texts with theirs
+    cls += _NEG_CLS * signed
+    return np.compress(masks.take(cls, axis=0).ravel(), buf.ravel()).tobytes().decode("ascii")
 
 
 def _dumps(obj) -> str:
@@ -222,6 +393,18 @@ def _model(cfg) -> ModelParams:
     return ModelParams(n=cfg["n"], m=cfg["m"], beta=cfg["beta"])
 
 
+@contextlib.contextmanager
+def _naming_model(cfg):
+    """Add the model values of cfg, each with its flag, to a ProfileError
+    raised inside: the stages that build a profile name neither."""
+    try:
+        yield
+    except ProfileError as e:
+        model = ", ".join(f"{key} (--{key}) = {cfg[key]!r}"
+                          for key in ("n", "m", "beta", "eta") if key in cfg)
+        raise ProfileError(f"{e} (model {model})") from None
+
+
 def _profile_for(cfg, R: float, lams):
     """The eta = 1 profile of the configured model, for a command that
     evaluates f_lambda and U_lambda on [1/R, R] at the lambdas ``lams``.
@@ -230,8 +413,9 @@ def _profile_for(cfg, R: float, lams):
     and > 0; the evaluation rejects a nonpositive one."""
     pos = [lam for lam in lams if lam is not None and lam > 0.0]
     reach = math.log(R) - math.log(min(pos)) if pos and R > 1.0 else None
-    return compute_profile(ProfileRequest(params=_model(cfg), eta=1.0,
-                                          tol=cfg.get("profile_tol", 1e-10)), reach=reach)
+    req = ProfileRequest(params=_model(cfg), eta=1.0, tol=cfg.get("profile_tol", 1e-10))
+    with _naming_model(cfg):
+        return compute_profile(req, reach=reach)
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -255,7 +439,8 @@ def _cmd_profile(cfg, out: str) -> int:
     _check_far_nodes(cfg)
     req = ProfileRequest(params=p, eta=cfg["eta"], r0=cfg["r0"], r_switch=cfg["r_switch"],
                          s_max=cfg["s_max"], tol=cfg["tol"])
-    prof = compute_profile(req)
+    with _naming_model(cfg):
+        prof = compute_profile(req)
     k = estimate_K(prof.far, p)
     r = np.geomspace(g["r_min"], g["r_max"], g["count"])
     gv, gr = prof.eval_g(r)
@@ -290,9 +475,10 @@ def _cmd_expansion(cfg, out: str) -> int:
     _check_far_nodes(cfg)
     p = _model(cfg)
     eta = cfg["eta"]
-    coeffs = asymptotics.compute_K0(p, eta=eta, s_max=cfg["k0_s_max"], tol=cfg["tol"])
     req = ProfileRequest(params=p, eta=eta, s_max=cfg["s_max"], tol=cfg["tol"])
-    prof = compute_profile(req)
+    with _naming_model(cfg):
+        coeffs = asymptotics.compute_K0(p, eta=eta, s_max=cfg["k0_s_max"], tol=cfg["tol"])
+        prof = compute_profile(req)
     rep = asymptotics.expansion_residual_report(prof, coeffs)
     cols = [rep["s"], rep["normalized"]]
     header = ["s", "normalized"]

@@ -239,12 +239,14 @@ _RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10.0
 
 def _horner(coef: np.ndarray, seg: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_p coef[seg, p] x^p by Horner's rule, one column p gathered at a
-    time; coef has shape (segments, columns, components), the result
-    (nodes, components)."""
-    acc = coef[seg, -1]
+    time (by ``take`` from a column-major copy, which is faster than fancy
+    indexing and gives the same values); coef has shape (segments, columns,
+    components), the result (nodes, components)."""
+    by_col = coef.transpose(1, 0, 2).copy()
+    acc = by_col[-1].take(seg, axis=0)
     x = x[:, None]
     for p in range(coef.shape[1] - 2, -1, -1):
-        acc = coef[seg, p] + x * acc
+        acc = by_col[p].take(seg, axis=0) + x * acc
     return acc
 
 
@@ -379,34 +381,42 @@ def _rhs_far(n: int, m: float, c: DerivedConstants):
     return wss
 
 
-def _lsoda_steps(solver: LSODA, s_end: float):
-    """Step scipy's LSODA ``solver`` until its t reaches s_end; return, per
-    step, its end t, the step size h that scales its interpolant and its
-    Nordsieck columns, as (t, h, coef) with coef of shape (steps, cols, n),
-    cols one more than the highest order taken and each step's columns zero
-    past its own order.
+def _lsoda_steps(solver: LSODA, rhs, s_end: float):
+    """Step scipy's LSODA ``solver`` on the bare right side ``rhs`` until its t
+    reaches s_end; return, per step, its end t, the step size h that scales
+    its interpolant and its Nordsieck columns, as (t, h, coef) with coef of
+    shape (steps, cols, n), cols one more than the highest order taken and
+    each step's columns zero past its own order; and LSODA's own count of
+    right-side evaluations (iwork[11]), which is ``solve_ivp``'s nfev.
 
-    The columns are read after each step as ``LSODA._dense_output_impl``
-    reads them: the order from iwork[13], h from rwork[11], order + 1
-    columns from rwork[20:], the last rescaled by (h / rwork[10])^order when
-    iwork[14] lowers the next order.  So step i interpolates
-    sum_p coef[i, p] ((s - t[i]) / h[i])^p, and no per-step object is built.
-    ProfileError when a step fails.
+    Each step is the one ``LSODA._step_impl`` takes: the integrator runs once
+    with itask 5 (one step, never past t_bound), with ``rhs`` in place of
+    the solver's counting wrapper, so the steps are the solver's own without
+    its per-step checks and copies.  The columns are read after each step as
+    ``LSODA._dense_output_impl`` reads them: the order from iwork[13], h
+    from rwork[11], order + 1 columns from rwork[20:], the last rescaled by
+    (h / rwork[10])^order when iwork[14] lowers the next order.  So step i
+    interpolates sum_p coef[i, p] ((s - t[i]) / h[i])^p, and no per-step
+    object is built.  ProfileError when a step fails.
     """
-    integrator = solver._lsoda_solver._integrator
+    ode = solver._lsoda_solver
+    integrator = ode._integrator
     iwork, rwork, n = integrator.iwork, integrator.rwork, solver.n
+    jac = ode.jac or (lambda: None)  # as LSODA._step_impl passes it
+    y, s, t_bound = ode._y, solver.t, solver.t_bound
+    integrator.call_args[2] = 5
     cols = _LSODA_COLS * n
     t, h, order = np.empty(512), np.empty(512), np.empty(512, dtype=iwork.dtype)
     coef = np.empty((512, cols))
     i = 0
-    while solver.t < s_end:
-        message = solver.step()
-        if solver.status == "failed":
-            raise ProfileError(f"far-field integration failed: {message}")
+    while s < s_end:
+        y, s = integrator.run(rhs, jac, y, s, t_bound, (), ())
+        if not integrator.success:
+            raise ProfileError("far-field integration failed: Unexpected istate in LSODA.")
         if i == len(t):  # double the buffers
             t, h, order = np.resize(t, 2 * i), np.resize(h, 2 * i), np.resize(order, 2 * i)
             coef = np.resize(coef, (2 * i, cols))
-        t[i], h[i] = solver.t, rwork[11]
+        t[i], h[i] = s, rwork[11]
         o = order[i] = iwork[13]
         coef[i] = rwork[20:20 + cols]
         if iwork[14] < o:
@@ -415,7 +425,7 @@ def _lsoda_steps(solver: LSODA, s_end: float):
     order = order[:i]
     coef = coef[:i].reshape(i, _LSODA_COLS, n)
     coef[np.arange(_LSODA_COLS) > order[:, None]] = 0.0  # work space beyond the order
-    return t[:i], h[:i], coef[:, :int(order.max()) + 1]
+    return t[:i], h[:i], coef[:, :int(order.max()) + 1], int(iwork[11])
 
 
 def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
@@ -426,10 +436,12 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     The trace is sampled on a fixed lattice of nodes at most _FAR_DS apart
     from log(r_switch) to s_max.  Given ``reach``, it keeps only the lattice's
     prefix up to one node past the first node >= reach (at least 3 nodes).
-    scipy's LSODA is built as ``solve_ivp`` builds it and stepped past the
-    last kept node (``_lsoda_steps``); each node is sampled on the step
-    ``solve_ivp`` picks for it (searchsorted(side="right") - 1 over the step
-    starts), by Horner's rule in the step's Nordsieck columns.  The first
+    scipy's LSODA is built as ``solve_ivp`` builds it, with rtol floored at
+    100 eps as LSODA floors it (but without its warning), and its integrator
+    is stepped past the last kept node (``_lsoda_steps``); each node is
+    sampled on the step ``solve_ivp`` picks for it (searchsorted(side=
+    "right") - 1 over the step starts), by Horner's rule in the step's
+    Nordsieck columns.  The first
     step depends on t_bound, so t_bound stays s_max: the kept nodes carry
     the full trace's values bit for bit, at a fraction of the cost.
     """
@@ -456,8 +468,10 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
         w, ws = y.tolist()  # floats round as numpy's scalars do, at a third of the cost
         return ws, wss(w, ws)
 
-    solver = LSODA(rhs, s0, (w0, ws0), req.s_max, rtol=req.tol, atol=req.tol)
-    ts, hs, coef = _lsoda_steps(solver, s[-1])
+    # rtol has LSODA's floor, which it would otherwise apply with a warning
+    solver = LSODA(rhs, s0, (w0, ws0), req.s_max,
+                   rtol=max(req.tol, 100.0 * np.finfo(float).eps), atol=req.tol)
+    ts, hs, coef, nfev = _lsoda_steps(solver, rhs, s[-1])
     # a node's step is the last to start at or before it: step 0 starts at s0, step i at ts[i-1]
     seg = np.minimum(np.searchsorted(ts, s, side="right"), len(ts) - 1)
     w, w_s = _horner(coef, seg, (s - ts[seg]) / hs[seg]).T
@@ -471,7 +485,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
 
     h = w - c.farfield_slope * s
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
-    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=solver.nfev, steps=len(ts))
+    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=nfev, steps=len(ts))
 
 
 def _a2_const_part(n: int, m: float) -> float:

@@ -14,6 +14,8 @@ independent re-derivations:
 * ``integrate_far_field_ivp``: the far-field stage through scipy's
   ``solve_ivp`` LSODA, a prefix stopped by a terminal event, whose steps
   ``fde.profile.integrate_far_field`` takes, rounding its samples otherwise;
+* ``csv_rows``: the CSV rows of columns of floats, one '%.17g' per value,
+  which ``fde.cli._csv_rows`` spells in numpy;
 * ``hybrid_switch``: the central/upwind choice of ``fde._kernels``'s
   rescaled step in its defining form, which the kernel's record answers
   by a threshold compare;
@@ -245,6 +247,17 @@ def integrate_far_field_ivp(req: ProfileRequest, inner: InnerProfile,
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
     return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=int(sol.nfev),
                          steps=len(sol.t) - 1)
+
+
+# -- cli -------------------------------------------------------------------
+
+
+def csv_rows(columns) -> str:
+    """The rows ``fde.cli._write_csv`` writes below its header for the
+    equal-length ``columns``: each value as '%.17g' formats it, comma
+    separated, each row ended by a newline."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return "".join([row % v for v in zip(*[np.asarray(c, dtype=float).tolist() for c in columns])])
 
 
 # -- evolution -------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fde import asymptotics, cli, evolution
 from fde.cli import run_command
 from fde.profile import Profile, ProfileError
+from reference import csv_rows
 
 
 def _read(path):
@@ -1015,3 +1016,88 @@ def test_evolve_reports_trunc_time_with_or_without_monitors(tmp_path):
     assert reports[0]["trunc_time"] > 0.0
     assert reports[0]["trunc_time"] == reports[1]["trunc_time"]
     assert reports[1]["aronson_benilan"]["slack"] == 10.0 * reports[1]["trunc_time"]
+
+
+# -- CSV numbers ------------------------------------------------------------
+
+
+def _csv_cases():
+    """Over 10^6 floats that '%.17g' formats in every way it has."""
+    rng = np.random.default_rng(36)
+    powers = 10.0 ** np.arange(-300, 301)
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+
+    def near(x, ulps):  # x and its neighbours up to ulps either side
+        return (x.view(np.int64)[:, None] + np.arange(-ulps, ulps + 1)).view(np.float64).ravel()
+
+    cases = [
+        # random bit patterns: both signs, every exponent, subnormals, inf, nan
+        rng.integers(0, 2 ** 64, 600_000, dtype=np.uint64).view(np.float64),
+        near(powers, 3), -near(powers, 3),
+        near(switch, 1000), -near(switch, 1000),
+        # integers about 10^16 and 10^17, and values that round up into the next decade
+        np.arange(10 ** 16 - 5000, 10 ** 16 + 5000, dtype=np.float64),
+        np.arange(10 ** 17 - 40_000, 10 ** 17 + 40_000, 8, dtype=np.float64),
+        near(powers * (1.0 - 2.0 ** -52), 200),
+        # exact ties: odd multiples of 2^(k-17) in [10^k, 10^(k+1)) have 18 digits, the last a 5
+        np.array([q / 2 ** (17 - k) for k in range(-7, 16)
+                  for q in range(int(10.0 ** k * 2 ** (17 - k)) | 1,
+                                 min(int(10.0 ** (k + 1) * 2 ** (17 - k)), 2 ** 53), 2)[:500]]),
+        # decimal-looking values and the columns' typical magnitudes
+        np.round(rng.uniform(-1e3, 1e3, 100_000), 3),
+        rng.uniform(-1.0, 1.0, 100_000) * 10.0 ** rng.integers(-20, 20, 100_000),
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308]),
+    ]
+    return np.concatenate(cases)
+
+
+def test_csv_rows_are_percent_format_byte_for_byte():
+    values = _csv_cases()
+    assert values.size >= 10 ** 6
+    rows = values[:values.size // 5 * 5].reshape(-1, 5)
+    for i in range(0, len(rows), 512):
+        block = rows[i:i + 512]
+        assert cli._csv_rows(block) == csv_rows(list(block.T)), i
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_csv_rows_property(values, width):
+    block = np.array(values * width).reshape(width, -1).T  # each value in every column
+    assert cli._csv_rows(block) == csv_rows(list(block.T))
+
+
+def test_write_csv_nan_column_and_zeros(tmp_path):
+    # h1 is nan in the Yamabe case: a whole column of nan, with 0 and -0
+    # beside it, raises no RuntimeWarning (an error in these tests)
+    n = 1300
+    cols = [np.linspace(0.0, 1.0, n), np.full(n, np.nan), np.zeros(n), -np.zeros(n),
+            np.where(np.arange(n) % 3 == 0, np.inf, -1e-300)]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), ["a", "b", "c", "d", "e"], cols)
+    assert _read(path) == "a,b,c,d,e\n" + csv_rows(cols)
+
+
+def test_profile_tol_below_the_rtol_floor_is_quiet(tmp_path):
+    # the far field floors rtol as LSODA would, but without its warning
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tol": 1e-15, "s_max": 60.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv,model", [
+    (["profile", "--m", "1e-9"], "n (--n) = 3, m (--m) = 1e-09, beta (--beta) = -1.0, "
+                                 "eta (--eta) = 1.0"),
+    (["expansion", "--m", "1e-9"], "n (--n) = 3, m (--m) = 1e-09, beta (--beta) = -0.5, "
+                                   "eta (--eta) = 2.0"),
+    (["evolve", "--m", "1e-9"], "n (--n) = 3, m (--m) = 1e-09, beta (--beta) = -1.0"),
+])
+def test_failing_profile_stage_names_the_model(tmp_path, capsys, argv, model):
+    assert run_command(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: inner integration failed at r=1.000000e-06: Required step size is "
+                   f"less than spacing between numbers. (model {model})\n")
