@@ -9,6 +9,12 @@ CSV artifacts plus a JSON report with machine-checkable verdicts,
 atomically (temp + rename).  Exit codes: 0 completed/PASS, 2 FAIL,
 3 INCONCLUSIVE, 1 usage or config error.  CSV numbers carry 17 significant digits so regression diffs
 are meaningful; an identical config gives byte-identical files.
+
+``contract`` steps its runs as one stacked batch on one CPU.  Where the
+process may run on two (``os.sched_getaffinity``) and ``os.fork`` exists, a
+forked child steps half of them as a second batch at the same time and
+pipes back their arrays and counters; the files, exit codes and error lines
+are the one-batch run's, and no child outlives the command.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import itertools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import tempfile
 
@@ -594,6 +602,90 @@ def _make_weight(wcfg, prof):
     return measures.WeightSpec(params=prof.request.params, profile=prof, **kw)
 
 
+def _may_fork_onto_two_cpus() -> bool:
+    """Whether this process can fork and may run on two CPUs or more; not
+    where the platform does not say how many."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _fails(cfg) -> bool:
+    """Whether the run of cfg, stepped alone, raises."""
+    try:
+        evolution.run(cfg)
+    except Exception:
+        return True
+    return False
+
+
+def _run_batch_forked(runs: list, child: tuple) -> list:
+    """evolution.run_batch(runs), bit for bit and exception for exception,
+    with the runs at the indices ``child`` stepped as one batch by a forked
+    process while this one steps the others as another.  ``child`` starts
+    with 0, and its other indices come after all of this process's runs.
+
+    The child pickles back over a pipe each Trajectory's arrays and counters
+    (not its config, so the profile never crosses), or the exception its
+    batch raised; it writes no file and ends with os._exit.  This process
+    rebuilds the Trajectories with its own configs, and it reaps the child
+    on every path, killing it first only when it leaves on an exception
+    (KeyboardInterrupt, say) that is not its batch's.  The exception raised
+    is that of the first failing run in the order of runs, as run_batch's:
+    the child's if run 0 fails (decided by a lone run 0 where both batches
+    fail and the child stepped more than run 0), else this process's.  A
+    child that ends by a signal or sends no result is an EvolutionError.
+    Where no process can be forked, this one steps all the runs.
+    """
+    mine = [k for k in range(len(runs)) if k not in child]
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return evolution.run_batch(runs)
+    if pid == 0:
+        try:
+            os.close(rfd)
+            try:
+                sent = ("ok", [{k: v for k, v in vars(t).items() if k != "config"}
+                               for t in evolution.run_batch([runs[k] for k in child])])
+            except Exception as e:
+                sent = ("error", e)
+            data = pickle.dumps(sent, pickle.HIGHEST_PROTOCOL)
+            with open(wfd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    with open(rfd, "rb") as pipe:
+        try:
+            try:
+                own = evolution.run_batch([runs[k] for k in mine])
+            except Exception as e:
+                own = e
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if os.WIFSIGNALED(status) or not data:
+        how = f"by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status) else "with no result"
+        raise evolution.EvolutionError(f"the process stepping runs {list(child)} ended {how}")
+    kind, got = pickle.loads(data)
+    if isinstance(own, Exception):
+        raise got if kind == "error" and (len(child) == 1 or _fails(runs[0])) else own
+    if kind == "error":
+        raise got
+    trajs = [None] * len(runs)
+    for k, traj in zip(mine, own):
+        trajs[k] = traj
+    for k, state in zip(child, got):
+        trajs[k] = evolution.Trajectory(config=runs[k], **state)
+    return trajs
+
+
 def _cmd_contract(cfg, out: str) -> int:
     N = cfg["grid"]["N"]
     if cfg["half_resolution"] and N // 2 + 1 < 16:
@@ -608,15 +700,21 @@ def _cmd_contract(cfg, out: str) -> int:
     weight = _make_weight(cfg["weight"], prof)
     bc = evolution.BoundarySpec(kind="U_lambda", lam=lam1)
 
-    # the report reads snapshots only, so the runs keep no monitors.  They
-    # step as one stacked batch, f_lam1 runs first: those start on the
-    # boundary data's orbit and mostly converge at once, which leaves the
-    # Newton iterations after the first to the f_lam2 runs, one block span
+    # the report reads snapshots only, so the runs keep no monitors.  On one
+    # CPU they step as one stacked batch, f_lam1 runs first: those start on
+    # the boundary data's orbit and mostly converge at once, which leaves the
+    # Newton iterations after the first to the f_lam2 runs, one block span.
+    # Given two CPUs, a forked child steps (f_lam1 at N, f_lam2 at N/2), the
+    # lighter stack, while this process steps (f_lam1 at N/2, f_lam2 at N);
+    # without the half resolution, each process steps one run
     sizes = (N, half) if half else (N,)
     runs = [_build_evolution(dict(cfg, grid=dict(cfg["grid"], N=size)), clock, "physical",
                              evolution.InitialSpec(kind="f_lambda", lam=lam), bc, prof)
             for lam in (lam1, lam2) for size in sizes]
-    trajs = evolution.run_batch(runs)
+    if _may_fork_onto_two_cpus():
+        trajs = _run_batch_forked(runs, (0, 3) if half else (0,))
+    else:
+        trajs = evolution.run_batch(runs)
     rep = measures.contraction_report(trajs[0], trajs[len(sizes)], weight,
                                       (trajs[1], trajs[3]) if half else None)
     _write_csv(os.path.join(out, "contraction.csv"),

@@ -431,7 +431,8 @@ def _lsoda_steps(solver: LSODA, rhs, s_end: float):
 def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
                         reach: Optional[float] = None) -> FarFieldTrace:
     """Continue the profile in s = log r up to s_max via the w~ equation;
-    ProfileError unless w~(log r_switch) gives back the inner g(r_switch).
+    ProfileError unless w~(log r_switch) gives back the inner g(r_switch)
+    to 10 rtol max(1, g), with the stages' rtol: tol floored at 100 eps.
 
     The trace is sampled on a fixed lattice of nodes at most _FAR_DS apart
     from log(r_switch) to s_max.  Given ``reach``, it keeps only the lattice's
@@ -469,8 +470,8 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
         return ws, wss(w, ws)
 
     # rtol has LSODA's floor, which it would otherwise apply with a warning
-    solver = LSODA(rhs, s0, (w0, ws0), req.s_max,
-                   rtol=max(req.tol, 100.0 * np.finfo(float).eps), atol=req.tol)
+    rtol = max(req.tol, 100.0 * np.finfo(float).eps)
+    solver = LSODA(rhs, s0, (w0, ws0), req.s_max, rtol=rtol, atol=req.tol)
     ts, hs, coef, nfev = _lsoda_steps(solver, rhs, s[-1])
     # a node's step is the last to start at or before it: step 0 starts at s0, step i at ts[i-1]
     seg = np.minimum(np.searchsorted(ts, s, side="right"), len(ts) - 1)
@@ -479,7 +480,8 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
         bad = s[np.argmax(w_s <= 0.0)]
         raise ProfileError(f"eta={req.eta!r} gives w~_s <= 0 at s={bad:.3f}; trace invalid")
     g_far = (w[0] * math.exp(-wexp * s0)) ** (1.0 / (1.0 - m))
-    if abs(g_far - g_sw) > 10.0 * req.tol * max(1.0, g_sw):
+    # the inner stage's rtol has the same floor
+    if abs(g_far - g_sw) > 10.0 * rtol * max(1.0, g_sw):
         raise ProfileError(
             f"handoff discontinuity at r_switch: inner g={float(g_sw)!r}, far g={float(g_far)!r}")
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -932,6 +934,11 @@ def test_expansion_needs_the_asymptotic_horizon(tmp_path, capsys, smax):
         assert report["verdict"] == ("PASS" if code == 0 else "FAIL")
 
 
+def _see_cpus(monkeypatch, count):
+    """Make the commands see ``count`` CPUs: contract forks given two or more."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 @pytest.mark.parametrize("command", ["contract", "converge"])
 def test_far_field_reaches_every_evaluation(tmp_path, monkeypatch, profile_cache, command):
     # the command builds its far field only to log R - log min(lambda); every
@@ -946,6 +953,7 @@ def test_far_field_reaches_every_evaluation(tmp_path, monkeypatch, profile_cache
         return calls[-1][-1]
 
     monkeypatch.setattr(Profile, "eval_U_lambda", recorded)
+    _see_cpus(monkeypatch, 1)  # so that every call is made, and recorded, in this process
     assert run_command([command, "--out", str(tmp_path)]) == 0
     full = profile_cache(3, 0.2)
     (prof,) = {c[0] for c in calls}
@@ -994,10 +1002,144 @@ def test_runs_keep_no_trunc_time(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(evolution, "run", recorded_run)
     monkeypatch.setattr(evolution, "run_batch", recorded_batch)
+    _see_cpus(monkeypatch, 1)  # so that every run is stepped, and recorded, in this process
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"grid": {"N": 101}, "horizon": 0.05, "snapshots": 2}))
     assert run_command([command, "--config", str(cfg), "--out", str(tmp_path)]) in (0, 2, 3)
     assert runs and all(traj.trunc_time is None for traj in runs)
+
+
+# -- contract on two CPUs ---------------------------------------------------
+
+_SMALL_CONTRACT = {"grid": {"R": math.e ** 2, "N": 101}, "horizon": 0.1, "snapshots": 5}
+_forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="contract forks only where os.fork is")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _contract_on(tmp_path, monkeypatch, capsys, cpus, argv, config):
+    """(exit code, stderr, {file name: bytes}) of contract argv with config,
+    seeing ``cpus`` CPUs; no child process is left after it."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / f"out{cpus}"
+    _see_cpus(monkeypatch, cpus)
+    code = run_command(["contract"] + argv + ["--config", str(cfg), "--out", str(out)])
+    _no_child_left()
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, capsys.readouterr().err, files
+
+
+@_forks
+@pytest.mark.parametrize("argv,config,code", [
+    ([], dict(_SMALL_CONTRACT, half_resolution=True), 0),
+    ([], dict(_SMALL_CONTRACT, half_resolution=False), 0),
+    # e^(-beta t) overflows at t > 0.071: the error path, one line, no files
+    (["--beta", "-1e4", "--N", "101", "--horizon", "0.1"], {}, 1),
+], ids=["half-resolution", "full-resolution", "overflow"])
+def test_contract_on_two_cpus_is_the_one_cpu_run(tmp_path, monkeypatch, capsys, argv, config,
+                                                  code):
+    # on two CPUs a forked child steps half of the runs; the files, the exit
+    # code and stderr are the one-process run's, byte for byte
+    one = _contract_on(tmp_path, monkeypatch, capsys, 1, argv, config)
+    two = _contract_on(tmp_path, monkeypatch, capsys, 2, argv, config)
+    assert one[0] == code
+    assert sorted(one[2]) == ([] if code else ["contract_report.json", "contraction.csv"])
+    assert len(one[1].splitlines()) == (1 if code else 0)
+    assert two == one
+
+
+@_forks
+@pytest.mark.parametrize("half,failing", [
+    (True, (3,)), (True, (0,)), (True, (1,)), (True, (0, 2)), (True, (1, 3)), (True, (2, 3)),
+    (True, (0, 1, 2, 3)), (False, (0,)), (False, (1,)), (False, (0, 1))])
+def test_contract_reports_the_first_failing_run(tmp_path, monkeypatch, capsys, half, failing):
+    # the runs, in order: (lam1, N), (lam1, N/2), (lam2, N), (lam2, N/2), or
+    # the first and third without the half resolution; the child steps runs
+    # 0 and 3 (or 0).  Each failing run raises its own error, and on both
+    # paths the first one's is printed
+    order = [(2.0, 101), (2.0, 51), (1.0, 101), (1.0, 51)] if half else [(2.0, 101), (1.0, 101)]
+    values = evolution.InitialSpec.values
+
+    def failing_values(spec, grid, profile, params):
+        k = order.index((spec.lam, grid.N))
+        if k in failing:
+            raise evolution.EvolutionError(f"run {k} fails")
+        return values(spec, grid, profile, params)
+
+    monkeypatch.setattr(evolution.InitialSpec, "values", failing_values)
+    config = dict(_SMALL_CONTRACT, half_resolution=half)
+    for cpus in (1, 2):
+        assert _contract_on(tmp_path, monkeypatch, capsys, cpus, [], config) == (
+            1, f"error: run {failing[0]} fails\n", {})
+
+
+@_forks
+@pytest.mark.parametrize("ending,err", [
+    ("signal", f"by signal {int(signal.SIGKILL)}"),
+    ("signal after sending", f"by signal {int(signal.SIGKILL)}"),
+    ("exit", "with no result")])
+def test_contract_child_killed_or_silent_is_one_line(tmp_path, monkeypatch, capsys, ending,
+                                                     err):
+    # a child killed by a signal, even once it has sent its runs, or one that
+    # ends before it sends them, is one error line and exit 1; no file is
+    # written and no process is left
+    parent, run_batch, exit_ = os.getpid(), evolution.run_batch, os._exit
+
+    def dying(cfgs, *args, **kwargs):
+        if os.getpid() != parent and ending != "signal after sending":
+            if ending == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            exit_(0)
+        return run_batch(cfgs, *args, **kwargs)
+
+    def killed_at_exit(code):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        exit_(code)
+
+    monkeypatch.setattr(evolution, "run_batch", dying)
+    monkeypatch.setattr(os, "_exit", killed_at_exit)
+    assert _contract_on(tmp_path, monkeypatch, capsys, 2, [], _SMALL_CONTRACT) == (
+        1, f"error: the process stepping runs [0, 3] ended {err}\n", {})
+
+
+def test_contract_that_cannot_fork_steps_every_run(tmp_path, monkeypatch, capsys):
+    # where no process can be forked, contract on two CPUs steps all its
+    # runs itself, with the one-CPU run's files
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    one = _contract_on(tmp_path, monkeypatch, capsys, 1, [], _SMALL_CONTRACT)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert _contract_on(tmp_path, monkeypatch, capsys, 2, [], _SMALL_CONTRACT) == one
+
+
+@_forks
+def test_contract_interrupted_kills_its_child(tmp_path, monkeypatch):
+    # an exception that is not a run's (here KeyboardInterrupt) leaves at
+    # once: the child is killed and reaped, not waited for
+    parent, run_batch = os.getpid(), evolution.run_batch
+
+    def stuck(cfgs, *args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+            return run_batch(cfgs, *args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evolution, "run_batch", stuck)
+    _see_cpus(monkeypatch, 2)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_SMALL_CONTRACT))
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_command(["contract", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 30.0
+    _no_child_left()
+    assert not (tmp_path / "out").exists()
 
 
 def test_evolve_reports_trunc_time_with_or_without_monitors(tmp_path):
@@ -1083,6 +1225,17 @@ def test_profile_tol_below_the_rtol_floor_is_quiet(tmp_path):
     # the far field floors rtol as LSODA would, but without its warning
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"tol": 1e-15, "s_max": 60.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
+def test_profile_tol_far_below_the_rtol_floor_passes_the_handoff(tmp_path):
+    # the handoff is checked against the stages' floored rtol, not tol: at
+    # tol 1e-20 the two g differ by about 1 part in 10^15
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"tol": 1e-20, "s_max": 60.0}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_command(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")])

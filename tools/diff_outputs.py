@@ -87,6 +87,11 @@ MATRIX = {
     # evaluations deep into the far field: g is read up to s = 6 - log 0.3 = 7.2
     "contract_deep": (["contract"], dict(_CONTRACT, grid={"R": 403.4287934927351, "N": 801},
                                          lam2=0.3)),
+    # contract without the half resolution: one run in each of its two processes
+    "contract_full": (["contract"], dict(_CONTRACT, half_resolution=False)),
+    # U_lambda's time shift overflows at t > 0.071: contract's error path
+    "contract_overflow": (["contract", "--beta", "-1e4", "--horizon", "0.1", "--N", "101"],
+                          None),
     "converge_gamma3": (["converge"], {"m": 0.19, "grid": {"R": 5.4739473917272, "N": 1001},
                                        "weight": {"kind": "radial_gamma3", "lam3": 1.1},
                                        "K_compact": [0.6, 1.8]}),
