@@ -477,9 +477,11 @@ def _cmd_profile(cfg, out: str) -> int:
 
 def _cmd_expansion(cfg, out: str) -> int:
     # the residual trend is judged on (s_max/2, s_max), which needs the
-    # asymptotic regime, as the K extraction does
-    if cfg["s_max"] < 50.0:
+    # asymptotic regime, as the K extraction on (0, k0_s_max) does
+    if not cfg["s_max"] >= 50.0:
         raise ConfigError(f"s_max must be >= 50 for the expansion check, got {cfg['s_max']!r}")
+    if not cfg["k0_s_max"] >= 50.0:
+        raise ConfigError(f"k0_s_max must be >= 50 for the K0 extraction, got {cfg['k0_s_max']!r}")
     _check_far_nodes(cfg)
     p = _model(cfg)
     eta = cfg["eta"]

@@ -21,7 +21,8 @@ pipeline is:
    to a caller's ``reach`` on the same node lattice, keeping each step's
    Nordsieck columns in flat buffers (``_lsoda_steps``) and sampling the
    nodes from them by Horner's rule; check the handoff,
-4. ``compute_profile``      -- chain the stages into a ``Profile``.
+4. ``compute_profile``      -- chain the stages into a ``Profile``, keeping
+   the last one built for a repeat of its request.
 
 Each stage derives the constants of ``req.params`` itself.  The stages take
 scipy's RK45 and LSODA steps (same steps and nfev as ``solve_ivp``), but
@@ -563,7 +564,10 @@ class Profile:
     which is e^{s_max} unless the far field was built to a shorter reach.
     All evaluators are vectorized over r.  A constructed Profile is never
     mutated and is safe to share across threads; independent requests can
-    be computed concurrently.
+    be computed concurrently.  ``compute_profile`` hands the profile it
+    built last to the next call with the same request and reach, so one
+    Profile may be shared across calls and commands; the arrays of its
+    stages are read-only.
     """
 
     def __init__(self, request: ProfileRequest, inner: InnerProfile, far: FarFieldTrace):
@@ -684,11 +688,37 @@ class Profile:
         return np.exp(-c.alpha * t + lnf)
 
 
+# the last profile built: (repr((req, reach)), Profile), rebound as a whole
+_last: tuple = (None, None)
+
+
 def compute_profile(req: ProfileRequest, reach: Optional[float] = None) -> Profile:
     """Chain the stages into a Profile; ``reach`` (see ``integrate_far_field``)
-    ends the far field near s = reach."""
+    ends the far field near s = reach.
+
+    The last profile built is kept and returned again for the same key,
+    repr((req, reach)): every field equal and of the same type, so beta=-1
+    and beta=-1.0 build apart.  A miss drops the kept profile before it
+    builds, so at most one kept profile is alive during a build; a failed
+    build keeps nothing.  The entry is one tuple, rebound whole, so
+    concurrent calls each see a consistent entry.  The returned profile's
+    arrays are read-only.
+    """
+    global _last
+    key = repr((req, reach))
+    last_key, last = _last
+    if last_key == key:
+        return last
+    del last  # neither this name nor the memo keeps it alive during the build
+    _last = (None, None)
     inner = integrate_inner(req)
-    return Profile(req, inner, integrate_far_field(req, inner, reach=reach))
+    far = integrate_far_field(req, inner, reach=reach)
+    for a in (inner.r, inner.g, inner.g_r, far.s, far.w, far.w_s, far.h, far.h1):
+        if a is not None:
+            a.flags.writeable = False
+    prof = Profile(req, inner, far)
+    _last = (key, prof)
+    return prof
 
 
 def check_profile_invariants(prof: Profile) -> dict:

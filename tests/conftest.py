@@ -2,6 +2,7 @@
 
 import pytest
 
+from fde import profile
 from fde.params import ModelParams, derive_constants
 from fde.profile import ProfileRequest, compute_profile
 
@@ -28,3 +29,19 @@ def constants_for():
         return derive_constants(ModelParams(n=n, m=m, beta=beta))
 
     return get
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    """The requests integrate_inner runs during the test, which starts with
+    compute_profile's memo empty."""
+    monkeypatch.setattr(profile, "_last", (None, None), raising=False)
+    seen = []
+    integrate = profile.integrate_inner
+
+    def recorded(req):
+        seen.append(req)
+        return integrate(req)
+
+    monkeypatch.setattr(profile, "integrate_inner", recorded)
+    return seen

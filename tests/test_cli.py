@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fde import asymptotics, cli, evolution
+from fde import asymptotics, cli, evolution, profile
 from fde.cli import run_command
 from fde.profile import Profile, ProfileError
 from reference import csv_rows
@@ -917,16 +917,29 @@ def test_evolve_monitors_without_a_full_step_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("smax", ["3", "10", "40", "50"])
-def test_expansion_needs_the_asymptotic_horizon(tmp_path, capsys, smax):
-    # the residual trend is judged on (s_max/2, s_max): a horizon below the 50
-    # that K extraction needs is an input error, not a failed expansion check
+@pytest.mark.parametrize("key, value", [
+    pytest.param("s_max", 3, id="3"), pytest.param("s_max", 10, id="10"),
+    pytest.param("s_max", 40, id="40"), pytest.param("s_max", 50, id="50"),
+    ("k0_s_max", 10), ("k0_s_max", 30), ("k0_s_max", -5), ("k0_s_max", 2.0)])
+def test_expansion_needs_the_asymptotic_horizon(tmp_path, capsys, request, key, value):
+    # the residual trend is judged on (s_max/2, s_max) and K0 is extracted on
+    # (0, k0_s_max): a horizon below the 50 that K extraction needs is an
+    # input error, named by its key before anything is built, not a failed
+    # expansion check
     out = tmp_path / "out"
-    code = run_command(["expansion", "--smax", smax, "--out", str(out)])
+    if key == "s_max":
+        argv = ["expansion", "--smax", str(value), "--out", str(out)]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["expansion", "--config", str(cfg), "--out", str(out)]
+    if value < 50:
+        request.getfixturevalue("no_solver")
+    code = run_command(argv)
     err = capsys.readouterr().err.strip()
-    if float(smax) < 50.0:
+    if value < 50:
         assert code == 1
-        assert len(err.splitlines()) == 1 and "s_max" in err
+        assert len(err.splitlines()) == 1 and f" {key} must be >= 50" in err
         assert not out.exists()
     else:
         assert code in (0, 2)
@@ -965,6 +978,31 @@ def test_far_field_reaches_every_evaluation(tmp_path, monkeypatch, profile_cache
     lam = min(c[1] for c in calls)
     with pytest.raises(ProfileError, match="no extrapolation"):
         prof.eval_U_lambda(lam, np.array([0.99 / (lam * math.exp(s[-1]))]), 0.0)
+
+
+def test_expansion_reuses_the_profile_just_built(tmp_path, monkeypatch, profile_builds):
+    # profile then expansion of one model, as a batch of run_command calls
+    # makes them: expansion builds K0's (1,1) profile and reuses the one
+    # profile built, and each writes the files it writes with the memo empty
+    model = ["--n", "5", "--m", "0.396175", "--beta", "-0.68391", "--eta", "2.39308"]
+    codes = [run_command([cmd] + model + ["--out", str(tmp_path / "memo" / cmd)])
+             for cmd in ("profile", "expansion")]
+    assert len(profile_builds) == 2 and profile_builds[1].s_max == 400.0
+    for cmd, code in zip(("profile", "expansion"), codes):
+        monkeypatch.setattr(profile, "_last", (None, None), raising=False)
+        assert run_command([cmd] + model + ["--out", str(tmp_path / "fresh" / cmd)]) == code
+        files = sorted(os.listdir(tmp_path / "fresh" / cmd))
+        assert files == sorted(os.listdir(tmp_path / "memo" / cmd)) and files
+        for name in files:
+            assert ((tmp_path / "memo" / cmd / name).read_bytes()
+                    == (tmp_path / "fresh" / cmd / name).read_bytes()), (cmd, name)
+
+
+def test_repeated_contract_builds_its_profile_once(tmp_path, monkeypatch, profile_builds):
+    _see_cpus(monkeypatch, 1)
+    for i in range(2):
+        assert run_command(["contract", "--out", str(tmp_path / str(i))]) == 0
+    assert len(profile_builds) == 1
 
 
 @pytest.mark.parametrize("argv,err", [

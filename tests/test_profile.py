@@ -1,10 +1,16 @@
 """Profile pipeline: startup series, integration, far field, K, evaluators."""
 
 import math
+import sys
+import threading
+import weakref
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fde import profile
 from fde.params import ModelParams, derive_constants
 from fde.profile import (
     ProfileError,
@@ -548,3 +554,91 @@ def test_scaling_identities_cross_parameters():
     # and of the argument factor in the eta identity:
     # (eta1/eta2)^{m(1-m)/(n-2-nm)} = (1/2)^{0.75}
     assert (1.0 / 2.0) ** (0.25 * 0.75 / 0.25) == pytest.approx(0.5 ** 0.75, rel=1e-15)
+
+
+# -- the last profile built, kept by compute_profile ------------------------
+
+def test_profile_arrays_are_read_only(profile_builds):
+    # the profile is shared by every later call with its request: a caller
+    # that writes into it fails instead of corrupting the next one's
+    prof = compute_profile(req_for(3, 0.25, s_max=20.0))
+    inner, far = prof.inner, prof.far
+    for a in (inner.r, inner.g, inner.g_r, far.s, far.w, far.w_s, far.h, far.h1):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_failed_request_is_not_kept(profile_builds):
+    req = req_for(3, 0.25, eta=1e-25, s_max=20.0)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ProfileError) as e:
+            compute_profile(req)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] and "w~_s <= 0" in messages[0]
+    assert profile_builds == [req, req]
+
+
+def test_requests_differing_in_reach_or_type_build_apart(profile_builds):
+    # the key is the repr of (request, reach): equal values of another type
+    # (beta -1 against -1.0, eta 1 against 1.0, reach 5 against 5.0) miss
+    base = req_for(3, 0.25, s_max=20.0)
+    calls = [(base, None), (base, None), (base, 5.0), (base, 5.0), (base, 5),
+             (replace(base, params=ModelParams(n=3, m=0.25, beta=-1)), None),
+             (replace(base, eta=1), None), (base, None)]
+    profs = [compute_profile(req, reach=reach) for req, reach in calls]
+    assert profs[1] is profs[0] and profs[3] is profs[2]
+    assert len({id(p) for p in profs}) == 6
+    assert profile_builds == [base, base, base, calls[5][0], calls[6][0], base]
+    assert profs[0].far.s[-1] == profs[7].far.s[-1] == 20.0 > profs[2].far.s[-1]
+    assert np.array_equal(profs[7].far.w, profs[0].far.w)
+
+
+def test_memo_holds_one_profile(profile_builds, monkeypatch):
+    # a miss drops the kept profile before it builds the next one
+    first = weakref.ref(compute_profile(req_for(3, 0.25, s_max=20.0)))
+    assert first() is not None
+    alive = []
+    integrate = profile.integrate_inner
+
+    def watched(req):
+        alive.append(first() is not None)
+        return integrate(req)
+
+    monkeypatch.setattr(profile, "integrate_inner", watched)
+    compute_profile(req_for(3, 0.25, eta=2.0, s_max=20.0))
+    assert alive == [False] and first() is None
+
+
+def test_concurrent_calls_get_their_own_profile(monkeypatch):
+    # threads that share the memo each get the profile of their own request,
+    # whichever entry another thread stores meanwhile; stand-in stages and
+    # profiles make a call cheap enough for the threads to interleave often
+    monkeypatch.setattr(profile, "_last", (None, None), raising=False)
+    arrays = lambda *names: SimpleNamespace(**{name: np.zeros(1) for name in names}, h1=None)
+    monkeypatch.setattr(profile, "integrate_inner", lambda req: arrays("r", "g", "g_r"))
+    monkeypatch.setattr(profile, "integrate_far_field",
+                        lambda req, inner, reach=None: arrays("s", "w", "w_s", "h"))
+    monkeypatch.setattr(profile, "Profile", lambda req, inner, far: SimpleNamespace(request=req))
+    reqs = [req_for(3, 0.25, eta=eta) for eta in (1.0, 2.0)]
+    wrong, done = [], []
+
+    def worker(k):
+        for i in range(3000):
+            req = reqs[(i // 3 + k) % 2]
+            if compute_profile(req).request is not req:
+                wrong.append((k, i))
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []

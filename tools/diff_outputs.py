@@ -58,6 +58,9 @@ MATRIX = {
     "validate-barenblatt": (["validate-barenblatt"], None),
     "profile_n5": (["profile", "--n", "5", "--m", "0.396175", "--beta", "-0.68391",
                     "--eta", "2.39308"], None),
+    # right after profile_n5 with its flags: expansion reuses the profile it built
+    "expansion_n5": (["expansion", "--n", "5", "--m", "0.396175", "--beta", "-0.68391",
+                      "--eta", "2.39308"], None),
     # the far field's error path: w~_s turns negative, exit 1 with one line
     "profile_tiny_eta": (["profile", "--eta", "1e-25"], None),
     "expansion_n4": (["expansion", "--n", "4", "--m", "0.3", "--beta", "-1.3",
