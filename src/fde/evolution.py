@@ -61,11 +61,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._kernels import Blocks, newton_step
 from .params import ModelParams, derive_constants
-from .profile import Profile
+from .profile import Profile, _pchip
 
 __all__ = [
     "EvolutionError",
@@ -231,7 +230,7 @@ class InitialSpec:
         if self.kind == "barenblatt":
             return barenblatt_oracle(r, 0.0, self.k, self.T, params)
         if self.kind == "table":
-            ip = PchipInterpolator(np.log(self.table_r), np.log(self.table_u))
+            ip = _pchip(np.log(self.table_r), np.log(self.table_u))
             with np.errstate(over="ignore"):  # run rejects the inf an overflow gives
                 return np.exp(ip(grid.s))
         return np.full(r.shape, self.value, dtype=float)  # constant

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .evolution import AnnulusGrid, Trajectory
 from .params import ModelParams, derive_constants, validate_regime
@@ -52,7 +51,7 @@ class MeasureError(ValueError):
 
 def unit_sphere_area(n: int) -> float:
     """Surface area of S^{n-1} in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 # kind -> the RegimeReport fields (flag, reason) of its contraction theorem

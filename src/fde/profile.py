@@ -15,18 +15,21 @@ pipeline is:
    r_switch: a loop in Python floats (``_rk45``) with scipy RK45's tableau
    and step control, its sums taken in a fixed order, sampled on a fixed
    log-spaced grid in one vectorised pass,
-3. ``integrate_far_field``  -- switch to s = log r, step scipy's LSODA on the
-   autonomous equation for w~(s) = r^{(n-2-nm)/m} g^{1-m} up to s_max
-   (default 200, i.e. radii up to e^200, representable only through s), or
-   to a caller's ``reach`` on the same node lattice, keeping each step's
-   Nordsieck columns in flat buffers (``_lsoda_steps``) and sampling the
-   nodes from them by Horner's rule; check the handoff,
+3. ``integrate_far_field``  -- switch to s = log r and step the autonomous
+   equation for w~(s) = r^{(n-2-nm)/m} g^{1-m} on a fixed node lattice up
+   to s_max (default 200, i.e. radii up to e^200, representable only
+   through s) with scipy's LSODA, keeping each step's Nordsieck columns in
+   flat buffers (``_lsoda``) and sampling the nodes from them by Horner's
+   rule; or, to a caller's ``reach``, a prefix of the lattice with
+   ``_rk45``; check the handoff,
 4. ``compute_profile``      -- chain the stages into a ``Profile``, keeping
    the last one built for a repeat of its request.
 
 Each stage derives the constants of ``req.params`` itself.  The stages take
 scipy's RK45 and LSODA steps (same steps and nfev as ``solve_ivp``), but
-round their samples in their own order, free of any BLAS call.  ``estimate_K``
+round their samples in their own order, free of any BLAS call.  RK45's
+constants are literals here, and only a full far field imports
+scipy.integrate, for LSODA; the module itself needs numpy only.  ``estimate_K``
 extracts K(eta, beta~) from a far-field trace with the closed-form tail
 corrections; only the callers that report K run it, on the full far field.
 A caller that reads the profile only on an annulus passes the largest s it
@@ -45,9 +48,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import LSODA, RK45
-from scipy.integrate import solve_ivp  # noqa: F401  (looked up here by perfbench's tracer)
-from scipy.interpolate import PchipInterpolator
 
 from .params import DerivedConstants, ModelParams, derive_constants
 
@@ -65,6 +65,16 @@ __all__ = [
     "compute_profile",
     "check_profile_invariants",
 ]
+
+
+def __getattr__(name):
+    """scipy's ``solve_ivp``, which no stage calls, as the name through which
+    perfbench's tracer looks for the profile's solver: it is loaded on its
+    first lookup, so importing this module does not load scipy.integrate."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ProfileError(RuntimeError):
@@ -117,7 +127,8 @@ class InnerProfile:
 
 @dataclass(frozen=True)
 class FarFieldTrace:
-    """w~, w~_s and the subtracted h, h1 on a fixed s grid; LSODA's nfev and steps."""
+    """w~, w~_s and the subtracted h, h1 on a fixed s grid; the solver's nfev
+    and steps (LSODA's on the full lattice, RK45's on a prefix)."""
 
     s: np.ndarray
     w: np.ndarray
@@ -231,10 +242,27 @@ _LN_MAX = math.log(np.finfo(float).max)  # the largest x whose e^x is a float
 # the most Nordsieck columns LSODA keeps: Adams orders go up to 12
 _LSODA_COLS = 13
 
-# scipy's RK45 (Dormand & Prince 1980): tableau, and the step-size policy
-# of RungeKutta._step_impl
-_RK_A, _RK_B, _RK_C, _RK_E = RK45.A.tolist(), RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
-_RK_ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
+# scipy's RK45 (Dormand & Prince 1980; dense output P from Shampine 1986),
+# its constants written as scipy writes them, and the step-size policy of
+# RungeKutta._step_impl; the error estimator has order 4
+_RK_A = [[0, 0, 0, 0, 0],
+         [1/5, 0, 0, 0, 0],
+         [3/40, 9/40, 0, 0, 0],
+         [44/45, -56/15, 32/9, 0, 0],
+         [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+         [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]
+_RK_B = [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]
+_RK_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
+_RK_E = [-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]], dtype=float)
+_RK_ERR_EXP = -1.0 / (4 + 1)
 _RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10.0
 
 
@@ -252,7 +280,7 @@ def _horner(coef: np.ndarray, seg: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: float,
-          first_step: float, nodes: np.ndarray):
+          first_step: float, nodes: np.ndarray, stage=("inner", "r", "g")):
     """Integrate g' = g_r, g_r' = grr(t, g, g_r) from t0 to t_end and sample
     (g, g_r) at the ascending ``nodes``; return (g, g_r, nfev, accepted steps).
 
@@ -267,8 +295,10 @@ def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: 
     (t - t_i)/h.
 
     ProfileError when an accepted step ends with g <= 1e-300 or the step size
-    collapses.
+    collapses, naming the stage, its variable and its unknown as ``stage``
+    gives them: "inner integration failed at r=...: g reached 0".
     """
+    name, t_name, y_name = stage
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
         row[:i] for i, row in enumerate(_RK_A) if i)
     b1, _, b3, b4, b5, b6 = _RK_B             # B[1] and E[1] are 0
@@ -283,7 +313,7 @@ def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: 
         rejected = False
         while True:
             if h_abs < min_step:
-                raise ProfileError(f"inner integration failed at r={t:.6e}: "
+                raise ProfileError(f"{name} integration failed at {t_name}={t:.6e}: "
                                    "Required step size is less than spacing between numbers.")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
@@ -321,7 +351,8 @@ def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: 
             h_abs *= max(_RK_MIN_FACTOR, _RK_SAFETY * err ** _RK_ERR_EXP)
             rejected = True
         if g_new <= 1e-300:
-            raise ProfileError(f"inner integration failed at r={t_new:.6e}: g reached 0")
+            raise ProfileError(f"{name} integration failed at {t_name}={t_new:.6e}: "
+                               f"{y_name} reached 0")
         ts.append(t_new)
         ks.extend((g, p1, k1, p2, k2, p3, k3, p4, k4, p5, k5, p6, k6, gr_new, f_new))
         t, g, gr, f = t_new, g_new, gr_new, f_new
@@ -332,9 +363,9 @@ def _rk45(grr, t0: float, t_end: float, g: float, gr: float, rtol: float, atol: 
     h = ts[seg + 1] - t_old
     rows = np.frombuffer(ks).reshape(-1, 15)
     K = rows[:, 1:].reshape(-1, 7, 1, 2)
-    Q = K[:, 0] * RK45.P[0, :, None]      # (steps, 4, 2): Q^T of each step
+    Q = K[:, 0] * _RK_P[0, :, None]      # (steps, 4, 2): Q^T of each step
     for j in range(1, 7):
-        Q = Q + K[:, j] * RK45.P[j, :, None]
+        Q = Q + K[:, j] * _RK_P[j, :, None]
     x = (nodes - t_old) / h
     y = rows[seg, :2] + h[:, None] * (x[:, None] * _horner(Q, seg, x))
     return y[:, 0], y[:, 1], nfev, len(ts) - 1
@@ -382,24 +413,34 @@ def _rhs_far(n: int, m: float, c: DerivedConstants):
     return wss
 
 
-def _lsoda_steps(solver: LSODA, rhs, s_end: float):
-    """Step scipy's LSODA ``solver`` on the bare right side ``rhs`` until its t
-    reaches s_end; return, per step, its end t, the step size h that scales
-    its interpolant and its Nordsieck columns, as (t, h, coef) with coef of
-    shape (steps, cols, n), cols one more than the highest order taken and
-    each step's columns zero past its own order; and LSODA's own count of
-    right-side evaluations (iwork[11]), which is ``solve_ivp``'s nfev.
+def _lsoda(wss, s0: float, y0, rtol: float, atol: float, nodes: np.ndarray):
+    """Step scipy's LSODA on w~' = w~_s, w~_s' = wss(w~, w~_s) from (s0, y0) to
+    t_bound = the last of the ascending ``nodes``, and sample (w~, w~_s) at
+    them; return (w~, w~_s, nfev, steps), with nfev LSODA's own count of
+    right-side evaluations (iwork[11]), which is ``solve_ivp``'s.
 
-    Each step is the one ``LSODA._step_impl`` takes: the integrator runs once
-    with itask 5 (one step, never past t_bound), with ``rhs`` in place of
-    the solver's counting wrapper, so the steps are the solver's own without
-    its per-step checks and copies.  The columns are read after each step as
-    ``LSODA._dense_output_impl`` reads them: the order from iwork[13], h
-    from rwork[11], order + 1 columns from rwork[20:], the last rescaled by
-    (h / rwork[10])^order when iwork[14] lowers the next order.  So step i
-    interpolates sum_p coef[i, p] ((s - t[i]) / h[i])^p, and no per-step
-    object is built.  ProfileError when a step fails.
+    The solver is built as ``solve_ivp`` builds it, and each step is the one
+    ``LSODA._step_impl`` takes: the integrator runs once with itask 5 (one
+    step, never past t_bound), with the bare right side in place of the
+    solver's counting wrapper, so the steps are the solver's own without
+    its per-step checks and copies.  Each step's Nordsieck columns are kept
+    in flat buffers, read as ``LSODA._dense_output_impl`` reads them: the
+    order from iwork[13], h from rwork[11], order + 1 columns from
+    rwork[20:], the last rescaled by (h / rwork[10])^order when iwork[14]
+    lowers the next order.  Each node is sampled on the step ``solve_ivp``
+    picks for it (searchsorted(side="right") - 1 over the step starts), by
+    Horner's rule in (s - t) / h.  ProfileError when a step fails.
+
+    scipy.integrate is imported here, on the first full trace, and not with
+    the module: the commands that read only a prefix never load it.
     """
+    from scipy.integrate import LSODA
+
+    def rhs(s, y):
+        w, ws = y.tolist()  # floats round as numpy's scalars do, at a third of the cost
+        return ws, wss(w, ws)
+
+    solver = LSODA(rhs, s0, y0, nodes[-1], rtol=rtol, atol=atol)
     ode = solver._lsoda_solver
     integrator = ode._integrator
     iwork, rwork, n = integrator.iwork, integrator.rwork, solver.n
@@ -410,7 +451,7 @@ def _lsoda_steps(solver: LSODA, rhs, s_end: float):
     t, h, order = np.empty(512), np.empty(512), np.empty(512, dtype=iwork.dtype)
     coef = np.empty((512, cols))
     i = 0
-    while s < s_end:
+    while s < t_bound:
         y, s = integrator.run(rhs, jac, y, s, t_bound, (), ())
         if not integrator.success:
             raise ProfileError("far-field integration failed: Unexpected istate in LSODA.")
@@ -423,10 +464,13 @@ def _lsoda_steps(solver: LSODA, rhs, s_end: float):
         if iwork[14] < o:
             coef[i, o * n:(o + 1) * n] *= (rwork[11] / rwork[10]) ** o
         i += 1
-    order = order[:i]
+    t, h, order = t[:i], h[:i], order[:i]
     coef = coef[:i].reshape(i, _LSODA_COLS, n)
     coef[np.arange(_LSODA_COLS) > order[:, None]] = 0.0  # work space beyond the order
-    return t[:i], h[:i], coef[:, :int(order.max()) + 1], int(iwork[11])
+    # a node's step is the last to start at or before it: step 0 starts at s0, step i at t[i-1]
+    seg = np.minimum(np.searchsorted(t, nodes, side="right"), i - 1)
+    w, w_s = _horner(coef[:, :int(order.max()) + 1], seg, (nodes - t[seg]) / h[seg]).T
+    return w, w_s, int(iwork[11]), i
 
 
 def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
@@ -438,14 +482,15 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     The trace is sampled on a fixed lattice of nodes at most _FAR_DS apart
     from log(r_switch) to s_max.  Given ``reach``, it keeps only the lattice's
     prefix up to one node past the first node >= reach (at least 3 nodes).
-    scipy's LSODA is built as ``solve_ivp`` builds it, with rtol floored at
-    100 eps as LSODA floors it (but without its warning), and its integrator
-    is stepped past the last kept node (``_lsoda_steps``); each node is
-    sampled on the step ``solve_ivp`` picks for it (searchsorted(side=
-    "right") - 1 over the step starts), by Horner's rule in the step's
-    Nordsieck columns.  The first
-    step depends on t_bound, so t_bound stays s_max: the kept nodes carry
-    the full trace's values bit for bit, at a fraction of the cost.
+    The full lattice is stepped by scipy's LSODA (``_lsoda``), which copes
+    with the far equation's stiffness: its rate d w~_ss / d w~_s ~
+    -(bt/(n-1)) w~ grows with s.  A shorter prefix is stepped by ``_rk45``
+    (scipy RK45's steps, first step _FAR_DS) to its last node, with atol =
+    tol on w~ and pure relative control on w~_s, which stays positive.  Up
+    to the PDE commands' default reach of 5 that costs about what LSODA
+    does; far out it takes several times LSODA's steps.  A prefix is not
+    the full trace's values bit for bit: it is within about 2e-9 relative
+    of them (5e-10 up to reach 5).
     """
     c = derive_constants(req.params)
     n, m = req.params.n, req.params.m
@@ -465,18 +510,14 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
     if reach is not None:
         s = s[:max(3, int(np.searchsorted(s, reach)) + 2)]
     wss = _rhs_far(n, m, c)
-
-    def rhs(s, y):
-        w, ws = y.tolist()  # floats round as numpy's scalars do, at a third of the cost
-        return ws, wss(w, ws)
-
-    # rtol has LSODA's floor, which it would otherwise apply with a warning
+    # rtol has the floor LSODA and RK45 would otherwise apply with a warning
     rtol = max(req.tol, 100.0 * np.finfo(float).eps)
-    solver = LSODA(rhs, s0, (w0, ws0), req.s_max, rtol=rtol, atol=req.tol)
-    ts, hs, coef, nfev = _lsoda_steps(solver, rhs, s[-1])
-    # a node's step is the last to start at or before it: step 0 starts at s0, step i at ts[i-1]
-    seg = np.minimum(np.searchsorted(ts, s, side="right"), len(ts) - 1)
-    w, w_s = _horner(coef, seg, (s - ts[seg]) / hs[seg]).T
+    if len(s) < n_nodes:
+        w, w_s, nfev, steps = _rk45(
+            lambda _, w, ws: wss(w, ws), s0, float(s[-1]), float(w0), float(ws0), rtol=rtol,
+            atol=req.tol, first_step=_FAR_DS, nodes=s, stage=("far-field", "s", "w~"))
+    else:
+        w, w_s, nfev, steps = _lsoda(wss, s0, (w0, ws0), rtol, req.tol, s)
     if np.any(w_s <= 0.0):
         bad = s[np.argmax(w_s <= 0.0)]
         raise ProfileError(f"eta={req.eta!r} gives w~_s <= 0 at s={bad:.3f}; trace invalid")
@@ -488,7 +529,7 @@ def integrate_far_field(req: ProfileRequest, inner: InnerProfile,
 
     h = w - c.farfield_slope * s
     h1 = None if c.yamabe_case else h - c.h1_slope * np.log(s)
-    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=nfev, steps=len(ts))
+    return FarFieldTrace(s=s, w=w, w_s=w_s, h=h, h1=h1, nfev=nfev, steps=steps)
 
 
 def _a2_const_part(n: int, m: float) -> float:
@@ -555,6 +596,67 @@ def estimate_K(trace: FarFieldTrace, params: ModelParams) -> KEstimate:
                      converged=bool(converged))
 
 
+def _pchip_edge(h0, h1, m0, m1):
+    """PchipInterpolator's end slope: the one-sided three-point estimate,
+    zeroed where its sign is not that of the end secant m0, and held to
+    3 m0 where the secants change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, extrapolate: bool = True):
+    """scipy's ``PchipInterpolator(x, y, extrapolate=extrapolate)`` on 1-d data,
+    bit for bit, as a function of the query points.
+
+    The node slopes are scipy's: the weighted harmonic mean of the adjacent
+    secants inside (0 where they differ in sign or either is 0), the
+    one-sided rule at the ends (``_pchip_edge``), the secant itself on 2
+    nodes.  The cubic on [x_i, x_i+1] has CubicHermiteSpline's coefficients
+    and is evaluated in PPoly's order, c3 + c2 t + c1 t^2 + c0 t^3 with
+    t = q - x_i, on the interval searchsorted(side="right") - 1, the last
+    for q = x[-1] (and the end intervals outside, when extrapolating).
+    Outside [x[0], x[-1]] a query is nan unless extrapolate.  Where the
+    secants are tiny the harmonic mean can overflow, and its node slope
+    1/inf = 0 is the flat data's; the overflow warns as scipy's does.
+    """
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    dk = np.empty_like(y)
+    if len(x) == 2:
+        dk[:] = mk[0]
+    else:
+        sk = np.sign(mk)
+        flat = (sk[1:] != sk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1, w2 = 2 * hk[1:] + hk[:-1], hk[1:] + 2 * hk[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dk[1:-1] = 0.0
+        dk[1:-1][~flat] = 1.0 / whmean[~flat]
+        dk[0] = _pchip_edge(hk[0], hk[1], mk[0], mk[1])
+        dk[-1] = _pchip_edge(hk[-1], hk[-2], mk[-1], mk[-2])
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    c0, c1, c2 = t / hk, (mk - dk[:-1]) / hk - t, dk[:-1]
+    c3 = y[:-1] + 0.0  # PPoly sums from 0.0, which turns -0.0 into 0.0
+    # searching the inner breakpoints gives the interval, clipped to the ends
+    starts, inner, lo, hi = x[:-1], x[1:-1], x[0], x[-1]
+
+    def interpolate(q):
+        q = np.asarray(q, dtype=float)
+        i = inner.searchsorted(q, side="right")
+        t = q - starts.take(i)
+        t2 = t * t
+        v = c3.take(i) + c2.take(i) * t + c1.take(i) * t2 + c0.take(i) * (t2 * t)
+        if not extrapolate and q.size and not (lo <= q.min() and q.max() <= hi):
+            v[(q < lo) | (q > hi)] = np.nan
+        return v
+
+    return interpolate
+
+
 class Profile:
     """A computed profile of ``request`` with piecewise evaluation; ``constants``
     are those of request.params.
@@ -577,15 +679,14 @@ class Profile:
         self.far = far
         self._wexp = (1.0 - request.params.m) * c.alpha_tilde / c.beta_tilde
         s_in = np.log(inner.r)
-        self._ip_lng = PchipInterpolator(s_in, np.log(inner.g), extrapolate=False)
+        self._ip_lng = _pchip(s_in, np.log(inner.g), extrapolate=False)
         # where r g_r / g underflows near r0 (n = 8, m = 0.1), pchip's harmonic
         # mean of the slopes overflows to inf, and its derivative 1/inf = 0
         # is the flat data's
         with np.errstate(over="ignore"):
-            self._ip_rat = PchipInterpolator(s_in, inner.r * inner.g_r / inner.g,
-                                             extrapolate=False)
-        self._ip_w = PchipInterpolator(far.s, far.w, extrapolate=False)
-        self._ip_ws = PchipInterpolator(far.s, far.w_s, extrapolate=False)
+            self._ip_rat = _pchip(s_in, inner.r * inner.g_r / inner.g, extrapolate=False)
+        self._ip_w = _pchip(far.s, far.w, extrapolate=False)
+        self._ip_ws = _pchip(far.s, far.w_s, extrapolate=False)
 
     # -- g ----------------------------------------------------------------
 

@@ -12,8 +12,9 @@ independent re-derivations:
   ``solve_ivp`` RK45 with a terminal g = 0 event, whose steps
   ``fde.profile.integrate_inner`` takes, rounding its samples otherwise;
 * ``integrate_far_field_ivp``: the far-field stage through scipy's
-  ``solve_ivp`` LSODA, a prefix stopped by a terminal event, whose steps
-  ``fde.profile.integrate_far_field`` takes, rounding its samples otherwise;
+  ``solve_ivp``, LSODA on the full lattice and RK45 on a shorter prefix,
+  whose steps ``fde.profile.integrate_far_field`` takes, rounding its
+  samples otherwise;
 * ``csv_rows``: the CSV rows of columns of floats, one '%.17g' per value,
   which ``fde.cli._csv_rows`` spells in numpy;
 * ``hybrid_switch``: the central/upwind choice of ``fde._kernels``'s
@@ -203,9 +204,9 @@ def integrate_inner_ivp(req: ProfileRequest, c: Optional[DerivedConstants] = Non
 
 def integrate_far_field_ivp(req: ProfileRequest, inner: InnerProfile,
                             reach: Optional[float] = None) -> FarFieldTrace:
-    """``integrate_far_field`` through ``solve_ivp(method="LSODA")`` with dense
-    output; a prefix keeps t_bound = s_max and stops at its last node with a
-    terminal event.  No handoff check."""
+    """``integrate_far_field`` through ``solve_ivp`` with dense output: LSODA
+    on the full lattice; RK45 on a shorter prefix, from first step _FAR_DS
+    with atol (tol, 0) to its last node.  No handoff check."""
     c = derive_constants(req.params)
     n, m = req.params.n, req.params.m
     at, bt = c.alpha_tilde, c.beta_tilde
@@ -221,21 +222,19 @@ def integrate_far_field_ivp(req: ProfileRequest, inner: InnerProfile,
     n_nodes = int(math.ceil((req.s_max - s0) / _FAR_DS))
     n_nodes += (n_nodes + 1) % 2
     s = np.linspace(s0, req.s_max, n_nodes)
-    events = None
     k = n_nodes if reach is None else max(3, int(np.searchsorted(s, reach)) + 2)
+    wss = _rhs_far(n, m, c)
+
+    def rhs(s, y):
+        return (y[1], wss(y[0], y[1]))
+
     if k < n_nodes:
         s = s[:k]
-
-        def past_end(t, y):
-            return t - s[-1]
-
-        past_end.terminal = True
-        events = past_end
-    wss = _rhs_far(n, m, c)
-    sol = solve_ivp(
-        lambda s, y: (y[1], wss(y[0], y[1])), (s0, req.s_max), (w0, ws0),
-        method="LSODA", rtol=req.tol, atol=req.tol, dense_output=True, events=events,
-    )
+        sol = solve_ivp(rhs, (s0, s[-1]), (w0, ws0), method="RK45", rtol=req.tol,
+                        atol=(req.tol, 0.0), first_step=_FAR_DS, dense_output=True)
+    else:
+        sol = solve_ivp(rhs, (s0, req.s_max), (w0, ws0), method="LSODA", rtol=req.tol,
+                        atol=req.tol, dense_output=True)
     if not sol.success:
         raise ProfileError(f"far-field integration failed: {sol.message}")
 

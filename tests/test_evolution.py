@@ -1027,6 +1027,28 @@ def test_field_validation():
         RadialField(u=np.full(3, np.nan), t=0.0, form="physical")
 
 
+@pytest.mark.parametrize("log_u", [
+    [0.7, 1.6],                                  # 2 nodes: the secant
+    [0.0, 0.0, 1.0, 0.5, 0.5, 2.0, -1.0],         # flat and sign-changing secants
+    [0.0, 1.0, 6.0, 5.0, 0.0, 1.0],               # both end rules
+], ids=["two_nodes", "flat_and_turning", "end_rules"])
+def test_table_kind_is_scipys_pchip(log_u):
+    # a table is resampled as PchipInterpolator (extrapolating) resamples it,
+    # bit for bit, on a grid reaching past both ends of the table.  The end
+    # rules: secants 1 then 5 give the one-sided slope -1, set to 0 as its
+    # sign is not the end secant's; secants -5 then 1 give 4, held to 3
+    from scipy.interpolate import PchipInterpolator
+
+    from fde.profile import _pchip_edge
+
+    assert _pchip_edge(1.0, 1.0, 1.0, 5.0) == 0.0 and _pchip_edge(1.0, 1.0, 1.0, -5.0) == 3.0
+    g = build_grid(math.exp(2.0), 401)
+    s_tab = np.linspace(-1.0, 1.5, len(log_u))
+    init = InitialSpec(kind="table", table_r=np.exp(s_tab), table_u=np.exp(log_u))
+    want = np.exp(PchipInterpolator(np.log(init.table_r), np.log(init.table_u))(g.s))
+    assert np.array_equal(init.values(g, None, P32), want)
+
+
 def test_table_initial_data(profile_cache):
     # a user table is pchip-resampled onto the grid in log-log coordinates
     prof = profile_cache(3, 0.2)

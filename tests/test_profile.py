@@ -161,22 +161,25 @@ def test_inner_stepper_takes_rk45_steps(n, m, beta, eta):
         np.testing.assert_allclose(a, b, rtol=1e-11, atol=0.0)
 
 
-@pytest.mark.parametrize("n, m, beta, eta, s_max", [
+_FAR_DRAWS = [
     (3, 0.2, -1.0, 1.0, 200.0),          # Yamabe m = (n-2)/(n+2)
     (4, 1.0 / 3.0, -1.0, 0.5, 200.0),    # Yamabe
     (5, 0.367876, -1.18629, 1.4731, 200.0),
     (5, 0.1228, -0.5, 2.0, 200.0),
     (4, 0.0765, -1.0, 1.0, 200.0),
     (3, 0.25, -1.3, 0.7, 400.0),
-])
+]
+
+
+@pytest.mark.parametrize("n, m, beta, eta, s_max", _FAR_DRAWS)
 def test_far_field_stepper_takes_lsoda_steps(n, m, beta, eta, s_max):
     # the same steps as solve_ivp's LSODA, for the full trace and for a reach
-    # before the handoff at s = log 10, just past it, inside the lattice and
-    # beyond s_max; the samples differ only by Horner's rule against powers
-    # and a dot product, 2 ulp of w~ at most on these draws
+    # beyond s_max, which keeps the whole lattice; the samples differ only by
+    # Horner's rule against powers and a dot product, 2 ulp of w~ at most on
+    # these draws
     req = req_for(n, m, beta=beta, eta=eta, s_max=s_max)
     inner = integrate_inner(req)
-    for reach in (None, -1.0, 2.31, 4.3, 500.0):
+    for reach in (None, 500.0):
         new = integrate_far_field(req, inner, reach=reach)
         ref = integrate_far_field_ivp(req, inner, reach=reach)
         assert (new.nfev, new.steps) == (ref.nfev, ref.steps), reach
@@ -189,6 +192,98 @@ def test_far_field_stepper_takes_lsoda_steps(n, m, beta, eta, s_max):
         assert (new.h1 is None) == (ref.h1 is None)  # None in the Yamabe case
         if new.h1 is not None:
             assert np.all(np.abs(new.h1 - ref.h1) <= 4 * ulp_w), reach
+
+
+@pytest.mark.parametrize("n, m, beta, eta, s_max", _FAR_DRAWS)
+def test_far_field_prefix_takes_rk45_steps(n, m, beta, eta, s_max):
+    # a reach before the handoff at s = log 10, just past it and inside the
+    # lattice keeps a prefix, stepped with solve_ivp RK45's steps; the samples
+    # differ from its only by sums taken in order rather than by ndarray.dot
+    # (at most 8.9e-16 relative on these draws), and from the full LSODA
+    # trace's by the two solvers' errors: at most 5.1e-10 relative on these
+    # draws (the Yamabe draw at eta 0.5), bounded at 1e-9
+    req = req_for(n, m, beta=beta, eta=eta, s_max=s_max)
+    inner = integrate_inner(req)
+    full = integrate_far_field(req, inner)
+    for reach in (-1.0, 2.31, 4.3):
+        new = integrate_far_field(req, inner, reach=reach)
+        ref = integrate_far_field_ivp(req, inner, reach=reach)
+        assert (new.nfev, new.steps) == (ref.nfev, ref.steps), reach
+        k = len(new.s)
+        np.testing.assert_array_equal(new.s, ref.s)
+        np.testing.assert_array_equal(new.s, full.s[:k])
+        for key in ("w", "w_s"):
+            np.testing.assert_allclose(getattr(new, key), getattr(ref, key), rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(getattr(new, key), getattr(full, key)[:k],
+                                       rtol=1e-9, atol=0.0)
+        # h and h1 subtract from w~, so their bound is relative to w~
+        assert np.all(np.abs(new.h - full.h[:k]) <= 1e-9 * full.w[:k]), reach
+        if new.h1 is not None:
+            assert np.all(np.abs(new.h1 - full.h1[:k]) <= 1e-9 * full.w[:k]), reach
+
+
+def test_rk45_constants_are_scipys():
+    # the stepper's tableau, dense-output matrix and error exponent are
+    # literals; scipy's RK45 is their oracle
+    from scipy.integrate import RK45
+
+    for name in ("A", "B", "C", "E", "P"):
+        ours = np.array(getattr(profile, f"_RK_{name}"), dtype=float)
+        assert ours.shape == getattr(RK45, name).shape, name
+        assert np.array_equal(ours, getattr(RK45, name)), name
+    assert profile._RK_ERR_EXP == -1.0 / (RK45.error_estimator_order + 1)
+
+
+@pytest.mark.parametrize("n, m, beta, eta", [
+    (3, 0.2, -1.0, 1.0),          # Yamabe
+    (5, 0.367876, -1.18629, 1.4731),
+    (8, 0.1, -1.0, 1.0),          # r g_r / g underflows near r0
+])
+def test_pchip_is_scipys_on_the_profile_interpolants(n, m, beta, eta):
+    # each of a Profile's four interpolants gives PchipInterpolator's
+    # (extrapolate=False) doubles bit for bit: at the nodes, at random
+    # points inside and as nan outside
+    from scipy.interpolate import PchipInterpolator
+
+    prof = compute_profile(req_for(n, m, beta=beta, eta=eta))
+    s_in, far = np.log(prof.inner.r), prof.far
+    rng = np.random.default_rng(n)
+    with np.errstate(over="ignore"):  # as Profile builds its ratio interpolant
+        for x, y in ((s_in, np.log(prof.inner.g)),
+                     (s_in, prof.inner.r * prof.inner.g_r / prof.inner.g),
+                     (far.s, far.w), (far.s, far.w_s)):
+            q = np.concatenate([x, rng.uniform(x[0], x[-1], 20000),
+                                [x[0] - 1.0, np.nextafter(x[0], -np.inf),
+                                 np.nextafter(x[-1], np.inf), x[-1] + 1.0]])
+            want = PchipInterpolator(x, y, extrapolate=False)(q)
+            got = profile._pchip(x, y, extrapolate=False)(q)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.isnan(got[-4:]).all()
+
+
+def test_pchip_sums_from_zero_as_ppoly():
+    # PPoly adds each term to 0.0, so a node value of -0.0 whose other terms
+    # vanish as -0.0 (all three coefficients negative there) reads +0.0
+    from scipy.interpolate import PchipInterpolator
+
+    x, y = np.arange(4.0), np.array([1.0, -0.0, -2.0, -8.0])
+    want, got = PchipInterpolator(x, y)(x), profile._pchip(x, y)(x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)) and not np.signbit(got[1])
+
+
+def test_far_field_prefix_names_its_stage(monkeypatch):
+    # the prefix's stepper fails as the far-field stage, in s and w~
+    req = req_for(3, 0.2)
+    inner = integrate_inner(req)
+    monkeypatch.setattr(profile, "_rhs_far", lambda n, m, c: lambda w, ws: math.nan)
+    with pytest.raises(ProfileError) as e:
+        integrate_far_field(req, inner, reach=5.0)
+    assert str(e.value) == ("far-field integration failed at s=2.302585e+00: "
+                            "Required step size is less than spacing between numbers.")
+    monkeypatch.setattr(profile, "_rhs_far", lambda n, m, c: lambda w, ws: -1e6)
+    with pytest.raises(ProfileError, match=r"^far-field integration failed at s=2\.3\d+e\+00: "
+                                           r"w~ reached 0$"):
+        integrate_far_field(req, inner, reach=5.0)
 
 
 def test_inner_stepper_golden_samples():
@@ -410,16 +505,22 @@ def test_value_only_eval_matches_full_path(profile_cache):
 @pytest.mark.parametrize("reach,nodes", [(-1.0, 3), (2.31, 3), (4.3, 102), (500.0, 9885)])
 def test_far_field_reach_keeps_a_prefix_of_the_lattice(profile_cache, reach, nodes):
     # the far field ends one node past the first node >= reach, with at
-    # least 3 nodes, as a prefix of the full trace, bit for bit; a reach past
-    # the lattice's end gives the full trace
+    # least 3 nodes, on a prefix of the full lattice; a reach past the
+    # lattice's end gives the full trace bit for bit, a shorter prefix is
+    # within 2.6e-10 relative of it here (bounded at 1e-9)
     full = profile_cache(3, 0.2)
     prof = compute_profile(full.request, reach=reach)
     s = prof.far.s
     assert len(s) == nodes
     assert nodes in (3, len(full.far.s)) or s[-3] < reach <= s[-2]
     assert prof.far.h1 is None  # the Yamabe case
-    for key in ("s", "w", "w_s", "h"):
-        assert np.array_equal(getattr(prof.far, key), getattr(full.far, key)[:nodes])
+    assert np.array_equal(s, full.far.s[:nodes])
+    for key, scale in (("w", full.far.w), ("w_s", full.far.w_s), ("h", full.far.w)):
+        got, want = getattr(prof.far, key), getattr(full.far, key)[:nodes]
+        if nodes == len(full.far.s):
+            assert np.array_equal(got, want)
+        else:  # h subtracts from w~, so its bound is relative to w~
+            assert np.all(np.abs(got - want) <= 1e-9 * scale[:nodes]), key
     with pytest.raises(ProfileError, match="no extrapolation"):
         prof.eval_g_log(math.exp(s[-1]) * 1.001)
 
