@@ -592,9 +592,17 @@ def _weight_lam(wcfg):
 
 
 def _check_weight(cfg):
-    """The configured weight's checks that need no profile (``measures.check_weight``)."""
+    """The configured weight's checks that need no profile (``measures.check_weight``);
+    a model outside its theorem's regime is a ConfigError naming the key to
+    change: weight.mu for power_mu (no flag sets it), weight.kind otherwise."""
     w = cfg["weight"]
-    measures.check_weight(_model(cfg), w["kind"], w.get("mu"), w.get("power"), w.get("exponent"))
+    try:
+        measures.check_weight(_model(cfg), w["kind"], w.get("mu"), w.get("power"),
+                              w.get("exponent"))
+    except measures.RegimeError as e:
+        key = "mu" if w["kind"] == "power_mu" else "kind"
+        raise ConfigError(f"weight.{key} = {w[key]!r} is outside the {w['kind']} weight's "
+                          f"regime: {e.reason}") from None
 
 
 def _make_weight(wcfg, prof):

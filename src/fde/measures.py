@@ -33,6 +33,7 @@ from .profile import Profile
 
 __all__ = [
     "MeasureError",
+    "RegimeError",
     "WeightSpec",
     "check_weight",
     "unit_sphere_area",
@@ -47,6 +48,15 @@ ANNULUS_NOTE = ("verdict tests the annulus Dirichlet approximation of the "
 
 class MeasureError(ValueError):
     """Invalid weight or mismatched inputs."""
+
+
+class RegimeError(MeasureError):
+    """A weight whose contraction theorem does not cover (n, m, mu); reason
+    says which of the theorem's conditions fails."""
+
+    def __init__(self, kind: str, reason: str):
+        super().__init__(f"{kind} weight: {reason}")
+        self.reason = reason
 
 
 def unit_sphere_area(n: int) -> float:
@@ -64,7 +74,7 @@ _REGIME = {"power_mu": ("thm13_mu_range", "thm13_reason"),
 def check_weight(params: ModelParams, kind: str, mu=None, power=None, exponent=None):
     """The checks of a WeightSpec that need no profile: a known kind, its
     keys, and (n, m, mu) inside the validity regime of the kind's
-    contraction theorem; MeasureError otherwise."""
+    contraction theorem; MeasureError otherwise, RegimeError outside the regime."""
     if kind not in _REGIME:
         raise MeasureError(f"unknown weight kind {kind!r}")
     if kind == "power_mu" and mu is None:
@@ -74,7 +84,7 @@ def check_weight(params: ModelParams, kind: str, mu=None, power=None, exponent=N
     if _REGIME[kind] is not None:
         ok, reason = (getattr(validate_regime(params, mu), f) for f in _REGIME[kind])
         if not ok:
-            raise MeasureError(f"{kind} weight: {reason}")
+            raise RegimeError(kind, reason)
 
 
 @dataclass(frozen=True)

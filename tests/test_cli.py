@@ -714,7 +714,28 @@ def test_weight_regime_checked_before_the_profile(tmp_path, capsys, no_solver, c
     code = run_command([command, "--n", "8", "--m", "0.1", "--config", str(cfg),
                         "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err == "error: profile_gamma2 weight: violated n in {3,4}: n=8\n"
+    assert capsys.readouterr().err == ("config error: weight.kind = 'profile_gamma2' is outside "
+                                       "the profile_gamma2 weight's regime: violated n in {3,4}: "
+                                       "n=8\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,weight,err", [
+    (["contract", "--m", "0.3"], None,
+     "weight.mu = 0.25 is outside the power_mu weight's regime: violated 0 < mu <= "
+     "mu1=0.1428571428571428"),
+    (["converge", "--n", "5", "--m", "0.55"], {"kind": "power_mu", "mu": 0.5555555555555554},
+     "weight.mu = 0.5555555555555554 is outside the power_mu weight's regime: mu = mu1 "
+     "requires 0 < m < min((n-2)/n, 1/2) = 0.5; m=0.55"),
+], ids=["above-mu1", "at-mu1"])
+def test_power_mu_regime_error_names_weight_mu(tmp_path, capsys, no_solver, argv, weight, err):
+    # no flag sets weight.mu (--mu is constants'), so the error names the
+    # config key, its value and mu1, before any profile is built
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({} if weight is None else {"weight": weight}))
+    code = run_command(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {err}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -960,8 +981,10 @@ _SCIPY_SOLVERS = ("scipy.integrate", "scipy.interpolate", "scipy.special", "scip
 def test_pde_commands_load_no_scipy_solver(tmp_path):
     # in a fresh interpreter, import fde.cli and the commands that step the
     # PDE (and constants) load numpy and LAPACK only, none of scipy's ODE,
-    # interpolation, special-function or optimisation packages; a following
-    # profile loads LSODA and writes the bytes it writes in this process
+    # interpolation, special-function or optimisation packages, nor the
+    # scipy.linalg package (whose init loads numpy.f2py) around the one
+    # LAPACK extension; a following profile loads LSODA and writes the bytes
+    # it writes in this process
     script = """
 import contextlib, io, sys
 from fde.cli import run_command
@@ -972,6 +995,7 @@ for argv in (["constants"], ["evolve", "--N", "41", "--horizon", "0.01"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_command(argv + ["--out", out + "/" + argv[0]]) == 0, argv
 print(sorted({m for m in sys.modules if m.startswith(%r)}))
+print([m for m in ("scipy.linalg", "numpy.f2py") if m in sys.modules])
 assert run_command(["profile", "--smax", "60", "--out", out + "/profile"]) == 0
 print("scipy.integrate" in sys.modules)
 """ % (_SCIPY_SOLVERS,)
@@ -979,7 +1003,7 @@ print("scipy.integrate" in sys.modules)
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "fresh")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True"]
+    assert done.stdout.splitlines() == ["[]", "[]", "True"]
     assert run_command(["profile", "--smax", "60", "--out", str(tmp_path / "here")]) == 0
     for name in ("profile_rg.csv", "profile_far.csv", "profile_summary.json"):
         assert _read(tmp_path / "fresh" / "profile" / name) == _read(tmp_path / "here" / name)

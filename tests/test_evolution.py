@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -349,6 +352,23 @@ def test_newton_step_stacked_blocks_equal_separate_solves():
     assert iters == max(stack.iters)
     for (U_ref, _, _), s, e in zip(ref, stack.starts, stack.ends):
         assert U[s:e].tobytes() == U_ref.tobytes()
+
+
+@pytest.mark.parametrize("first", ["fde._kernels", "scipy.linalg.lapack"])
+def test_newton_step_solves_with_scipys_dgtsv(first):
+    # the kernel loads scipy's LAPACK extension without scipy.linalg's
+    # package init; in a fresh interpreter, whichever of the two is imported
+    # first, its tridiagonal solve is the routine scipy.linalg.lapack exposes
+    script = f"""
+import importlib
+importlib.import_module({first!r})
+import fde._kernels, scipy.linalg.lapack
+assert fde._kernels.dgtsv is scipy.linalg.lapack.dgtsv
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evolution.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("n,m,R,N", [(3, 0.2, math.e ** 2, 41), (4, 0.3, math.e, 101),

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -74,6 +75,18 @@ def test_surface_of_the_package_matches_its_modules():
     names = sum(len(getattr(importlib.import_module(f"fde.{info.name}"), "__all__", ()))
                 for info in pkgutil.iter_modules(fde.__path__))
     assert diff_outputs._surface(src)[1] == names
+
+
+def test_modules_loaded_counts_a_fresh_import(tmp_path):
+    # a package whose cli imports json loads json's modules, fde and fde.cli
+    # on top of what a bare interpreter holds
+    pkg = tmp_path / "fde"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text("import json\n")
+    bare = subprocess.run([sys.executable, "-c", "import sys, json; print(len(sys.modules))"],
+                          capture_output=True, text=True, check=True)
+    assert diff_outputs._modules_loaded(str(tmp_path)) == int(bare.stdout) + 2
 
 
 def test_perfbench_finds_every_layer_it_traces(monkeypatch):

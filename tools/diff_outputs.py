@@ -5,9 +5,11 @@
 BASE_SRC and CHANGE_SRC are directories that hold the ``fde`` package (a
 checkout's ``src``).  First each tree's size is printed: the line count of
 the package's modules, its number of public names (the sum of the modules'
-``__all__`` lengths) and its number of settable values (the parameters of
+``__all__`` lengths), its number of settable values (the parameters of
 its functions other than self and cls, and the annotated fields of its
-dataclasses).  For each tree, one subprocess with
+dataclasses) and the number of modules a fresh ``import fde.cli`` loads
+(``sys.modules`` entries, one subprocess per tree), which shows import
+creep.  For each tree, one subprocess with
 PYTHONPATH set to that tree runs the fixed matrix below in-process, writing
 each case's artifacts, stdout, stderr and exit code to OUT/base/<case> or
 OUT/change/<case>.  A table lists each case's exit codes and verdict, and
@@ -159,6 +161,15 @@ def _surface(src: str) -> tuple:
     return lines, names, settable
 
 
+def _modules_loaded(src: str) -> int:
+    """The number of sys.modules entries after ``import fde.cli`` in a fresh
+    interpreter with src as its PYTHONPATH."""
+    done = subprocess.run([sys.executable, "-c", "import sys, fde.cli; print(len(sys.modules))"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          check=True)
+    return int(done.stdout)
+
+
 def _verdict(d: str) -> str:
     for name in sorted(os.listdir(d)):
         if name.endswith(".json"):
@@ -288,8 +299,9 @@ def main(argv=None) -> int:
         return 1
     os.makedirs(out)
     sides = {"base": base_src, "change": change_src}
-    size = {side: _surface(src) for side, src in sides.items()}
-    for i, what in enumerate(("src lines", "public names", "settable values")):
+    size = {side: _surface(src) + (_modules_loaded(src),) for side, src in sides.items()}
+    for i, what in enumerate(("src lines", "public names", "settable values",
+                              "modules loaded")):
         b, c = size["base"][i], size["change"][i]
         print(f"{what:<16}base {b}  change {c}  ({c - b:+d})")
     for side, src in sides.items():
