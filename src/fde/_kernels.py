@@ -49,38 +49,22 @@ block; later iterations cover only the contiguous span of blocks not yet
 converged, and a converged block inside it keeps its state.
 
 dgtsv is the f2py function of scipy's LAPACK extension, scipy.linalg._flapack,
-the one scipy.linalg.lapack.dgtsv exposes.  The module loads that extension
-by its file after importing the bare scipy package (whose _distributor_init
-sets up a bundled LAPACK), so scipy.linalg's package init never runs: it
-loads numpy.f2py, numpy.testing, numpy.ma and numpy.random, about half the
-time and 40% of the peak memory of importing fde.cli.  A later import of
-scipy.linalg uses the same extension module.
+the one scipy.linalg.lapack.dgtsv exposes, loaded by its file
+(``_scipy.scipy_extension``) so that scipy.linalg's package init never runs:
+it loads numpy.f2py, numpy.testing, numpy.ma and numpy.random, about half
+the time and 40% of the peak memory of importing fde.cli.  A later import
+of scipy.linalg uses the same extension module.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import itertools
-import os
 
 import numpy as np
-import scipy
 
+from ._scipy import scipy_extension
 
-def _load_flapack():
-    """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded without
-    running scipy.linalg's package init."""
-    paths = [os.path.join(p, "linalg") for p in scipy.__path__]
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", paths)
-    if spec is None:
-        raise ImportError(f"scipy.linalg._flapack not found in {paths}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-dgtsv = _load_flapack().dgtsv
+dgtsv = scipy_extension("linalg", "_flapack", "dgtsv")
 
 __all__ = ["Blocks", "newton_step"]
 

@@ -413,15 +413,30 @@ def _naming_model(cfg):
         raise ProfileError(f"{e} (model {model})") from None
 
 
-def _profile_for(cfg, R: float, lams):
+def _profile_for(cfg, R: float, lams, read=None, key="grid.R (--R)"):
     """The eta = 1 profile of the configured model, for a command that
     evaluates f_lambda and U_lambda on [1/R, R] at the lambdas ``lams``.
     Those read g up to s = log R - log lambda (less at t > 0, as beta < 0),
     so the far field reaches to log R - log min(lams) over the lambdas set
-    and > 0; the evaluation rejects a nonpositive one."""
-    pos = [lam for lam in lams if lam is not None and lam > 0.0]
-    reach = math.log(R) - math.log(min(pos)) if pos and R > 1.0 else None
+    and > 0; the evaluation rejects a nonpositive one.  The far field ends
+    at the request's s_max, so where the lambdas ``read`` (those of lams the
+    command evaluates at t = 0 on the whole annulus; all of them if None)
+    need it further, a ConfigError names ``key`` (the setting that gives R),
+    R, the smallest of them and that reach, before any profile is built."""
+    def least(values):
+        pos = [lam for lam in values if lam is not None and lam > 0.0]
+        return min(pos) if pos and R > 1.0 else None
+
+    lam = least(lams)
+    reach = None if lam is None else math.log(R) - math.log(lam)
     req = ProfileRequest(params=_model(cfg), eta=1.0, tol=cfg.get("profile_tol", 1e-10))
+    lam = lam if read is None else least(read)
+    need = None if lam is None else math.log(R) - math.log(lam)
+    # past s_max by more than the evaluation's own slack of 1e-12 relative in r
+    if need is not None and need > req.s_max + 2e-12:
+        raise ConfigError(f"{key} = {R!r} with smallest lambda {lam!r} reads the profile's far "
+                          f"field to s = log R - log lambda = {need!r}, past its end s_max = "
+                          f"{req.s_max!r}")
     with _naming_model(cfg):
         return compute_profile(req, reach=reach)
 
@@ -562,10 +577,13 @@ def _cmd_evolve(cfg, out: str) -> int:
                      or bc.kind in ("f_lambda", "U_lambda") or mon["enabled"])
     band = (mon["lam1"], mon["lam2"]) if mon["enabled"] else (None, None)
     lams = (init.lam, init.lam1, init.lam2, init.lam0, bc.lam) + band
+    read = ({"f_lambda": (init.lam,), "blend": (init.lam1, init.lam2),
+             "bump": (init.lam0,)}.get(init.kind, ())
+            + ((bc.lam,) if bc.kind in ("f_lambda", "U_lambda") else ()) + band)
     clock = _clock(cfg)
     N = cfg["grid"]["N"]
     _check_snapshot_bytes(len(clock["snapshot_times"]), N, f"grid.N (--N) = {N!r}")
-    profile = _profile_for(cfg, cfg["grid"]["R"], lams) if needs_profile else None
+    profile = _profile_for(cfg, cfg["grid"]["R"], lams, read) if needs_profile else None
     ecfg = _build_evolution(cfg, clock, cfg["form"], init, bc, profile, band, mon["enabled"])
     traj = evolution.run(ecfg, trunc=True)
     r = ecfg.grid.r
@@ -813,7 +831,7 @@ def _cmd_validate_barenblatt(cfg, out: str) -> int:
 
     # exact-U_lambda tracking at the pinned (ds, dt)
     lam = cfg["lam"]
-    prof = _profile_for(cfg, math.e, (lam,))
+    prof = _profile_for(cfg, math.e, (lam,), key="the tracking grid's R")
     gridU = evolution.build_grid(math.e, cfg["track_N"])
     traj = solve(gridU, cfg["track_dt"], cfg["track_horizon"],
                  evolution.InitialSpec(kind="f_lambda", lam=lam),

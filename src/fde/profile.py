@@ -18,18 +18,20 @@ pipeline is:
 3. ``integrate_far_field``  -- switch to s = log r and step the autonomous
    equation for w~(s) = r^{(n-2-nm)/m} g^{1-m} on a fixed node lattice up
    to s_max (default 200, i.e. radii up to e^200, representable only
-   through s) with scipy's LSODA, keeping each step's Nordsieck columns in
-   flat buffers (``_lsoda``) and sampling the nodes from them by Horner's
-   rule; or, to a caller's ``reach``, a prefix of the lattice with
-   ``_rk45``; check the handoff,
+   through s) with the step function of scipy's LSODA extension, keeping
+   each step's Nordsieck columns in flat buffers (``_lsoda``) and sampling
+   the nodes from them by Horner's rule; or, to a caller's ``reach``, a
+   prefix of the lattice with ``_rk45``; check the handoff,
 4. ``compute_profile``      -- chain the stages into a ``Profile``, keeping
    the last one built for a repeat of its request.
 
 Each stage derives the constants of ``req.params`` itself.  The stages take
 scipy's RK45 and LSODA steps (same steps and nfev as ``solve_ivp``), but
 round their samples in their own order, free of any BLAS call.  RK45's
-constants are literals here, and only a full far field imports
-scipy.integrate, for LSODA; the module itself needs numpy only.  ``estimate_K``
+constants are literals here, and only a full far field loads scipy's LSODA
+extension, scipy.integrate._odepack, by its file and without
+scipy.integrate's package init; the module itself imports numpy and the
+bare scipy package only.  ``estimate_K``
 extracts K(eta, beta~) from a far-field trace with the closed-form tail
 corrections; only the callers that report K run it, on the full far field.
 A caller that reads the profile only on an annulus passes the largest s it
@@ -49,6 +51,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._scipy import scipy_extension
 from .params import DerivedConstants, ModelParams, derive_constants
 
 __all__ = [
@@ -241,6 +244,8 @@ _LN_MAX = math.log(np.finfo(float).max)  # the largest x whose e^x is a float
 
 # the most Nordsieck columns LSODA keeps: Adams orders go up to 12
 _LSODA_COLS = 13
+# scipy.integrate._odepack.lsoda, LSODA's step function, loaded on the first full trace
+_lsoda_step = None
 
 # scipy's RK45 (Dormand & Prince 1980; dense output P from Shampine 1986),
 # its constants written as scipy writes them, and the step-size policy of
@@ -419,41 +424,55 @@ def _lsoda(wss, s0: float, y0, rtol: float, atol: float, nodes: np.ndarray):
     them; return (w~, w~_s, nfev, steps), with nfev LSODA's own count of
     right-side evaluations (iwork[11]), which is ``solve_ivp``'s.
 
-    The solver is built as ``solve_ivp`` builds it, and each step is the one
-    ``LSODA._step_impl`` takes: the integrator runs once with itask 5 (one
-    step, never past t_bound), with the bare right side in place of the
-    solver's counting wrapper, so the steps are the solver's own without
-    its per-step checks and copies.  Each step's Nordsieck columns are kept
-    in flat buffers, read as ``LSODA._dense_output_impl`` reads them: the
-    order from iwork[13], h from rwork[11], order + 1 columns from
-    rwork[20:], the last rescaled by (h / rwork[10])^order when iwork[14]
-    lowers the next order.  Each node is sampled on the step ``solve_ivp``
-    picks for it (searchsorted(side="right") - 1 over the step starts), by
-    Horner's rule in (s - t) / h.  ProfileError when a step fails.
+    Each step is one call of the step function of scipy's LSODA extension,
+    scipy.integrate._odepack.lsoda, made as ``solve_ivp(method="LSODA")``
+    makes it: itask 5 (one step, never past t_bound), a finite-difference
+    full Jacobian (jt 2), the work arrays ``scipy.integrate.ode``'s lsoda
+    builds for n = 2 (at most 500 steps per call, Adams orders up to 12, BDF
+    up to 5) with rwork[0] = t_bound, and the state arrays carried from call
+    to call; istate is 1 on the first call and 2 after it.  The right side
+    is the bare one, without the solver's counting wrapper, so the steps are
+    the solver's own without its per-step checks and copies.  Each step's
+    Nordsieck columns are kept in flat buffers, read as
+    ``LSODA._dense_output_impl`` reads them: the order from iwork[13], h from
+    rwork[11], order + 1 columns from rwork[20:], the last rescaled by
+    (h / rwork[10])^order when iwork[14] lowers the next order.  Each node is
+    sampled on the step ``solve_ivp`` picks for it
+    (searchsorted(side="right") - 1 over the step starts), by Horner's rule
+    in (s - t) / h.  ProfileError when a step fails.
 
-    scipy.integrate is imported here, on the first full trace, and not with
-    the module: the commands that read only a prefix never load it.
+    The extension is loaded by its file on the first full trace
+    (``_scipy.scipy_extension``), without scipy.integrate's package init,
+    which loads scipy.optimize, scipy.sparse, scipy.special and
+    scipy.linalg; the commands that read only a prefix never load it.
     """
-    from scipy.integrate import LSODA
+    global _lsoda_step
+    if _lsoda_step is None:
+        _lsoda_step = scipy_extension("integrate", "_odepack", "lsoda")
 
     def rhs(s, y):
         w, ws = y.tolist()  # floats round as numpy's scalars do, at a third of the cost
         return ws, wss(w, ws)
 
-    solver = LSODA(rhs, s0, y0, nodes[-1], rtol=rtol, atol=atol)
-    ode = solver._lsoda_solver
-    integrator = ode._integrator
-    iwork, rwork, n = integrator.iwork, integrator.rwork, solver.n
-    jac = ode.jac or (lambda: None)  # as LSODA._step_impl passes it
-    y, s, t_bound = ode._y, solver.t, solver.t_bound
-    integrator.call_args[2] = 5
+    def jac():  # as LSODA._step_impl passes it; jt 2 never calls it
+        return None
+
+    n = 2
+    y, s, t_bound = np.array(y0, dtype=float), s0, float(nodes[-1])
+    rwork = np.zeros(max(20 + 16 * n, 22 + 9 * n + n * n))
+    rwork[0] = t_bound
+    iwork = np.zeros(20 + n, dtype=np.int32)
+    iwork[5], iwork[7], iwork[8] = 500, 12, 5
+    state = np.zeros(240), np.zeros(48, dtype=np.int32)
+    istate = 1
     cols = _LSODA_COLS * n
     t, h, order = np.empty(512), np.empty(512), np.empty(512, dtype=iwork.dtype)
     coef = np.empty((512, cols))
     i = 0
     while s < t_bound:
-        y, s = integrator.run(rhs, jac, y, s, t_bound, (), ())
-        if not integrator.success:
+        y, s, istate = _lsoda_step(rhs, y, s, t_bound, rtol, atol, 5, istate, rwork, iwork,
+                                   jac, 2, (), 1, (), *state)
+        if istate < 0:
             raise ProfileError("far-field integration failed: Unexpected istate in LSODA.")
         if i == len(t):  # double the buffers
             t, h, order = np.resize(t, 2 * i), np.resize(h, 2 * i), np.resize(order, 2 * i)

@@ -739,6 +739,60 @@ def test_power_mu_regime_error_names_weight_mu(tmp_path, capsys, no_solver, argv
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,R,lam", [
+    (["evolve"], 1e300, 1.0),
+    (["contract"], 1e100, 1.0),
+    (["converge", "--lambda2", "0.5"], 1e100, 0.5),
+    (["evolve"], math.exp(200.001), 1.0),
+], ids=["evolve", "contract", "converge", "just-past"])
+def test_reach_past_the_far_field_names_grid_R(tmp_path, capsys, no_solver, argv, R, lam):
+    # f_lambda on [1/R, R] reads the far field to s = log R - log lambda; past
+    # its end s_max = 200 the command refuses before building the profile
+    code = run_command(argv + ["--R", repr(R), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: grid.R (--R) = {R!r} with smallest lambda {lam!r} reads the profile's "
+        f"far field to s = log R - log lambda = {math.log(R) - math.log(lam)!r}, past its end "
+        f"s_max = 200.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_tracking_lambda_past_the_far_field_names_its_grid(tmp_path, capsys):
+    # validate-barenblatt tracks U_lambda on the fixed annulus [1/e, e], so a
+    # lambda below e^-199 reads past s_max = 200: its R is not grid.R
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"lam": 1e-100, "N_list": [21, 41], "temporal_N": 21,
+                               "temporal_dt_list": [0.02, 0.01, 0.005]}))
+    code = run_command(["validate-barenblatt", "--horizon", "0.02", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: the tracking grid's R = {math.e!r} with smallest lambda 1e-100 reads "
+        f"the profile's far field to s = log R - log lambda = {1.0 - math.log(1e-100)!r}, past "
+        f"its end s_max = 200.0\n")
+
+
+def test_reach_counts_only_the_lambdas_evolve_reads(tmp_path, monkeypatch):
+    # a bump at lam0 = 1e20 with a constant boundary reads the far field to
+    # 201 - log 1e20 < 200, so e^201 is no config error; the unread default
+    # initial.lam = 1 still sets the far field's reach, as it always has
+    seen = []
+
+    def build(req, reach=None):
+        seen.append(reach)
+        raise ProfileError("stop")
+
+    monkeypatch.setattr(cli, "compute_profile", build)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "initial": {"kind": "bump", "lam0": 1e20, "amplitude": 0.1, "r_lo": 0.5, "r_hi": 2.0},
+        "boundary": {"kind": "constant", "value": 1.0}}))
+    R = math.exp(201.0)
+    assert run_command(["evolve", "--R", repr(R), "--config", str(cfg), "--out",
+                        str(tmp_path / "out")]) == 1
+    assert seen == [math.log(R)]
+
+
 def test_U_lambda_time_shift_overflow_is_one_line(tmp_path, capsys):
     # e^(-beta t) passes the float range once -beta t > 709.78, here at t > 0.071
     with warnings.catch_warnings():
@@ -983,8 +1037,9 @@ def test_pde_commands_load_no_scipy_solver(tmp_path):
     # PDE (and constants) load numpy and LAPACK only, none of scipy's ODE,
     # interpolation, special-function or optimisation packages, nor the
     # scipy.linalg package (whose init loads numpy.f2py) around the one
-    # LAPACK extension; a following profile loads LSODA and writes the bytes
-    # it writes in this process
+    # LAPACK extension; a following profile and expansion step LSODA from
+    # scipy's extension without loading scipy.integrate, and write the bytes
+    # they write in this process
     script = """
 import contextlib, io, sys
 from fde.cli import run_command
@@ -997,16 +1052,21 @@ for argv in (["constants"], ["evolve", "--N", "41", "--horizon", "0.01"],
 print(sorted({m for m in sys.modules if m.startswith(%r)}))
 print([m for m in ("scipy.linalg", "numpy.f2py") if m in sys.modules])
 assert run_command(["profile", "--smax", "60", "--out", out + "/profile"]) == 0
-print("scipy.integrate" in sys.modules)
-""" % (_SCIPY_SOLVERS,)
+with contextlib.redirect_stdout(io.StringIO()):
+    print(run_command(["expansion", "--out", out + "/expansion"]), file=sys.__stdout__)
+print(sorted({m for m in sys.modules if m.startswith(%r)}))
+""" % (_SCIPY_SOLVERS, _SCIPY_SOLVERS)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "fresh")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]", "True"]
-    assert run_command(["profile", "--smax", "60", "--out", str(tmp_path / "here")]) == 0
-    for name in ("profile_rg.csv", "profile_far.csv", "profile_summary.json"):
-        assert _read(tmp_path / "fresh" / "profile" / name) == _read(tmp_path / "here" / name)
+    here = tmp_path / "here"
+    code = run_command(["expansion", "--out", str(here / "expansion")])
+    assert done.stdout.splitlines() == ["[]", "[]", str(code), "[]"]
+    assert run_command(["profile", "--smax", "60", "--out", str(here / "profile")]) == 0
+    for name in ("profile/profile_rg.csv", "profile/profile_far.csv", "profile/profile_summary.json",
+                 "expansion/expansion.csv", "expansion/expansion_report.json"):
+        assert _read(tmp_path / "fresh" / name) == _read(here / name)
 
 
 @pytest.mark.parametrize("command", ["contract", "converge"])
@@ -1064,16 +1124,19 @@ def test_repeated_contract_builds_its_profile_once(tmp_path, monkeypatch, profil
 
 
 @pytest.mark.parametrize("argv,err", [
-    (["contract", "--lambda2", "1e-100"], "error: r beyond e^s_max = e^200.0; no extrapolation"),
+    (["contract", "--lambda2", "1e-100"],
+     f"config error: grid.R (--R) = {math.e ** 5!r} with smallest lambda 1e-100 reads the "
+     f"profile's far field to s = log R - log lambda = "
+     f"{math.log(math.e ** 5) - math.log(1e-100)!r}, past its end s_max = 200.0"),
     (["contract", "--lambda2", "-1"], "error: lambda must be positive, got -1.0"),
     (["contract", "--lambda2", "-1e-3"], "error: lambda must be positive, got -0.001"),
     (["converge", "--lambda2", "-1"], "error: lambda must be positive, got -1.0"),
 ], ids=["contract-tiny", "contract-negative", "contract-negative-e-notation",
         "converge-negative"])
 def test_lambda_out_of_the_profile_rejected(tmp_path, capsys, argv, err):
-    # a lambda so small that its reach runs past the lattice's end reads g
-    # beyond e^s_max; a nonpositive one is left out of the reach and rejected
-    # where it is evaluated
+    # a lambda so small that its reach runs past the lattice's end is refused
+    # before the profile is built; a nonpositive one is left out of the reach
+    # and rejected where it is evaluated
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"grid": {"N": 101}, "horizon": 0.01, "snapshots": 1}))
     out = tmp_path / "out"

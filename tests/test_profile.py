@@ -1,6 +1,8 @@
 """Profile pipeline: startup series, integration, far field, K, evaluators."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -192,6 +194,73 @@ def test_far_field_stepper_takes_lsoda_steps(n, m, beta, eta, s_max):
         assert (new.h1 is None) == (ref.h1 is None)  # None in the Yamabe case
         if new.h1 is not None:
             assert np.all(np.abs(new.h1 - ref.h1) <= 4 * ulp_w), reach
+
+
+_FAR_FIELD_DIGEST = """
+import hashlib, sys
+if sys.argv[1] == "first":
+    import scipy.integrate
+from fde.profile import ProfileRequest, integrate_far_field, integrate_inner
+from fde.params import ModelParams
+req = ProfileRequest(params=ModelParams(n=5, m=0.367876, beta=-1.18629), eta=1.4731)
+far = integrate_far_field(req, integrate_inner(req))
+digest = hashlib.sha256(far.w.tobytes() + far.w_s.tobytes()).hexdigest()
+print(digest, far.nfev, far.steps, "scipy.integrate" in sys.modules)
+"""
+
+
+def test_far_field_is_the_same_whichever_scipy_loads_first():
+    # in fresh interpreters, the full far field steps scipy's LSODA extension
+    # without loading scipy.integrate, and gives the same w~, w~_s, nfev and
+    # steps bit for bit whether scipy.integrate was imported first or not at all
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(profile.__file__)))
+    out = {}
+    for first in ("first", "none"):
+        done = subprocess.run([sys.executable, "-c", _FAR_FIELD_DIGEST, first], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out[first] = done.stdout.split()
+    assert out["first"][:3] == out["none"][:3]
+    assert (out["first"][3], out["none"][3]) == ("True", "False")
+
+
+def test_far_field_lsoda_failure_is_a_profile_error(monkeypatch):
+    # a full trace whose LSODA step fails (istate < 0, as after excess work
+    # or repeated error test failures) names the far-field stage
+    req = req_for(3, 0.2)
+    inner = integrate_inner(req)
+    monkeypatch.setattr(profile, "_lsoda_step", lambda f, y, s, *rest: (y, s, -4))
+    with pytest.raises(ProfileError, match=r"^far-field integration failed: Unexpected istate "
+                                           r"in LSODA\.$"):
+        integrate_far_field(req, inner)
+
+
+def test_scipy_extension_not_found_names_the_paths(monkeypatch, tmp_path):
+    import scipy
+
+    from fde._scipy import scipy_extension
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError) as e:
+        scipy_extension("integrate", "_odepack", "lsoda")
+    assert str(e.value) == (f"scipy.integrate._odepack not found in "
+                            f"[{str(tmp_path / 'integrate')!r}]")
+
+
+def test_scipy_extension_without_lsoda_names_scipys_version(monkeypatch, tmp_path):
+    # the far field loads LSODA's step function on its first full trace; an
+    # extension that lacks it is an ImportError naming scipy's version
+    import scipy
+
+    (tmp_path / "integrate").mkdir()
+    (tmp_path / "integrate" / "_odepack.py").write_text("odeint = None\n")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.setattr(profile, "_lsoda_step", None)
+    req = req_for(3, 0.2)
+    with pytest.raises(ImportError) as e:
+        integrate_far_field(req, integrate_inner(req))
+    assert str(e.value) == (f"scipy.integrate._odepack of scipy {scipy.__version__} "
+                            f"has no 'lsoda'")
 
 
 @pytest.mark.parametrize("n, m, beta, eta, s_max", _FAR_DRAWS)

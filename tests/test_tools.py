@@ -89,6 +89,37 @@ def test_modules_loaded_counts_a_fresh_import(tmp_path):
     assert diff_outputs._modules_loaded(str(tmp_path)) == int(bare.stdout) + 2
 
 
+def test_modules_loaded_counts_what_a_command_imports(tmp_path):
+    # given a command, the fresh process also runs it in-process, with --out
+    # a directory of its own, and counts the modules its run imported too
+    pkg = tmp_path / "fde"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "import json\n"
+        "def run_command(argv):\n"
+        "    import os, csv\n"
+        "    assert argv[:1] == ['profile'] and argv[-2] == '--out' and os.path.isdir(argv[-1])\n"
+        "    print('output')\n")
+    bare = subprocess.run([sys.executable, "-c",
+                           "import sys, json, os, csv; print(len(sys.modules))"],
+                          capture_output=True, text=True, check=True)
+    assert (diff_outputs._modules_loaded(str(tmp_path), ("profile", "--smax", "60"))
+            == int(bare.stdout) + 2)
+
+
+def test_modules_loaded_after_profile_leaves_out_scipy_integrate():
+    # the count diff_outputs prints for a fresh fde profile --smax 60: the full
+    # far field steps LSODA without scipy.integrate's package init, so it
+    # loads few modules on top of import fde.cli
+    import fde
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fde.__file__)))
+    before = diff_outputs._modules_loaded(src)
+    after = diff_outputs._modules_loaded(src, diff_outputs._PROFILE_ARGV)
+    assert before <= after < before + 20
+
+
 def test_perfbench_finds_every_layer_it_traces(monkeypatch):
     # perfbench wraps fde's functions by name; a refactor that drops or
     # renames one loses that layer's span, which only this check notices

@@ -7,9 +7,11 @@ checkout's ``src``).  First each tree's size is printed: the line count of
 the package's modules, its number of public names (the sum of the modules'
 ``__all__`` lengths), its number of settable values (the parameters of
 its functions other than self and cls, and the annotated fields of its
-dataclasses) and the number of modules a fresh ``import fde.cli`` loads
-(``sys.modules`` entries, one subprocess per tree), which shows import
-creep.  For each tree, one subprocess with
+dataclasses), the number of modules a fresh ``import fde.cli`` loads
+(``sys.modules`` entries, one subprocess per tree) and the number loaded
+once a fresh process has also run ``fde profile --smax 60``, the full far
+field's LSODA path; the two show import creep.  For each tree, one
+subprocess with
 PYTHONPATH set to that tree runs the fixed matrix below in-process, writing
 each case's artifacts, stdout, stderr and exit code to OUT/base/<case> or
 OUT/change/<case>.  A table lists each case's exit codes and verdict, and
@@ -35,6 +37,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -43,6 +46,8 @@ _EVOLVE = {"grid": {"R": 7.38905609893065, "N": 201}, "dt": 2e-3, "horizon": 0.0
            "initial": {"kind": "blend", "lam1": 2.0, "lam2": 1.0, "theta": 0.3},
            "monitors": {"enabled": True, "lam1": 2.0, "lam2": 1.0}}
 _CONTRACT = {"grid": {"R": 148.4131591025766, "N": 801}, "horizon": 0.2, "snapshots": 6}
+
+_PROFILE_ARGV = ("profile", "--smax", "60")  # a full far field, whose LSODA path imports
 
 BOUND_ATOL, BOUND_RTOL = 1e-12, 1e-10  # the bound |change - base| <= atol + rtol |base|
 
@@ -161,13 +166,19 @@ def _surface(src: str) -> tuple:
     return lines, names, settable
 
 
-def _modules_loaded(src: str) -> int:
+def _modules_loaded(src: str, argv=()) -> int:
     """The number of sys.modules entries after ``import fde.cli`` in a fresh
-    interpreter with src as its PYTHONPATH."""
-    done = subprocess.run([sys.executable, "-c", "import sys, fde.cli; print(len(sys.modules))"],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-                          check=True)
-    return int(done.stdout)
+    interpreter with src as its PYTHONPATH, and after it runs the command
+    ``argv`` (if any) in-process, writing its files to a temporary directory."""
+    script = ("import sys, fde.cli\n"
+              "if sys.argv[1:]:\n"
+              "    fde.cli.run_command(sys.argv[1:])\n"
+              "print(len(sys.modules))")
+    with tempfile.TemporaryDirectory() as out:
+        done = subprocess.run(
+            [sys.executable, "-c", script] + (list(argv) + ["--out", out] if argv else []),
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    return int(done.stdout.split()[-1])
 
 
 def _verdict(d: str) -> str:
@@ -299,9 +310,10 @@ def main(argv=None) -> int:
         return 1
     os.makedirs(out)
     sides = {"base": base_src, "change": change_src}
-    size = {side: _surface(src) + (_modules_loaded(src),) for side, src in sides.items()}
+    size = {side: _surface(src) + (_modules_loaded(src), _modules_loaded(src, _PROFILE_ARGV))
+            for side, src in sides.items()}
     for i, what in enumerate(("src lines", "public names", "settable values",
-                              "modules loaded")):
+                              "modules loaded", "after profile")):
         b, c = size["base"][i], size["change"][i]
         print(f"{what:<16}base {b}  change {c}  ({c - b:+d})")
     for side, src in sides.items():
